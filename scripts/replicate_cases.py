@@ -21,16 +21,13 @@ from pairdeutsch import (  # noqa: E402
     B2,
     C1,
     C2,
-    ENTANGLED_PAIR,
-    PRODUCT_PAIR,
     NoiseModel,
     PromisePair,
-    run_entangled_pair,
     run_noisy,
-    run_product_pair,
     sample_shots,
     statistical_fidelity,
 )
+from pairdeutsch.algorithms import ALGORITHMS, run  # noqa: E402
 
 CASES = [
     ("case-1", PromisePair(B1, B1)),
@@ -38,7 +35,7 @@ CASES = [
     ("case-3", PromisePair(C1, C1)),
     ("case-4", PromisePair(C1, C2)),
 ]
-RUNNERS = {ENTANGLED_PAIR: run_entangled_pair, PRODUCT_PAIR: run_product_pair}
+PAIR_ALGORITHMS = [name for name, entry in ALGORITHMS.items() if entry.takes_pair]
 
 
 def main() -> int:
@@ -54,14 +51,13 @@ def main() -> int:
     )
     rows = []
     print(f"{'case':8} {'algorithm':16} {'fidelity':>10} {'stderr':>9}  outcomes")
-    for algorithm, runner in RUNNERS.items():
+    for algorithm in PAIR_ALGORITHMS:
         for name, pair in CASES:
-            ideal = runner(pair).final_distribution
+            ideal = run(algorithm, pair).final_distribution
             noisy = run_noisy(algorithm, pair, model)
-            counts = sample_shots(noisy, args.shots, args.seed).counts
-            report = statistical_fidelity(
-                sample_shots(noisy, args.shots, args.seed), ideal, seed=args.seed
-            )
+            sample = sample_shots(noisy, args.shots, args.seed)
+            counts = sample.counts
+            report = statistical_fidelity(sample, ideal, seed=args.seed)
             top = sorted(counts, key=counts.get, reverse=True)[:2]
             summary = ", ".join(f"{k}:{counts[k]}" for k in top)
             print(

@@ -1,14 +1,17 @@
 """Instrumented single-shot runs of the three oracle-testing circuits.
 
 Outcome keys are big-endian bitstrings: qubit 0 (the constant-vs-balanced
-answer qubit) comes first, then the work qubits. Every run records the state
-after each named step and the number of times each oracle was applied.
+answer qubit) comes first, then the work qubits. Every run records its gate
+list, the state after each named step and the number of times each oracle
+was applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -21,13 +24,40 @@ from .qstate import (
     X,
     apply_gate,
     basis_state,
-    measurement_distribution,
+    bitstring_distribution,
 )
 
 DEUTSCH = "deutsch"
 ENTANGLED_PAIR = "entangled_pair"
 PRODUCT_PAIR = "product_pair"
-ALGORITHMS = (DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """Width and exact query counts of one circuit. A circuit that queries g
+    takes a PromisePair and decodes both answer bits; one that queries only f
+    takes a single BoolFn and decodes the answer qubit alone."""
+
+    num_qubits: int
+    queries: Mapping[str, int]
+
+    @property
+    def takes_pair(self) -> bool:
+        return "g" in self.queries
+
+
+ALGORITHMS = MappingProxyType({
+    DEUTSCH: Algorithm(2, MappingProxyType({"f": 1})),
+    ENTANGLED_PAIR: Algorithm(3, MappingProxyType({"f": 1, "g": 1})),
+    PRODUCT_PAIR: Algorithm(3, MappingProxyType({"f": 2, "g": 1})),
+})
+
+
+def spec(algorithm: str) -> Algorithm:
+    """Table entry of the named algorithm."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm]
 
 
 @dataclass(frozen=True)
@@ -56,22 +86,18 @@ class RunRecord:
     query_counts: dict[str, int]
     step_states: tuple[tuple[str, StateVector], ...]
     decoded: DecodedAnswer
+    ops: tuple[GateOp, ...]
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        expected = dict(spec(self.algorithm).queries)
         total = sum(self.final_distribution.values())
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"final distribution sums to {total!r}, not 1")
-        counts = self.query_counts
-        if self.algorithm == DEUTSCH and counts != {"f": 1}:
-            raise ValueError(f"single-function run must query f once, got {counts}")
-        if self.algorithm == ENTANGLED_PAIR and counts != {"f": 1, "g": 1}:
+        if self.query_counts != expected:
             raise ValueError(
-                f"entangled run must query f and g once each, got {counts}"
+                f"{self.algorithm} run must make queries {expected}, "
+                f"got {self.query_counts}"
             )
-        if self.algorithm == PRODUCT_PAIR and sum(counts.values()) != 3:
-            raise ValueError(f"product run must use three queries, got {counts}")
 
 
 def decode(bitstring: str) -> DecodedAnswer:
@@ -81,6 +107,14 @@ def decode(bitstring: str) -> DecodedAnswer:
         raise ValueError(f'expected a 3-bit outcome string, got "{bitstring}"')
     a, w1, w2 = (int(c) for c in bitstring)
     return DecodedAnswer(balanced=a, different=w1 ^ w2)
+
+
+def decode_outcome(algorithm: str, bitstring: str) -> DecodedAnswer:
+    """Decode one outcome of the named algorithm; a single-function run
+    reads only the answer qubit."""
+    if spec(algorithm).takes_pair:
+        return decode(bitstring)
+    return DecodedAnswer(balanced=int(bitstring[0]))
 
 
 def deutsch_ops(fn: BoolFn) -> list[GateOp]:
@@ -147,33 +181,22 @@ def circuit_ops(
     algorithm: str, oracles: BoolFn | PromisePair
 ) -> tuple[list[GateOp], int]:
     """Gate list and qubit count for the named algorithm."""
-    if algorithm == DEUTSCH:
-        if not isinstance(oracles, BoolFn):
-            raise ValueError("deutsch takes a single BoolFn")
-        return deutsch_ops(oracles), 2
-    if not isinstance(oracles, PromisePair):
+    entry = spec(algorithm)
+    if entry.takes_pair and not isinstance(oracles, PromisePair):
         raise ValueError(f"{algorithm} takes a PromisePair")
-    if algorithm == ENTANGLED_PAIR:
-        return entangled_pair_ops(oracles), 3
-    if algorithm == PRODUCT_PAIR:
-        return product_pair_ops(oracles), 3
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not entry.takes_pair and not isinstance(oracles, BoolFn):
+        raise ValueError(f"{algorithm} takes a single BoolFn")
+    # Looked up at call time, so a patched builder takes effect.
+    builders = {
+        DEUTSCH: deutsch_ops,
+        ENTANGLED_PAIR: entangled_pair_ops,
+        PRODUCT_PAIR: product_pair_ops,
+    }
+    return builders[algorithm](oracles), entry.num_qubits
 
 
-def _decode_distribution(algorithm: str, dist: dict[str, float]) -> DecodedAnswer:
-    outcomes = sorted(dist)
-    if algorithm == DEUTSCH:
-        bits = {o[0] for o in outcomes}
-        if len(bits) != 1:
-            raise RuntimeError(f"answer qubit is not deterministic: {outcomes}")
-        return DecodedAnswer(balanced=int(bits.pop()), different=None)
-    answers = {decode(o) for o in outcomes}
-    if len(answers) != 1:
-        raise RuntimeError(f"outcomes decode inconsistently: {outcomes}")
-    return answers.pop()
-
-
-def _run(algorithm: str, ops: list[GateOp], num_qubits: int) -> RunRecord:
+def _run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:
+    ops, num_qubits = circuit_ops(algorithm, oracles)
     state = basis_state(num_qubits, 0)
     steps: list[tuple[str, StateVector]] = []
     queries: dict[str, int] = {}
@@ -183,29 +206,36 @@ def _run(algorithm: str, ops: list[GateOp], num_qubits: int) -> RunRecord:
             if op.oracle is not None:
                 queries[op.oracle] = queries.get(op.oracle, 0) + 1
         steps.append((label, state))
-    dist = {
-        format(i, f"0{num_qubits}b"): p
-        for i, p in sorted(measurement_distribution(state).items())
-    }
-    decoded = _decode_distribution(algorithm, dist)
-    return RunRecord(algorithm, dist, queries, tuple(steps), decoded)
+    dist = bitstring_distribution(np.abs(state.amplitudes) ** 2, num_qubits)
+    answers = {decode_outcome(algorithm, o) for o in dist}
+    if len(answers) != 1:
+        raise RuntimeError(f"outcomes decode inconsistently: {sorted(dist)}")
+    return RunRecord(algorithm, dist, queries, tuple(steps), answers.pop(), tuple(ops))
 
 
 def run_deutsch(fn: BoolFn) -> RunRecord:
     """One query to a single function; decoded.balanced == f(0)^f(1)."""
-    ops, n = circuit_ops(DEUTSCH, fn)
-    return _run(DEUTSCH, ops, n)
+    return _run(DEUTSCH, fn)
 
 
 def run_entangled_pair(pair: PromisePair) -> RunRecord:
     """One query to each function with entangled work qubits; two equally
     likely outcomes, both decoding to the same (balanced, different) answer."""
-    ops, n = circuit_ops(ENTANGLED_PAIR, pair)
-    return _run(ENTANGLED_PAIR, ops, n)
+    return _run(ENTANGLED_PAIR, pair)
 
 
 def run_product_pair(pair: PromisePair) -> RunRecord:
     """Three queries (two to f, one to g) with no entanglement anywhere;
     a single deterministic outcome decoding per the same table."""
-    ops, n = circuit_ops(PRODUCT_PAIR, pair)
-    return _run(PRODUCT_PAIR, ops, n)
+    return _run(PRODUCT_PAIR, pair)
+
+
+def run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:
+    """Run the named algorithm through its run_* entry point, looked up at
+    call time so that a patched runner takes effect."""
+    runners = {
+        DEUTSCH: run_deutsch,
+        ENTANGLED_PAIR: run_entangled_pair,
+        PRODUCT_PAIR: run_product_pair,
+    }
+    return runners[algorithm](oracles)

@@ -15,12 +15,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from io import StringIO
 
 from . import __version__, algorithms
-from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR
+from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR, RunRecord
 from .entanglement import (
     FAMILIES,
     audit_family_distinguishability,
@@ -74,8 +74,7 @@ class _Parser(argparse.ArgumentParser):
 class RunRequest:
     command: str
     algorithm: str | None = None
-    oracle_f: BoolFn | None = None
-    oracle_g: BoolFn | None = None
+    oracles: BoolFn | PromisePair | None = None
     shots: int | None = None  # None means exact probabilities
     noise: str = "off"
     seed: int = 0
@@ -84,6 +83,14 @@ class RunRequest:
     scales: tuple[float, ...] | None = None
     samples: int = 1000
     grid: int = 51
+
+    @property
+    def oracle_f(self) -> BoolFn | None:
+        return getattr(self.oracles, "f", self.oracles)  # pair.f, or the lone BoolFn
+
+    @property
+    def oracle_g(self) -> BoolFn | None:
+        return getattr(self.oracles, "g", None)
 
     def as_dict(self) -> dict:
         d: dict = {"command": self.command, "seed": self.seed, "output": self.output}
@@ -164,14 +171,18 @@ def _parse_scales(text: str) -> tuple[float, ...]:
     return tuple(scales)
 
 
+def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--algorithm", required=True, choices=sorted(_ALGORITHM_NAMES))
+    parser.add_argument("--f", required=True, help='oracle: B1/B2/C1/C2 or "0:b,1:b"')
+    parser.add_argument("--g", help="second oracle (pair algorithms only)")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pairdeutsch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one algorithm")
-    run.add_argument("--algorithm", required=True, choices=sorted(_ALGORITHM_NAMES))
-    run.add_argument("--f", required=True, help='oracle: B1/B2/C1/C2 or "0:b,1:b"')
-    run.add_argument("--g", help="second oracle (pair algorithms only)")
+    _add_circuit_arguments(run)
     run.add_argument("--shots", default="exact", help='shot count or "exact"')
     run.add_argument("--noise", default="off", help="off | table2 | config path")
     run.add_argument("--seed", type=int, default=None)
@@ -195,11 +206,7 @@ def _build_parser() -> _Parser:
     fid.add_argument("--output", default="json", choices=("json",))
 
     sweep = sub.add_parser("sweep-noise", help="fidelity under scaled noise rates")
-    sweep.add_argument(
-        "--algorithm", required=True, choices=sorted(_ALGORITHM_NAMES)
-    )
-    sweep.add_argument("--f", required=True)
-    sweep.add_argument("--g")
+    _add_circuit_arguments(sweep)
     sweep.add_argument("--scales", default="0,0.5,1,2")
     sweep.add_argument("--noise", default="table2", help="table2 | config path")
     sweep.add_argument("--seed", type=int, default=None)
@@ -207,17 +214,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _oracles_for(
-    algorithm: str, f: BoolFn, g: BoolFn | None
-) -> BoolFn | PromisePair:
-    if algorithm == DEUTSCH:
-        if g is not None:
-            raise UsageError("--g is not accepted for the deutsch algorithm")
-        return f
-    if g is None:
+def _parse_circuit(
+    alias: str, f: str, g: str | None, flags: tuple[str, str] = ("--f", "--g")
+) -> tuple[str, BoolFn | PromisePair]:
+    """Canonical algorithm name and its oracles: a BoolFn for a circuit that
+    queries only f, a promise-checked PromisePair for one that also queries g."""
+    if alias not in _ALGORITHM_NAMES:
+        raise UsageError(f'{flags[0]}: unknown algorithm "{alias}"')
+    algorithm = _ALGORITHM_NAMES[alias]
+    fn_f = _parse_oracle_flag(flags[0], f)
+    fn_g = _parse_oracle_flag(flags[1], g) if g is not None else None
+    if not algorithms.spec(algorithm).takes_pair:
+        if fn_g is not None:
+            raise UsageError(f"--g is not accepted for the {algorithm} algorithm")
+        return algorithm, fn_f
+    if fn_g is None:
         raise UsageError(f"--g is required for the {algorithm} algorithm")
     try:
-        return PromisePair(f, g)
+        return algorithm, PromisePair(fn_f, fn_g)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -226,15 +240,11 @@ def parse_request(argv: list[str]) -> RunRequest:
     ns = _build_parser().parse_args(argv)
     seed = ns.seed if getattr(ns, "seed", None) is not None else _default_seed()
     if ns.command == "run":
-        algorithm = _ALGORITHM_NAMES[ns.algorithm]
-        f = _parse_oracle_flag("--f", ns.f)
-        g = _parse_oracle_flag("--g", ns.g) if ns.g is not None else None
-        _oracles_for(algorithm, f, g)  # validates pairing and the promise
+        algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
         return RunRequest(
             command="run",
             algorithm=algorithm,
-            oracle_f=f,
-            oracle_g=g,
+            oracles=oracles,
             shots=_parse_shots(ns.shots),
             noise=ns.noise,
             seed=seed,
@@ -259,33 +269,25 @@ def parse_request(argv: list[str]) -> RunRequest:
                 f'--theory: "{ns.theory}" does not match algorithm:f[,g] '
                 '(e.g. entangled:B1,B1)'
             )
-        if m.group("alg") not in _ALGORITHM_NAMES:
-            raise UsageError(f'--theory: unknown algorithm "{m.group("alg")}"')
-        algorithm = _ALGORITHM_NAMES[m.group("alg")]
-        f = _parse_oracle_flag("--theory", m.group("f"))
-        g = _parse_oracle_flag("--theory", m.group("g")) if m.group("g") else None
-        _oracles_for(algorithm, f, g)
+        algorithm, oracles = _parse_circuit(
+            m.group("alg"), m.group("f"), m.group("g"), ("--theory", "--theory")
+        )
         return RunRequest(
             command="fidelity",
             algorithm=algorithm,
-            oracle_f=f,
-            oracle_g=g,
+            oracles=oracles,
             counts_path=ns.counts,
             seed=seed,
             output=ns.output,
         )
     if ns.command == "sweep-noise":
-        algorithm = _ALGORITHM_NAMES[ns.algorithm]
-        f = _parse_oracle_flag("--f", ns.f)
-        g = _parse_oracle_flag("--g", ns.g) if ns.g is not None else None
-        _oracles_for(algorithm, f, g)
+        algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
         if ns.noise == "off":
             raise UsageError("sweep-noise needs a noise model (table2 or a config path)")
         return RunRequest(
             command="sweep-noise",
             algorithm=algorithm,
-            oracle_f=f,
-            oracle_g=g,
+            oracles=oracles,
             scales=_parse_scales(ns.scales),
             noise=ns.noise,
             seed=seed,
@@ -294,31 +296,22 @@ def parse_request(argv: list[str]) -> RunRequest:
     raise UsageError(f"unknown command {ns.command!r}")
 
 
-def _load_noise(source: str) -> NoiseModel:
-    if source == "table2":
-        return NoiseModel.table2()
-    if not os.path.exists(source):
+def _load_noise(source: str, record: RunRecord) -> NoiseModel:
+    """The named model, checked to cover every qubit and two-qubit gate of
+    the run's circuit."""
+    if source != "table2" and not os.path.exists(source):
         raise UsageError(f'--noise: "{source}" is neither "table2" nor a config file')
     try:
-        return NoiseModel.load(source)
+        model = NoiseModel.table2() if source == "table2" else NoiseModel.load(source)
+        model.check_covers(algorithms.spec(record.algorithm).num_qubits, record.ops)
     except ValueError as exc:
         raise UsageError(f"--noise config {source}: {exc}") from None
-
-
-def _ideal_record(request: RunRequest):
-    oracles = _oracles_for(request.algorithm, request.oracle_f, request.oracle_g)
-    if request.algorithm == DEUTSCH:
-        return algorithms.run_deutsch(oracles)
-    if request.algorithm == ENTANGLED_PAIR:
-        return algorithms.run_entangled_pair(oracles)
-    return algorithms.run_product_pair(oracles)
+    return model
 
 
 def _decode_outcome(algorithm: str, bitstring: str) -> dict:
-    if algorithm == DEUTSCH:
-        return {"balanced": int(bitstring[0])}
-    answer = algorithms.decode(bitstring)
-    return {"balanced": answer.balanced, "different": answer.different}
+    answer = algorithms.decode_outcome(algorithm, bitstring)
+    return {k: v for k, v in asdict(answer).items() if v is not None}
 
 
 def _argmax(dist: dict[str, float]) -> str:
@@ -326,24 +319,21 @@ def _argmax(dist: dict[str, float]) -> str:
 
 
 def _payload_run(request: RunRequest) -> tuple[dict, int]:
-    record = _ideal_record(request)
-    oracles = _oracles_for(request.algorithm, request.oracle_f, request.oracle_g)
+    record = algorithms.run(request.algorithm, request.oracles)
     if request.noise == "off":
         probabilities = record.final_distribution
     else:
-        model = _load_noise(request.noise)
-        probabilities = run_noisy(request.algorithm, oracles, model)
-    decoded = _decode_outcome(request.algorithm, _argmax(probabilities))
-    ops, _ = algorithms.circuit_ops(request.algorithm, oracles)
+        model = _load_noise(request.noise, record)
+        probabilities = run_noisy(request.algorithm, request.oracles, model)
     payload: dict = {
         "queries": dict(sorted(record.query_counts.items())),
-        "gate_count": len(ops),  # informational, never asserted on
+        "gate_count": len(record.ops),  # informational, never asserted on
         "probabilities": {k: probabilities[k] for k in sorted(probabilities)},
     }
     if request.shots is not None:
         result = sample_shots(probabilities, request.shots, request.seed)
         payload["counts"] = {k: result.counts[k] for k in sorted(result.counts)}
-    payload["decoded"] = decoded
+    payload["decoded"] = _decode_outcome(request.algorithm, _argmax(probabilities))
     payload["separability"] = [
         {"step": label, "product": product}
         for label, product in trace_run_separability(record)
@@ -405,7 +395,7 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
     return payload, EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _load_counts(path: str) -> dict[str, int]:
+def _load_counts(path: str, width: int) -> dict[str, int]:
     try:
         raw = json.loads(open(path).read())
     except FileNotFoundError:
@@ -416,18 +406,22 @@ def _load_counts(path: str) -> dict[str, int]:
         raise UsageError(f"--counts: {path} must map bitstrings to counts")
     counts = {}
     for key, value in raw.items():
-        if not re.fullmatch(r"[01]+", key) or not isinstance(value, int) or value < 0:
+        # type(), not isinstance(): JSON true/false are bools, not counts
+        bad_value = type(value) is not int or value < 0
+        if not re.fullmatch(f"[01]{{{width}}}", key) or bad_value:
             raise UsageError(
                 f'--counts: bad entry "{key}": {value!r} '
-                "(keys are bitstrings, values nonnegative integers)"
+                f"(keys are {width}-bit strings, values nonnegative integers)"
             )
         counts[key] = value
     return counts
 
 
 def _payload_fidelity(request: RunRequest) -> tuple[dict, int]:
-    counts = _load_counts(request.counts_path)
-    record = _ideal_record(request)
+    counts = _load_counts(
+        request.counts_path, algorithms.spec(request.algorithm).num_qubits
+    )
+    record = algorithms.run(request.algorithm, request.oracles)
     result = ShotResult(sum(counts.values()), counts)
     report = statistical_fidelity(
         result, record.final_distribution, seed=request.seed
@@ -442,9 +436,8 @@ def _payload_fidelity(request: RunRequest) -> tuple[dict, int]:
 
 
 def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
-    base = _load_noise(request.noise)
-    record = _ideal_record(request)
-    oracles = _oracles_for(request.algorithm, request.oracle_f, request.oracle_g)
+    record = algorithms.run(request.algorithm, request.oracles)
+    base = _load_noise(request.noise, record)
     ideal = record.final_distribution
     ideal_decoded = _decode_outcome(request.algorithm, _argmax(ideal))
     rows = []
@@ -453,7 +446,7 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
             model = base.scaled(scale)
         except ValueError as exc:
             raise UsageError(f"--scales: {exc}") from None
-        noisy = run_noisy(request.algorithm, oracles, model)
+        noisy = run_noisy(request.algorithm, request.oracles, model)
         rows.append(
             {
                 "scale": scale,

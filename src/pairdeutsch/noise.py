@@ -13,18 +13,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from string import ascii_lowercase
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algorithms import circuit_ops
+from .algorithms import GateOp, circuit_ops
 from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
-    PROB_CUTOFF,
     apply_gate_density,
     basis_state,
+    bitstring_distribution,
     partial_trace,
 )
 
@@ -39,13 +39,16 @@ _READOUT_KEY = re.compile(r"^readout_error_q(\d+)$")
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-qubit gate/readout error rates and per-pair two-qubit gate rates."""
+    """Per-qubit gate/readout error rates and per-pair two-qubit gate rates.
+    The pair rates are stored as a read-only mapping."""
 
     single_qubit_gate_error: tuple[float, ...]
-    two_qubit_gate_error: dict[tuple[int, int], float]
+    two_qubit_gate_error: Mapping[tuple[int, int], float]
     readout_error: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        pair_rates = MappingProxyType(dict(self.two_qubit_gate_error))
+        object.__setattr__(self, "two_qubit_gate_error", pair_rates)
         rates = (
             list(self.single_qubit_gate_error)
             + list(self.two_qubit_gate_error.values())
@@ -59,7 +62,7 @@ class NoiseModel:
 
     @classmethod
     def table2(cls) -> NoiseModel:
-        return cls(TABLE2_SINGLE_QUBIT, dict(TABLE2_TWO_QUBIT), TABLE2_READOUT)
+        return cls(TABLE2_SINGLE_QUBIT, TABLE2_TWO_QUBIT, TABLE2_READOUT)
 
     @classmethod
     def zero(cls) -> NoiseModel:
@@ -87,8 +90,20 @@ class NoiseModel:
             return self.two_qubit_gate_error[(b, a)]
         raise KeyError(f"no two-qubit error rate for pair ({a}, {b})")
 
-    def readout_rate(self, qubit: int) -> float:
-        return self.readout_error[qubit]
+    def check_covers(self, num_qubits: int, ops: Sequence[GateOp]) -> None:
+        """Raise ValueError unless qubits 0..num_qubits-1 and the pair of every
+        two-qubit gate in `ops` have error rates."""
+        covered = len(self.single_qubit_gate_error)
+        if covered < num_qubits:
+            raise ValueError(
+                f"rates cover {covered} qubit(s), the circuit uses {num_qubits}"
+            )
+        for op in ops:
+            if len(op.targets) == 2:
+                try:
+                    self.pair_gate_rate(*op.targets)
+                except KeyError as exc:
+                    raise ValueError(exc.args[0]) from None
 
     def to_config_text(self) -> str:
         """key = value lines; values use repr so round-trips are bit-exact."""
@@ -162,22 +177,13 @@ def depolarize(rho: DensityMatrix, qubits, p: float) -> DensityMatrix:
             raise ValueError(f"target {q} out of range for {n} qubit(s)")
     if p == 0.0:
         return rho
-    dim = 2**n
     kept = [q for q in range(n) if q not in targets]
-    if kept:
-        reduced = partial_trace(rho, kept)
-        row = list(ascii_lowercase[:n])
-        col = list(ascii_lowercase[n : 2 * n])
-        subs = ["".join(row[q] for q in kept) + "".join(col[q] for q in kept)]
-        operands = [reduced.entries.reshape((2,) * (2 * len(kept)))]
-        for t in targets:
-            subs.append(row[t] + col[t])
-            operands.append(np.eye(2) / 2.0)
-        out = "".join(row) + "".join(col)
-        mixed = np.einsum(",".join(subs) + "->" + out, *operands).reshape(dim, dim)
-    else:
-        mixed = np.eye(dim, dtype=np.complex128) / dim
-    return DensityMatrix(n, (1.0 - p) * rho.entries + p * mixed)
+    reduced = partial_trace(rho, kept).entries if kept else np.ones((1, 1))
+    k = len(targets)
+    mixed = np.kron(reduced, np.eye(2**k) / 2**k)  # qubit order: kept, targets
+    order = np.argsort(kept + targets)
+    mixed = mixed.reshape((2,) * (2 * n)).transpose([*order, *(order + n)])
+    return DensityMatrix(n, (1.0 - p) * rho.entries + p * mixed.reshape(2**n, 2**n))
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
@@ -208,11 +214,7 @@ def run_noisy(
         if rate > 0.0:
             rho = depolarize(rho, op.targets, rate)
     probs = apply_readout_confusion(rho.probabilities(), model.readout_error[:n])
-    return {
-        format(i, f"0{n}b"): float(p)
-        for i, p in enumerate(probs)
-        if p >= PROB_CUTOFF
-    }
+    return bitstring_distribution(probs, n)
 
 
 @dataclass(frozen=True)

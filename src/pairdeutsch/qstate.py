@@ -28,6 +28,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_num_qubits(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over the 2**num_qubits basis states."""
@@ -36,10 +41,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}"
-            )
+        _check_num_qubits(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != 2**self.num_qubits:
             raise ValueError(
@@ -66,8 +68,7 @@ class StateVector:
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> under the big-endian convention."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    _check_num_qubits(num_qubits)
     if not 0 <= index < 2**num_qubits:
         raise ValueError(
             f"basis index {index} out of range for {num_qubits} qubit(s)"
@@ -110,35 +111,38 @@ def controlled(gate: np.ndarray) -> np.ndarray:
 CNOT = _readonly(controlled(X))
 
 
-def apply_gate(
-    state: StateVector, gate: np.ndarray, targets: Sequence[int]
-) -> StateVector:
-    """Apply `gate` to the listed qubits, identity elsewhere.
-
-    The first target binds the gate's most significant axis, matching the
-    big-endian basis ordering of the gate matrix itself.
-    """
+def _apply(
+    tensor: np.ndarray, gate: np.ndarray, targets: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Contract `gate` into the listed qubit axes of `tensor`, whose first
+    num_qubits axes are qubits 0..n-1 (size 2 each) and whose remaining axes
+    ride along. The first target binds the gate's most significant axis,
+    matching the big-endian basis ordering of the gate matrix itself."""
     g = np.asarray(gate, dtype=np.complex128)
     targets = tuple(int(t) for t in targets)
     k = len(targets)
     if k == 0:
-        raise ValueError("apply_gate needs at least one target qubit")
+        raise ValueError("a gate needs at least one target qubit")
     if len(set(targets)) != k:
         raise ValueError(f"repeated target qubit in {targets}")
     for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(
-                f"target {t} out of range for {state.num_qubits} qubit(s)"
-            )
+        if not 0 <= t < num_qubits:
+            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
     if g.shape != (2**k, 2**k):
         raise ValueError(
             f"gate of shape {g.shape} cannot act on {k} target qubit(s)"
         )
-    n = state.num_qubits
-    psi = state.amplitudes.reshape((2,) * n)
     gt = g.reshape((2,) * (2 * k))
-    out = np.tensordot(gt, psi, axes=(tuple(range(k, 2 * k)), targets))
-    out = np.moveaxis(out, tuple(range(k)), targets)
+    out = np.tensordot(gt, tensor, axes=(tuple(range(k, 2 * k)), targets))
+    return np.moveaxis(out, tuple(range(k)), targets)
+
+
+def apply_gate(
+    state: StateVector, gate: np.ndarray, targets: Sequence[int]
+) -> StateVector:
+    """Apply `gate` to the listed qubits, identity elsewhere."""
+    n = state.num_qubits
+    out = _apply(state.amplitudes.reshape((2,) * n), gate, targets, n)
     return StateVector(n, out.reshape(-1))
 
 
@@ -149,6 +153,13 @@ def measurement_distribution(state: StateVector) -> dict[int, float]:
     return {int(i): float(p) for i, p in enumerate(probs) if p >= PROB_CUTOFF}
 
 
+def bitstring_distribution(probs: np.ndarray, num_qubits: int) -> dict[str, float]:
+    """Probability vector as big-endian bitstring -> probability, in basis
+    order; entries below the 1e-12 cutoff are omitted."""
+    fmt = f"0{num_qubits}b"
+    return {format(i, fmt): float(p) for i, p in enumerate(probs) if p >= PROB_CUTOFF}
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits."""
@@ -157,10 +168,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}"
-            )
+        _check_num_qubits(self.num_qubits)
         dim = 2**self.num_qubits
         m = np.asarray(self.entries, dtype=np.complex128)
         if m.shape != (dim, dim):
@@ -191,13 +199,12 @@ class DensityMatrix:
 def expanded_unitary(
     gate: np.ndarray, targets: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Embed `gate` acting on `targets` into the full 2**n unitary."""
+    """Embed `gate` acting on `targets` into the full 2**n unitary: the
+    gate kernel applied to the identity, one column per basis state."""
+    _check_num_qubits(num_qubits)
     dim = 2**num_qubits
-    cols = [
-        apply_gate(basis_state(num_qubits, i), gate, targets).amplitudes
-        for i in range(dim)
-    ]
-    return np.column_stack(cols)
+    identity = np.eye(dim, dtype=np.complex128).reshape((2,) * num_qubits + (dim,))
+    return _apply(identity, gate, targets, num_qubits).reshape(dim, dim)
 
 
 def apply_gate_density(

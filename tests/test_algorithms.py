@@ -129,6 +129,9 @@ def test_run_record_rejects_wrong_query_counts():
     deutsch = run_deutsch(B1)
     with pytest.raises(ValueError, match="quer"):
         dataclasses.replace(deutsch, query_counts={"f": 2})
+    product = run_product_pair(PromisePair(B1, B1))
+    with pytest.raises(ValueError, match="quer"):
+        dataclasses.replace(product, query_counts={"f": 1, "g": 2})
 
 
 def test_step_labels():

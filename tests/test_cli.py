@@ -270,6 +270,16 @@ def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
                  "--theory", "entangled:B1,B1"]
     )
     assert code == EXIT_USAGE
+    # keys must be as wide as the --theory circuit, counts must not be bools
+    for counts, theory in (({"1": 10, "01": 5}, "entangled:B1,B1"),
+                           ({"100": 10}, "deutsch:B1"),
+                           ({"111": True}, "entangled:B1,B1")):
+        path.write_text(json.dumps(counts))
+        code, out, err = run_cli(
+            capsys, ["fidelity", "--counts", str(path), "--theory", theory]
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --counts") and err.count("\n") == 1
 
 
 def test_sweep_noise_json(capsys):
@@ -319,6 +329,35 @@ def test_noise_config_file_flows_through_run(capsys, tmp_path):
     assert (
         json.loads(out_cfg)["probabilities"] == json.loads(out_t2)["probabilities"]
     )
+
+
+def test_noise_config_must_cover_the_circuit(capsys, tmp_path):
+    no_pair_1_2 = tmp_path / "no-pair.cfg"
+    no_pair_1_2.write_text(
+        NoiseModel.table2().to_config_text().replace("two_qubit_gate_error_q1_q2", "#")
+    )
+    two_qubits = tmp_path / "two-qubits.cfg"
+    two_qubits.write_text(
+        "single_qubit_gate_error_q0 = 0.001\nsingle_qubit_gate_error_q1 = 0.001\n"
+        "readout_error_q0 = 0.01\nreadout_error_q1 = 0.01\n"
+        "two_qubit_gate_error_q0_q1 = 0.02\n"
+    )
+    pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
+    for argv, message in (
+        (["run", *pair, "--noise", str(no_pair_1_2)], "pair (1, 2)"),
+        (["sweep-noise", *pair, "--noise", str(no_pair_1_2)], "pair (1, 2)"),
+        (["run", *pair, "--noise", str(two_qubits)], "cover 2 qubit(s)"),
+        (["sweep-noise", *pair, "--noise", str(two_qubits)], "cover 2 qubit(s)"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --noise config") and err.count("\n") == 1
+        assert message in err
+    # the circuits that avoid the missing rates still run
+    product = ["--algorithm", "product", "--f", "B1", "--g", "B1"]
+    assert run_cli(capsys, ["run", *product, "--noise", str(no_pair_1_2)])[0] == EXIT_OK
+    deutsch = ["run", "--algorithm", "deutsch", "--f", "B1", "--noise", str(two_qubits)]
+    assert run_cli(capsys, deutsch)[0] == EXIT_OK
 
 
 def test_run_rejects_missing_noise_config(capsys):

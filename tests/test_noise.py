@@ -70,6 +70,15 @@ def test_config_round_trip_is_bit_exact(tmp_path):
     assert loaded.to_config_text() == model.to_config_text()
 
 
+def test_noise_model_pair_rates_are_read_only():
+    rates = dict(TABLE2_TWO_QUBIT)
+    model = NoiseModel((0.0, 0.0, 0.0), rates, (0.0, 0.0, 0.0))
+    with pytest.raises(TypeError):
+        model.two_qubit_gate_error[(0, 1)] = 0.9
+    rates[(0, 1)] = 0.9  # the caller's dict is copied, not shared
+    assert model.pair_gate_rate(0, 1) == TABLE2_TWO_QUBIT[(0, 1)]
+
+
 def test_config_parse_errors():
     with pytest.raises(ValueError, match="unknown key"):
         NoiseModel.from_config_text("coupling_error_q0 = 0.1\n")

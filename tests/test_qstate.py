@@ -85,6 +85,16 @@ def test_apply_gate_rejects_bad_targets():
         apply_gate(s, X, [5])
     with pytest.raises(ValueError, match="at least one"):
         apply_gate(s, np.eye(1), [])
+    with pytest.raises(ValueError, match="repeated"):
+        expanded_unitary(CNOT, [0, 0], 2)
+    with pytest.raises(ValueError, match="shape"):
+        expanded_unitary(CNOT, [0], 2)
+    with pytest.raises(ValueError, match="out of range"):
+        expanded_unitary(X, [5], 2)
+    with pytest.raises(ValueError, match="at least one"):
+        expanded_unitary(np.eye(1), [], 2)
+    with pytest.raises(ValueError, match="num_qubits"):
+        expanded_unitary(X, [0], 0)
 
 
 def test_controlled_builds_cnot():
