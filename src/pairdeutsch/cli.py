@@ -47,6 +47,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# Largest shot count and counts-file total: numpy's multinomial draw and its
+# Poisson bootstrap both accept every count up to this bound.
+MAX_SHOTS = 2**62
+MAX_GRID = 256
+MAX_SAMPLES = 100_000
+
 _ALGORITHM_NAMES = {
     "deutsch": DEUTSCH,
     "entangled": ENTANGLED_PAIR,
@@ -130,14 +136,19 @@ class ResultEnvelope:
         }
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(flag_value: int | None) -> int:
+    """--seed if given, else PAIRDEUTSCH_SEED, else 0; numpy takes only
+    nonnegative seeds."""
+    source, raw = "--seed", flag_value
+    if flag_value is None:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise UsageError(f"{source} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _parse_shots(text: str) -> int | None:
@@ -147,8 +158,8 @@ def _parse_shots(text: str) -> int | None:
         shots = int(text)
     except ValueError:
         raise UsageError(f'--shots must be a positive integer or "exact", got "{text}"')
-    if shots <= 0:
-        raise UsageError(f"--shots must be positive, got {shots}")
+    if not 0 < shots <= MAX_SHOTS:
+        raise UsageError(f"--shots must be in 1..{MAX_SHOTS}, got {shots}")
     return shots
 
 
@@ -238,7 +249,7 @@ def _parse_circuit(
 
 def parse_request(argv: list[str]) -> RunRequest:
     ns = _build_parser().parse_args(argv)
-    seed = ns.seed if getattr(ns, "seed", None) is not None else _default_seed()
+    seed = _seed(getattr(ns, "seed", None))
     if ns.command == "run":
         algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
         return RunRequest(
@@ -253,8 +264,10 @@ def parse_request(argv: list[str]) -> RunRequest:
     if ns.command == "verify":
         return RunRequest(command="verify", seed=seed, output=ns.output)
     if ns.command == "audit-theorem":
-        if ns.samples <= 0 or ns.grid < 2:
-            raise UsageError("--samples must be positive and --grid at least 2")
+        if not 1 <= ns.samples <= MAX_SAMPLES:
+            raise UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
+        if not 2 <= ns.grid <= MAX_GRID:
+            raise UsageError(f"--grid must be in 2..{MAX_GRID}, got {ns.grid}")
         return RunRequest(
             command="audit-theorem",
             seed=seed,
@@ -299,12 +312,12 @@ def parse_request(argv: list[str]) -> RunRequest:
 def _load_noise(source: str, record: RunRecord) -> NoiseModel:
     """The named model, checked to cover every qubit and two-qubit gate of
     the run's circuit."""
-    if source != "table2" and not os.path.exists(source):
+    if source != "table2" and not os.path.isfile(source):
         raise UsageError(f'--noise: "{source}" is neither "table2" nor a config file')
     try:
         model = NoiseModel.table2() if source == "table2" else NoiseModel.load(source)
         model.check_covers(algorithms.spec(record.algorithm).num_qubits, record.ops)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad rates
         raise UsageError(f"--noise config {source}: {exc}") from None
     return model
 
@@ -397,9 +410,12 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
 
 def _load_counts(path: str, width: int) -> dict[str, int]:
     try:
-        raw = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
     except FileNotFoundError:
         raise UsageError(f"--counts: no such file {path!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise UsageError(f"--counts: cannot read {path} ({exc})") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"--counts: {path} is not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or not raw:
@@ -414,6 +430,9 @@ def _load_counts(path: str, width: int) -> dict[str, int]:
                 f"(keys are {width}-bit strings, values nonnegative integers)"
             )
         counts[key] = value
+    total = sum(counts.values())
+    if not 0 < total <= MAX_SHOTS:
+        raise UsageError(f"--counts: {path} totals {total}, not in 1..{MAX_SHOTS}")
     return counts
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algorithms import RunRecord
-from .oracles import B1, B2, C1, C2, BoolFn, oracle_unitary
+from .oracles import B1, B2, C1, C2, oracle_unitary
 from .qstate import ATOL, CNOT, StateVector, apply_gate
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
@@ -25,12 +25,25 @@ KET0_FAMILY = "ket0-tensor-any"
 KET1_FAMILY = "ket1-tensor-any"
 PLUS_FAMILY = "any-tensor-plus"
 MINUS_FAMILY = "any-tensor-minus"
-FAMILIES = (KET0_FAMILY, KET1_FAMILY, PLUS_FAMILY, MINUS_FAMILY)
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+# family -> (the single-qubit factor it fixes, the wire it fixes: 0 input, 1 target)
+_FAMILY_FACTORS = {
+    KET0_FAMILY: (np.array([1.0, 0.0]), 0),
+    KET1_FAMILY: (np.array([0.0, 1.0]), 0),
+    PLUS_FAMILY: (np.array([_SQRT_HALF, _SQRT_HALF]), 1),
+    MINUS_FAMILY: (np.array([_SQRT_HALF, -_SQRT_HALF]), 1),
+}
+FAMILIES = tuple(_FAMILY_FACTORS)
 
 QUANTITIES = ("f0", "f1", "f0_xor_f1")
 
 _AUDIT_FUNCTIONS = (C1, C2, B1, B2)
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+# _DISAGREE[q, i, j]: functions i and j give different values of QUANTITIES[q]
+_QUANTITY_VALUES = np.array(
+    [(fn.f0, fn.f1, fn.f0 ^ fn.f1) for fn in _AUDIT_FUNCTIONS]
+).T
+_DISAGREE = _QUANTITY_VALUES[:, :, None] != _QUANTITY_VALUES[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -121,61 +134,32 @@ def cnot_product_condition(params: ProductStateParams) -> tuple[bool, bool]:
     return predicted, actual
 
 
-def family_input_state(family: str, params: ProductStateParams) -> StateVector:
-    """Project params onto the family shape: the family fixes one tensor
-    factor and takes the free factor from params."""
-    if family == KET0_FAMILY:
-        ctrl, tgt = (1.0, 0.0), (params.gamma, params.delta)
-    elif family == KET1_FAMILY:
-        ctrl, tgt = (0.0, 1.0), (params.gamma, params.delta)
-    elif family == PLUS_FAMILY:
-        ctrl, tgt = (params.alpha, params.beta), (_SQRT_HALF, _SQRT_HALF)
-    elif family == MINUS_FAMILY:
-        ctrl, tgt = (params.alpha, params.beta), (_SQRT_HALF, -_SQRT_HALF)
-    else:
+def oracle_output_gram(
+    family: str, sample_params: Sequence[ProductStateParams]
+) -> np.ndarray:
+    """(S, 4, 4) array of |<out_i|out_j>| over the samples, where out_i is the
+    family's input state after one query of the i-th function of C1, C2, B1,
+    B2. The family fixes one tensor factor; params give the other."""
+    if family not in _FAMILY_FACTORS:
         raise ValueError(
             f'unknown family "{family}" (known: {", ".join(FAMILIES)})'
         )
-    return StateVector(1, np.array(ctrl)).tensor(StateVector(1, np.array(tgt)))
+    fixed, wire = _FAMILY_FACTORS[family]
+    free = np.array(
+        [(p.gamma, p.delta) if wire == 0 else (p.alpha, p.beta) for p in sample_params],
+        dtype=np.complex128,
+    ).reshape(-1, 2)
+    ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
+    inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
+    unitaries = np.stack([oracle_unitary(fn) for fn in _AUDIT_FUNCTIONS])
+    outs = np.einsum("fij,sj->sfi", unitaries, inputs)
+    return np.abs(np.einsum("sfi,sgi->sfg", outs.conj(), outs))
 
 
-def oracle_output_overlaps(
-    family: str, params: ProductStateParams
-) -> dict[tuple[str, str], float]:
-    """Pairwise |<out_i|out_j>| after querying each of the four named
-    functions on the family's input state."""
-    state = family_input_state(family, params)
-    outs = {
-        fn.name: apply_gate(state, oracle_unitary(fn), (0, 1))
-        for fn in _AUDIT_FUNCTIONS
-    }
-    names = [fn.name for fn in _AUDIT_FUNCTIONS]
-    return {(a, b): outs[a].overlap(outs[b]) for a in names for b in names if a < b}
-
-
-def _quantity_value(fn: BoolFn, quantity: str) -> int:
-    return {"f0": fn.f0, "f1": fn.f1, "f0_xor_f1": fn.f0 ^ fn.f1}[quantity]
-
-
-def _decidable_quantities(
-    overlaps: dict[tuple[str, str], float]
-) -> tuple[str, ...]:
-    """Quantities whose value-partition of the four functions has all
-    cross-group output overlaps below threshold (one-shot perfect
-    discrimination by orthogonality)."""
-    decidable = []
-    for quantity in QUANTITIES:
-        groups: dict[int, list[str]] = {0: [], 1: []}
-        for fn in _AUDIT_FUNCTIONS:
-            groups[_quantity_value(fn, quantity)].append(fn.name)
-        cross = [
-            overlaps[(a, b) if a < b else (b, a)]
-            for a in groups[0]
-            for b in groups[1]
-        ]
-        if all(c < PRODUCT_TOL for c in cross):
-            decidable.append(quantity)
-    return tuple(decidable)
+def _decidable_quantities(gram: np.ndarray) -> np.ndarray:
+    """(S, 3) bool: a quantity is decidable in one shot when every pair of
+    functions that disagrees on it has orthogonal outputs."""
+    return np.all((gram[:, None] < PRODUCT_TOL) | ~_DISAGREE, axis=(2, 3))
 
 
 @dataclass(frozen=True)
@@ -203,10 +187,11 @@ def audit_family_distinguishability(
 ) -> FamilyAuditReport:
     """For every sampled input in the family, query all four functions and
     report which of f(0), f(1), f(0)^f(1) is perfectly decidable."""
-    verdicts = []
-    for params in sample_params:
-        overlaps = oracle_output_overlaps(family, params)
-        verdicts.append(FamilySampleVerdict(params, _decidable_quantities(overlaps)))
+    decided = _decidable_quantities(oracle_output_gram(family, sample_params))
+    verdicts = [
+        FamilySampleVerdict(params, tuple(q for q, d in zip(QUANTITIES, row) if d))
+        for params, row in zip(sample_params, decided)
+    ]
     seen = {q for v in verdicts for q in v.decidable}
     union = tuple(q for q in QUANTITIES if q in seen)
     return FamilyAuditReport(family=family, samples=tuple(verdicts), decidable=union)

@@ -60,6 +60,13 @@ class NoiseModel:
         if len(self.single_qubit_gate_error) != len(self.readout_error):
             raise ValueError("gate and readout rate lists must cover the same qubits")
 
+    def __hash__(self) -> int:  # agrees with ==, which ignores pair order
+        return hash((
+            tuple(self.single_qubit_gate_error),
+            tuple(sorted(self.two_qubit_gate_error.items())),
+            tuple(self.readout_error),
+        ))
+
     @classmethod
     def table2(cls) -> NoiseModel:
         return cls(TABLE2_SINGLE_QUBIT, TABLE2_TWO_QUBIT, TABLE2_READOUT)
@@ -234,25 +241,35 @@ class ShotResult:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> ShotResult:
-    """Seeded multinomial draw; identical seeds give identical counts."""
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    keys = sorted(dist)
-    p = np.array([dist[k] for k in keys], dtype=float)
+def _checked_probabilities(values) -> np.ndarray:
+    """values as a float array; ValueError unless they are nonnegative and
+    sum to 1 within 1e-9."""
+    p = np.array(values, dtype=float)
     if p.size == 0 or np.any(p < 0):
         raise ValueError("distribution must have nonnegative entries")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution sums to {total!r}, not 1")
+    return p
+
+
+def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> ShotResult:
+    """Seeded multinomial draw; identical seeds give identical counts."""
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    keys = sorted(dist)
+    p = _checked_probabilities([dist[k] for k in keys])
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p / total)
+    draws = rng.multinomial(shots, p / p.sum())
     return ShotResult(shots, {k: int(c) for k, c in zip(keys, draws) if c})
 
 
 def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Sum over outcomes of sqrt(p_k * q_k): 1 iff the distributions are
-    equal, 0 iff their supports are disjoint. Symmetric in its arguments."""
+    equal, 0 iff their supports are disjoint. Symmetric in its arguments.
+    Raises ValueError unless both are probability distributions."""
+    _checked_probabilities(list(p.values()))
+    _checked_probabilities(list(q.values()))
     total = 0.0
     for k in set(p) & set(q):
         pk, qk = p[k], q[k]

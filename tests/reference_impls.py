@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pairdeutsch.oracles import B1, B2, C1, C2, BoolFn
 from pairdeutsch.qstate import StateVector
 
 
@@ -85,3 +86,62 @@ def random_density_matrix(num_qubits: int, rng: np.random.Generator) -> np.ndarr
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return m / np.trace(m)
+
+
+AUDIT_FUNCTIONS = (C1, C2, B1, B2)  # the order of the audit's Gram axes
+
+
+def family_input_reference(family: str, params) -> np.ndarray:
+    """Two-qubit input of the one-query audit: the family fixes one factor
+    and params give the other, joined by an explicit Kronecker product."""
+    s = 1.0 / np.sqrt(2.0)
+    if family == "ket0-tensor-any":
+        ctrl, tgt = [1.0, 0.0], [params.gamma, params.delta]
+    elif family == "ket1-tensor-any":
+        ctrl, tgt = [0.0, 1.0], [params.gamma, params.delta]
+    elif family == "any-tensor-plus":
+        ctrl, tgt = [params.alpha, params.beta], [s, s]
+    elif family == "any-tensor-minus":
+        ctrl, tgt = [params.alpha, params.beta], [s, -s]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return np.kron(np.array(ctrl, dtype=complex), np.array(tgt, dtype=complex))
+
+
+def oracle_matrix_reference(fn: BoolFn) -> np.ndarray:
+    """|x>|y> -> |x>|y ^ f(x)>, one matrix entry per basis state."""
+    u = np.zeros((4, 4), dtype=np.complex128)
+    for col in range(4):
+        x, y = bit_of(col, 0, 2), bit_of(col, 1, 2)
+        u[2 * x + (y ^ fn(x)), col] = 1.0
+    return u
+
+
+def oracle_output_gram_reference(family: str, sample_params) -> np.ndarray:
+    """|<out_i|out_j>| per sample, one matrix-vector product per oracle and
+    one vdot per pair, in the AUDIT_FUNCTIONS order."""
+    matrices = [oracle_matrix_reference(fn) for fn in AUDIT_FUNCTIONS]
+    grams = []
+    for params in sample_params:
+        state = family_input_reference(family, params)
+        outs = [u @ state for u in matrices]
+        grams.append([[abs(np.vdot(a, b)) for b in outs] for a in outs])
+    return np.array(grams).reshape(-1, 4, 4)
+
+
+def decidable_quantities_reference(gram: np.ndarray, tol: float) -> tuple[str, ...]:
+    """Quantities of f(0), f(1), f(0)^f(1) for which the functions giving 0
+    and those giving 1 have pairwise output overlaps below tol."""
+    values = {
+        "f0": lambda fn: fn.f0,
+        "f1": lambda fn: fn.f1,
+        "f0_xor_f1": lambda fn: fn.f0 ^ fn.f1,
+    }
+    decidable = []
+    for quantity, value in values.items():
+        groups: dict[int, list[int]] = {0: [], 1: []}
+        for i, fn in enumerate(AUDIT_FUNCTIONS):
+            groups[value(fn)].append(i)
+        if all(gram[i, j] < tol for i in groups[0] for j in groups[1]):
+            decidable.append(quantity)
+    return tuple(decidable)

@@ -74,14 +74,39 @@ def test_parse_rejects_unknown_flag():
                        "--frobnicate"])
 
 
-def test_cli_exit_codes_and_error_prefix(capsys):
-    code, out, err = run_cli(
-        capsys, ["run", "--algorithm", "entangled", "--f", "B1", "--g", "C1"]
-    )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error: ")
-    assert len(err.strip().splitlines()) == 1
+def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"111": 10}))
+    fidelity = ["fidelity", "--counts", str(counts), "--theory", "entangled:B1,B1"]
+    run_shots = ["run", "--algorithm", "deutsch", "--f", "B1", "--shots", "10"]
+    audit = ["audit-theorem", "--samples", "10", "--grid", "3"]
+    pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
+    # (argv, PAIRDEUTSCH_SEED or None)
+    rows = [
+        (["run", "--algorithm", "entangled", "--f", "B1", "--g", "C1"], None),
+        ([*run_shots, "--seed", "-1"], None),
+        ([*fidelity, "--seed", "-1"], None),
+        ([*audit, "--seed", "-1"], None),
+        (run_shots, "-2"),
+        (fidelity, "-2"),
+        (audit, "-2"),
+        (["run", *pair, "--shots", "100000000000000000000000"], None),
+        (["run", *pair, "--noise", str(tmp_path)], None),
+        (["sweep-noise", *pair, "--noise", str(tmp_path)], None),
+        (["fidelity", "--counts", str(tmp_path), "--theory", "entangled:B1,B1"], None),
+        (["audit-theorem", "--grid", "257"], None),
+        (["audit-theorem", "--grid", "1"], None),
+        (["audit-theorem", "--samples", "100001"], None),
+        (["audit-theorem", "--samples", "0"], None),
+    ]
+    for argv, env_seed in rows:
+        if env_seed is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, ""), (argv, env_seed, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_run_exact_probabilities(capsys):
@@ -210,6 +235,20 @@ def test_verify_fails_if_product_run_entangles(capsys, monkeypatch):
     assert any(name.startswith("separability-product") for name in failed)
 
 
+def test_largest_shot_counts_are_accepted(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, ["run", "--algorithm", "deutsch", "--f", "B1",
+                                    "--shots", str(2**62)])
+    assert code == EXIT_OK
+    assert sum(json.loads(out)["counts"].values()) == 2**62
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"100": 2**61, "111": 2**61}))
+    code, out, _ = run_cli(
+        capsys, ["fidelity", "--counts", str(path), "--theory", "entangled:B1,B1"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["shots"] == 2**62
+
+
 def test_audit_theorem_smoke(capsys):
     code, out, _ = run_cli(capsys, ["audit-theorem", "--samples", "100",
                                     "--grid", "11"])
@@ -271,10 +310,18 @@ def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
     )
     assert code == EXIT_USAGE
     # keys must be as wide as the --theory circuit, counts must not be bools
+    # ... and must total 1..2**62, in a UTF-8 file
     for counts, theory in (({"1": 10, "01": 5}, "entangled:B1,B1"),
                            ({"100": 10}, "deutsch:B1"),
-                           ({"111": True}, "entangled:B1,B1")):
-        path.write_text(json.dumps(counts))
+                           ({"111": True}, "entangled:B1,B1"),
+                           ({"111": 0}, "entangled:B1,B1"),
+                           ({"111": 10**23}, "entangled:B1,B1"),
+                           ({"111": 2**62, "100": 1}, "entangled:B1,B1"),
+                           ("\xff\xfe not utf-8", "entangled:B1,B1")):
+        if isinstance(counts, str):
+            path.write_bytes(counts.encode("latin-1"))
+        else:
+            path.write_text(json.dumps(counts))
         code, out, err = run_cli(
             capsys, ["fidelity", "--counts", str(path), "--theory", theory]
         )

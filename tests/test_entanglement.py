@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from pairdeutsch.entanglement import (
     KET1_FAMILY,
     MINUS_FAMILY,
     PLUS_FAMILY,
+    PRODUCT_TOL,
     ProductStateParams,
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
-    family_input_state,
     fully_product,
-    oracle_output_overlaps,
+    oracle_output_gram,
     random_product_params,
     schmidt_analyze,
     trace_run_separability,
@@ -24,12 +26,15 @@ from pairdeutsch.entanglement import (
 from pairdeutsch.oracles import B1, C1, PromisePair, all_promise_pairs
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
+    decidable_quantities_reference,
+    oracle_output_gram_reference,
     random_state,
     random_unitary,
     schmidt_coefficients_reference,
 )
 
 SQ2 = 1 / np.sqrt(2)
+GRAM_INDEX = {"C1": 0, "C2": 1, "B1": 2, "B2": 3}  # axes of oracle_output_gram
 
 
 def bell_minus() -> StateVector:
@@ -158,7 +163,7 @@ def _family_params(family: str, params: ProductStateParams) -> ProductStateParam
 def test_family_input_state_rejects_unknown_family():
     params = ProductStateParams(1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="unknown family"):
-        family_input_state("any-tensor-ghz", params)
+        oracle_output_gram("any-tensor-ghz", [params])
     with pytest.raises(ValueError, match="unknown family"):
         audit_family_distinguishability("nope", [params])
 
@@ -167,18 +172,19 @@ def test_minus_family_decides_only_xor_at_equal_weights():
     params = ProductStateParams(SQ2, SQ2, 1.0, 0.0)
     report = audit_family_distinguishability(MINUS_FAMILY, [params])
     assert report.decidable == ("f0_xor_f1",)
-    overlaps = oracle_output_overlaps(MINUS_FAMILY, params)
-    assert overlaps[("C1", "C2")] == pytest.approx(1.0, abs=1e-12)
-    for cross in (("B1", "C1"), ("B1", "C2"), ("B2", "C1"), ("B2", "C2")):
-        assert overlaps[tuple(sorted(cross))] == pytest.approx(0.0, abs=1e-12)
+    gram = oracle_output_gram(MINUS_FAMILY, [params])[0]
+    assert gram[GRAM_INDEX["C1"], GRAM_INDEX["C2"]] == pytest.approx(1.0, abs=1e-12)
+    for a, b in (("B1", "C1"), ("B1", "C2"), ("B2", "C1"), ("B2", "C2")):
+        assert gram[GRAM_INDEX[a], GRAM_INDEX[b]] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plus_family_decides_nothing():
     params = ProductStateParams(0.6, 0.8, 1.0, 0.0)
     report = audit_family_distinguishability(PLUS_FAMILY, [params])
     assert report.decidable == ()
-    overlaps = oracle_output_overlaps(PLUS_FAMILY, params)
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in overlaps.values())
+    gram = oracle_output_gram(PLUS_FAMILY, [params])[0]
+    pairs = gram[np.triu_indices(4, k=1)]  # the six distinct function pairs
+    assert all(v == pytest.approx(1.0, abs=1e-12) for v in pairs)
 
 
 def test_ket0_family_decides_only_f0_at_basis_target():
@@ -201,6 +207,30 @@ def test_grid_audit_never_decides_two_quantities():
         assert report.at_most_one_decidable
         assert all(len(s.decidable) <= 1 for s in report.samples)
         assert report.decidable == expected_unions[family]
+
+
+def test_gram_and_verdicts_match_the_loop_reference():
+    params = bloch_grid_params(51, 52) + random_product_params(500, seed=77)
+    for family in FAMILIES:
+        gram = oracle_output_gram(family, params)
+        want = oracle_output_gram_reference(family, params)
+        assert gram.shape == want.shape == (len(params), 4, 4)
+        assert np.max(np.abs(gram - want)) <= 1e-12, family
+        report = audit_family_distinguishability(family, params)
+        assert [s.decidable for s in report.samples] == [
+            decidable_quantities_reference(g, PRODUCT_TOL) for g in want
+        ], family
+
+
+def test_grid_audit_of_four_families_is_fast():
+    grid = bloch_grid_params(51, 52)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        for family in FAMILIES:
+            audit_family_distinguishability(family, grid)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.5, f"four family audits took {best:.3f} s"
 
 
 def test_trace_run_separability():

@@ -15,6 +15,8 @@ from pairdeutsch.noise import (
     FidelityReport,
     NoiseModel,
     ShotResult,
+    TABLE2_READOUT,
+    TABLE2_SINGLE_QUBIT,
     TABLE2_TWO_QUBIT,
     bhattacharyya,
     depolarize,
@@ -77,6 +79,20 @@ def test_noise_model_pair_rates_are_read_only():
         model.two_qubit_gate_error[(0, 1)] = 0.9
     rates[(0, 1)] = 0.9  # the caller's dict is copied, not shared
     assert model.pair_gate_rate(0, 1) == TABLE2_TWO_QUBIT[(0, 1)]
+
+
+def test_equal_noise_models_hash_equal(tmp_path):
+    model = NoiseModel.table2()
+    path = tmp_path / "noise.cfg"
+    model.save(path)
+    loaded = NoiseModel.load(path)
+    reordered = NoiseModel(
+        TABLE2_SINGLE_QUBIT, dict(reversed(TABLE2_TWO_QUBIT.items())), TABLE2_READOUT
+    )
+    for same in (NoiseModel.table2(), loaded, reordered):
+        assert same == model
+        assert hash(same) == hash(model)
+    assert len({model, loaded, reordered, NoiseModel.zero()}) == 2
 
 
 def test_config_parse_errors():
@@ -249,6 +265,17 @@ def test_bhattacharyya_disjoint():
 def test_bhattacharyya_half_overlap():
     got = bhattacharyya({"000": 0.5, "111": 0.5}, {"000": 1.0})
     assert got == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
+def test_bhattacharyya_rejects_non_distributions():
+    fair = {"0": 0.5, "1": 0.5}
+    for bad in ({"0": 4}, {"0": 0.5}, {"0": 1.5, "1": -0.5}, {}):
+        with pytest.raises(ValueError, match="sums to|nonnegative"):
+            bhattacharyya(bad, fair)
+        with pytest.raises(ValueError, match="sums to|nonnegative"):
+            bhattacharyya(fair, bad)
+    # within the 1e-9 tolerance sample_shots also uses
+    assert bhattacharyya({"0": 1.0 + 5e-10}, {"0": 1.0}) == 1.0
 
 
 @settings(max_examples=100, deadline=None)
