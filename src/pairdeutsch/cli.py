@@ -11,6 +11,7 @@ work qubits, so "100" means the answer qubit read 1 and both work qubits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -188,6 +189,7 @@ def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g", help="second oracle (pair algorithms only)")
 
 
+@functools.cache  # built on first use, then shared by every request
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pairdeutsch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -237,10 +239,10 @@ def _parse_circuit(
     fn_g = _parse_oracle_flag(flags[1], g) if g is not None else None
     if not algorithms.spec(algorithm).takes_pair:
         if fn_g is not None:
-            raise UsageError(f"--g is not accepted for the {algorithm} algorithm")
+            raise UsageError(f"{flags[1]} is not accepted for the {algorithm} algorithm")
         return algorithm, fn_f
     if fn_g is None:
-        raise UsageError(f"--g is required for the {algorithm} algorithm")
+        raise UsageError(f"{flags[1]} is required for the {algorithm} algorithm")
     try:
         return algorithm, PromisePair(fn_f, fn_g)
     except ValueError as exc:
@@ -283,7 +285,7 @@ def parse_request(argv: list[str]) -> RunRequest:
                 '(e.g. entangled:B1,B1)'
             )
         algorithm, oracles = _parse_circuit(
-            m.group("alg"), m.group("f"), m.group("g"), ("--theory", "--theory")
+            m.group("alg"), m.group("f"), m.group("g"), ("--theory", "--theory g")
         )
         return RunRequest(
             command="fidelity",
@@ -414,10 +416,11 @@ def _load_counts(path: str, width: int) -> dict[str, int]:
             raw = json.load(handle)
     except FileNotFoundError:
         raise UsageError(f"--counts: no such file {path!r}") from None
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
-        raise UsageError(f"--counts: cannot read {path} ({exc})") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"--counts: {path} is not valid JSON ({exc})") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, not UTF-8, nested too deep, or an integer over 4300 digits
+        raise UsageError(f"--counts: cannot read {path} ({exc})") from None
     if not isinstance(raw, dict) or not raw:
         raise UsageError(f"--counts: {path} must map bitstrings to counts")
     counts = {}

@@ -190,7 +190,8 @@ def depolarize(rho: DensityMatrix, qubits, p: float) -> DensityMatrix:
     mixed = np.kron(reduced, np.eye(2**k) / 2**k)  # qubit order: kept, targets
     order = np.argsort(kept + targets)
     mixed = mixed.reshape((2,) * (2 * n)).transpose([*order, *(order + n)])
-    return DensityMatrix(n, (1.0 - p) * rho.entries + p * mixed.reshape(2**n, 2**n))
+    entries = (1.0 - p) * rho.entries + p * mixed.reshape(2**n, 2**n)
+    return DensityMatrix._trusted(n, entries)
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
@@ -220,6 +221,7 @@ def run_noisy(
             rate = model.pair_gate_rate(*op.targets)
         if rate > 0.0:
             rho = depolarize(rho, op.targets, rate)
+    rho = DensityMatrix(n, rho.entries)  # the walk's one check of its result
     probs = apply_readout_confusion(rho.probabilities(), model.readout_error[:n])
     return bitstring_distribution(probs, n)
 

@@ -89,10 +89,11 @@ H = _const(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
 
 
 def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
+    """Every entry of m^H m is within `tol` of the identity's."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=tol))
+    return bool((abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol).all())
 
 
 def controlled(gate: np.ndarray) -> np.ndarray:
@@ -162,7 +163,9 @@ def bitstring_distribution(probs: np.ndarray, num_qubits: int) -> dict[str, floa
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits:
+    checked by `DensityMatrix(...)` and `from_state`, and preserved by the
+    channels, which build their results unchecked through `_trusted`."""
 
     num_qubits: int
     entries: np.ndarray
@@ -182,6 +185,14 @@ class DensityMatrix:
         if min_eig < -EIG_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig!r}")
         object.__setattr__(self, "entries", _readonly(m.copy()))
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, entries: np.ndarray) -> DensityMatrix:
+        """Wrap a freshly computed, valid-by-construction matrix read-only."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "num_qubits", num_qubits)
+        object.__setattr__(rho, "entries", _readonly(entries))
+        return rho
 
     @classmethod
     def from_state(cls, state: StateVector) -> DensityMatrix:
@@ -211,7 +222,11 @@ def apply_gate_density(
     rho: DensityMatrix, gate: np.ndarray, targets: Sequence[int]
 ) -> DensityMatrix:
     u = expanded_unitary(gate, targets, rho.num_qubits)
-    return DensityMatrix(rho.num_qubits, u @ rho.entries @ u.conj().T)
+    # the one input that can break validity: a d x d gate off unitarity by e
+    # per entry moves the trace by up to d * e, so e <= ATOL / d bounds it
+    if not is_unitary(gate, ATOL / len(gate)):
+        raise ValueError("apply_gate_density expects a unitary gate")
+    return DensityMatrix._trusted(rho.num_qubits, u @ rho.entries @ u.conj().T)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -238,7 +253,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
     k = len(keep)
     reduced = np.einsum(f"{src}->{dst}", rho.entries.reshape((2,) * (2 * n)))
-    return DensityMatrix(k, reduced.reshape(2**k, 2**k))
+    return DensityMatrix._trusted(k, reduced.reshape(2**k, 2**k))
 
 
 def purity(rho: DensityMatrix) -> float:

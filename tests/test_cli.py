@@ -16,6 +16,7 @@ from pairdeutsch.cli import (
     EXIT_USAGE,
     SEED_ENV_VAR,
     UsageError,
+    _build_parser,
     emit,
     execute,
     main,
@@ -107,6 +108,27 @@ def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (EXIT_USAGE, ""), (argv, env_seed, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_shared_parser_parses_each_request_as_a_fresh_one(monkeypatch, tmp_path):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"111": 10}))
+    requests = [
+        ["run", "--algorithm", "entangled", "--f", "B1", "--g", "B2",
+         "--shots", "100", "--noise", "table2", "--seed", "3", "--output", "csv"],
+        ["audit-theorem", "--samples", "5", "--grid", "3"],
+        ["fidelity", "--counts", str(counts), "--theory", "product:C1,C2"],
+        ["sweep-noise", "--algorithm", "deutsch", "--f", "B2", "--scales", "0,1"],
+        ["run", "--algorithm", "deutsch", "--f", "C1"],  # defaults, not leftovers
+    ]
+    alone = []
+    for argv in requests:
+        _build_parser.cache_clear()
+        alone.append(parse_request(argv))
+    _build_parser.cache_clear()
+    assert [parse_request(argv) for argv in requests] == alone
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_run_exact_probabilities(capsys):
@@ -289,11 +311,13 @@ def test_fidelity_theory_with_truth_tables(capsys, tmp_path):
 def test_fidelity_rejects_bad_theory(capsys, tmp_path):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps({"111": 10}))
-    code, _, err = run_cli(
-        capsys, ["fidelity", "--counts", str(path), "--theory", "entangled=B1"]
-    )
-    assert code == EXIT_USAGE
-    assert "--theory" in err
+    # the pair-arity errors name --theory, the flag fidelity has, not --g
+    for theory in ("entangled=B1", "entangled:B1", "deutsch:B1,B1"):
+        code, _, err = run_cli(
+            capsys, ["fidelity", "--counts", str(path), "--theory", theory]
+        )
+        assert code == EXIT_USAGE
+        assert "--theory" in err and "--g" not in err
 
 
 def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
@@ -310,14 +334,17 @@ def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
     )
     assert code == EXIT_USAGE
     # keys must be as wide as the --theory circuit, counts must not be bools
-    # ... and must total 1..2**62, in a UTF-8 file
+    # ... and must total 1..2**62, in a UTF-8 file that json can decode
+    # (not nested past the recursion limit, no integer over 4300 digits)
     for counts, theory in (({"1": 10, "01": 5}, "entangled:B1,B1"),
                            ({"100": 10}, "deutsch:B1"),
                            ({"111": True}, "entangled:B1,B1"),
                            ({"111": 0}, "entangled:B1,B1"),
                            ({"111": 10**23}, "entangled:B1,B1"),
                            ({"111": 2**62, "100": 1}, "entangled:B1,B1"),
-                           ("\xff\xfe not utf-8", "entangled:B1,B1")):
+                           ("\xff\xfe not utf-8", "entangled:B1,B1"),
+                           ("[" * 5000 + "]" * 5000, "entangled:B1,B1"),
+                           ('{"111": ' + "7" * 5000 + "}", "entangled:B1,B1")):
         if isinstance(counts, str):
             path.write_bytes(counts.encode("latin-1"))
         else:

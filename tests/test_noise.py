@@ -161,13 +161,6 @@ def test_depolarize_preserves_trace_and_positivity(seed):
     assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
 
 
-def test_run_noisy_zero_model_matches_ideal():
-    pair = PromisePair(B1, B1)
-    noisy = run_noisy(ENTANGLED_PAIR, pair, NoiseModel.zero())
-    ideal = run_entangled_pair(pair).final_distribution
-    assert noisy == pytest.approx(ideal, abs=1e-10)
-
-
 def test_run_noisy_total_readout_scrambling_is_uniform():
     model = NoiseModel((0.0, 0.0, 0.0), {p: 0.0 for p in TABLE2_TWO_QUBIT},
                        (0.5, 0.5, 0.5))

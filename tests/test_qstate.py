@@ -112,6 +112,8 @@ def test_controlled_z_phase_kickback():
 def test_controlled_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         controlled(np.array([[1, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="unitary"):
+        controlled((1 + 1e-7) * X)  # m^H m is 2e-7 off the identity
     with pytest.raises(ValueError, match="2x2"):
         controlled(np.eye(4))
 
@@ -121,6 +123,25 @@ def test_is_unitary():
     assert is_unitary(CNOT)
     assert not is_unitary(np.array([[1, 1], [0, 1]]))
     assert not is_unitary(np.ones((2, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-3]),
+    st.booleans(),
+)
+def test_is_unitary_agrees_with_allclose(seed, k, eps, scale_only):
+    rng = np.random.default_rng(seed)
+    dim = 2**k
+    u = random_unitary(dim, rng)
+    if scale_only:  # moves only the diagonal of u^H u
+        m = u * (1 + eps)
+    else:
+        m = u + eps * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    gram, eye = m.conj().T @ m, np.eye(dim)
+    assert is_unitary(m) == np.allclose(gram, eye, rtol=0.0, atol=1e-10)
 
 
 def test_measurement_distribution_examples():
