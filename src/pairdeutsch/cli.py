@@ -376,10 +376,10 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
         if predicted != actual:
             disagreements.append(
                 {
-                    "alpha": repr(params.alpha),
-                    "beta": repr(params.beta),
-                    "gamma": repr(params.gamma),
-                    "delta": repr(params.delta),
+                    "alpha": repr(complex(params.alpha)),
+                    "beta": repr(complex(params.beta)),
+                    "gamma": repr(complex(params.gamma)),
+                    "delta": repr(complex(params.delta)),
                     "predicted": predicted,
                     "actual": actual,
                 }

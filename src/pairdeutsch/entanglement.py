@@ -109,14 +109,11 @@ class ProductStateParams:
                     f"{label} amplitudes not normalized: sum of squares {norm2!r}"
                 )
 
-    def input_state(self) -> StateVector:
-        return StateVector(1, np.array([self.alpha, self.beta]))
-
-    def target_state(self) -> StateVector:
-        return StateVector(1, np.array([self.gamma, self.delta]))
-
     def product_state(self) -> StateVector:
-        return self.input_state().tensor(self.target_state())
+        """(alpha|0> + beta|1>) (gamma|0> + delta|1>), input wire first."""
+        return StateVector(
+            2, np.multiply.outer([self.alpha, self.beta], [self.gamma, self.delta])
+        )
 
 
 def cnot_product_condition(params: ProductStateParams) -> tuple[bool, bool]:
@@ -128,7 +125,7 @@ def cnot_product_condition(params: ProductStateParams) -> tuple[bool, bool]:
     The two must agree.
     """
     det = params.alpha * params.beta * (params.gamma**2 - params.delta**2)
-    predicted = abs(det) < PRODUCT_TOL
+    predicted = bool(abs(det) < PRODUCT_TOL)
     out = apply_gate(params.product_state(), CNOT, (0, 1))
     actual = schmidt_analyze(out, [0]).is_product
     return predicted, actual
@@ -218,20 +215,15 @@ def bloch_grid_params(
 
 def random_product_params(count: int, seed: int) -> list[ProductStateParams]:
     """Haar-distributed single-qubit factors from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        factors = []
-        for _ in range(2):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v = v / np.linalg.norm(v)
-            factors.append(v)
-        out.append(
-            ProductStateParams(
-                factors[0][0], factors[0][1], factors[1][0], factors[1][1]
-            )
-        )
-    return out
+    # one draw in the order of a per-sample loop: sample, factor, real or
+    # imaginary part, amplitude
+    draw = np.random.default_rng(seed).normal(size=(count, 2, 2, 2))
+    re, im = draw[:, :, 0], draw[:, :, 1]
+    # the sum np.linalg.norm takes for one complex vector, re.re + im.im,
+    # so each factor is rounded as when it was normalized on its own
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    factors = (re + 1j * im) / norms[..., None]
+    return [ProductStateParams(*row) for row in factors.reshape(count, 4).tolist()]
 
 
 def trace_run_separability(record: RunRecord) -> list[tuple[str, bool]]:

@@ -187,17 +187,23 @@ def depolarize(rho: DensityMatrix, qubits, p: float) -> DensityMatrix:
     kept = [q for q in range(n) if q not in targets]
     reduced = partial_trace(rho, kept).entries if kept else np.ones((1, 1))
     k = len(targets)
-    mixed = np.kron(reduced, np.eye(2**k) / 2**k)  # qubit order: kept, targets
-    order = np.argsort(kept + targets)
-    mixed = mixed.reshape((2,) * (2 * n)).transpose([*order, *(order + n)])
+    # reduced (x) I/2^k by broadcasting: each factor gets the row and column
+    # axes of all n qubits, size 1 on the qubits it does not act on
+    kept_axes = [1 if q in targets else 2 for q in range(n)] * 2
+    target_axes = [2 if q in targets else 1 for q in range(n)] * 2
+    mixed = reduced.reshape(kept_axes) * (np.eye(2**k) / 2**k).reshape(target_axes)
     entries = (1.0 - p) * rho.entries + p * mixed.reshape(2**n, 2**n)
     return DensityMatrix._trusted(n, entries)
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
     """Push a probability vector through per-qubit symmetric bit-flip
-    confusion matrices [[1-e, e], [e, 1-e]]."""
-    n = int(np.log2(probs.size))
+    confusion matrices [[1-e, e], [e, 1-e]], one rate per qubit."""
+    n = len(rates)
+    if probs.size != 2**n:
+        raise ValueError(
+            f"{n} readout rate(s) need {2**n} probabilities, got {probs.size}"
+        )
     p = probs.reshape((2,) * n)
     for q, e in enumerate(rates):
         m = np.array([[1.0 - e, e], [e, 1.0 - e]])

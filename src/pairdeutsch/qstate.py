@@ -47,22 +47,16 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got {amps.size}"
             )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
+        norm2 = float((np.abs(amps) ** 2).sum())
         if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
-
-    def overlap(self, other: StateVector) -> float:
-        """|<self|other>|, the global-phase-insensitive overlap magnitude."""
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("overlap requires equal qubit counts")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
     def tensor(self, other: StateVector) -> StateVector:
         """Tensor product, self's qubits first (more significant)."""
         return StateVector(
             self.num_qubits + other.num_qubits,
-            np.kron(self.amplitudes, other.amplitudes),
+            np.multiply.outer(self.amplitudes, other.amplitudes).reshape(-1),
         )
 
 
@@ -133,9 +127,12 @@ def _apply(
         raise ValueError(
             f"gate of shape {g.shape} cannot act on {k} target qubit(s)"
         )
-    gt = g.reshape((2,) * (2 * k))
-    out = np.tensordot(gt, tensor, axes=(tuple(range(k, 2 * k)), targets))
-    return np.moveaxis(out, tuple(range(k)), targets)
+    # np.tensordot's contraction without its axis bookkeeping: target axes
+    # first, one matrix product, then every axis back in place
+    order = targets + tuple(a for a in range(tensor.ndim) if a not in targets)
+    moved = tensor.transpose(order)
+    out = np.dot(g, moved.reshape(2**k, -1)).reshape(moved.shape)
+    return out.transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
 def apply_gate(

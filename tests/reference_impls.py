@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's tensordot/einsum code paths: gates
-are expanded by explicit bit surgery and reduced density matrices by index
-loops, so agreement with the library is a genuine cross-check.
+These deliberately avoid the library's transpose/einsum/broadcasting code
+paths: gates are expanded by explicit bit surgery, reduced and depolarized
+density matrices by index loops, and random samples are drawn one factor
+at a time, so agreement with the library is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -65,6 +66,50 @@ def schmidt_coefficients_reference(state: StateVector, left: list[int]) -> np.nd
     rho = reduced_density_reference(state, sorted(left))
     eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     return np.sqrt(np.sort(eigs)[::-1])
+
+
+def depolarize_reference(
+    entries: np.ndarray, targets: list[int], p: float
+) -> np.ndarray:
+    """(1-p) rho + p (Tr_targets rho placed on the other qubits) (x) I/2^k on
+    `targets`, entry by entry: a mixed entry is nonzero only where row and
+    column agree on every target bit, and sums rho over those bits."""
+    dim = entries.shape[0]
+    n = dim.bit_length() - 1
+    k = len(targets)
+    mask = sum(1 << (n - 1 - q) for q in targets)
+
+    def with_target_bits(index: int, t: int) -> int:
+        index &= ~mask
+        for pos, q in enumerate(targets):
+            index |= ((t >> (k - 1 - pos)) & 1) << (n - 1 - q)
+        return index
+
+    mixed = np.zeros_like(entries)
+    for i in range(dim):
+        for j in range(dim):
+            if i & mask != j & mask:
+                continue
+            total = sum(
+                entries[with_target_bits(i, t), with_target_bits(j, t)]
+                for t in range(2**k)
+            )
+            mixed[i, j] = total / 2**k
+    return (1.0 - p) * entries + p * mixed
+
+
+def random_product_params_reference(count: int, seed: int) -> list[tuple]:
+    """(alpha, beta, gamma, delta) per sample, one factor at a time: a real
+    and an imaginary size-2 Gaussian draw, normalized by np.linalg.norm."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        factors = []
+        for _ in range(2):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            factors.append(v / np.linalg.norm(v))
+        out.append((factors[0][0], factors[0][1], factors[1][0], factors[1][1]))
+    return out
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

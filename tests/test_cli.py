@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import pairdeutsch.algorithms
+import pairdeutsch.cli
 import pairdeutsch.noise
 import pairdeutsch.oracles
 from pairdeutsch.algorithms import DecodedAnswer, ENTANGLED_PAIR, run_entangled_pair
@@ -280,6 +281,27 @@ def test_audit_theorem_smoke(capsys):
     decidable = {f["family"]: f["decidable"] for f in data["families"]}
     assert decidable["any-tensor-minus"] == ["f0_xor_f1"]
     assert decidable["any-tensor-plus"] == []
+
+
+def test_audit_theorem_reports_each_disagreement(capsys, monkeypatch):
+    real = pairdeutsch.cli.cnot_product_condition
+
+    def disagreeing(params):
+        predicted, _ = real(params)
+        return predicted, not predicted
+
+    monkeypatch.setattr(pairdeutsch.cli, "cnot_product_condition", disagreeing)
+    code, out, _ = run_cli(capsys, ["audit-theorem", "--samples", "7",
+                                    "--grid", "3", "--seed", "11"])
+    assert code == EXIT_CHECK_FAILED
+    data = json.loads(out)
+    assert data["passed"] is False
+    entries = data["cnot_product_condition"]["disagreements"]
+    assert len(entries) == 7
+    for entry in entries:
+        assert entry["predicted"] != entry["actual"]
+        for name in ("alpha", "beta", "gamma", "delta"):
+            complex(entry[name])  # repr(complex): numpy-version independent
 
 
 def test_fidelity_subcommand(capsys, tmp_path):

@@ -28,6 +28,7 @@ from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
     decidable_quantities_reference,
     oracle_output_gram_reference,
+    random_product_params_reference,
     random_state,
     random_unitary,
     schmidt_coefficients_reference,
@@ -138,6 +139,34 @@ def test_cnot_condition_agrees_on_1000_random_samples():
         if len(set(cnot_product_condition(params))) != 1
     ]
     assert disagreements == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 77, 20240917])
+@pytest.mark.parametrize("count", [0, 1, 500])
+def test_random_params_match_the_per_sample_loop(count, seed):
+    params = random_product_params(count, seed)
+    got = np.array([(p.alpha, p.beta, p.gamma, p.delta) for p in params])
+    want = np.array(random_product_params_reference(count, seed))
+    assert got.reshape(-1, 4).shape == want.reshape(-1, 4).shape == (count, 4)
+    assert np.all(np.abs(got - want) <= 1e-15)
+    assert [cnot_product_condition(p) for p in params] == [
+        cnot_product_condition(ProductStateParams(*w)) for w in want
+    ]
+
+
+def test_cnot_condition_validates_two_states(monkeypatch):
+    calls = []
+    validate = StateVector.__post_init__
+
+    def counting(self):
+        calls.append(self.num_qubits)
+        validate(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    for params in random_product_params(10, seed=3):
+        calls.clear()
+        cnot_product_condition(params)
+        assert calls == [2, 2]  # the input product state and the CNOT output
 
 
 def test_cnot_condition_agrees_on_the_four_surviving_families():

@@ -18,6 +18,7 @@ from pairdeutsch.noise import (
     TABLE2_READOUT,
     TABLE2_SINGLE_QUBIT,
     TABLE2_TWO_QUBIT,
+    apply_readout_confusion,
     bhattacharyya,
     depolarize,
     run_noisy,
@@ -32,7 +33,7 @@ from pairdeutsch.oracles import (
     same_at_zero,
 )
 from pairdeutsch.qstate import DensityMatrix, basis_state
-from reference_impls import random_density_matrix
+from reference_impls import depolarize_reference, random_density_matrix
 
 
 def test_table2_defaults():
@@ -159,6 +160,25 @@ def test_depolarize_preserves_trace_and_positivity(seed):
     out = depolarize(rho, targets, p)
     assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_depolarize_matches_loop_reference_on_every_target_subset(seed):
+    rng = np.random.default_rng(seed)
+    rho = DensityMatrix(3, random_density_matrix(3, rng))
+    for mask in range(1, 8):
+        targets = [q for q in range(3) if mask >> (2 - q) & 1]
+        p = float(rng.uniform(0, 1))
+        out = depolarize(rho, targets[::-1], p)
+        want = depolarize_reference(rho.entries, targets, p)
+        assert np.abs(out.entries - want).max() <= 1e-12, targets
+
+
+@pytest.mark.parametrize("num_rates", [2, 4])
+def test_readout_confusion_needs_one_rate_per_qubit(num_rates):
+    probs = np.full(8, 1 / 8)
+    with pytest.raises(ValueError, match="got 8"):
+        apply_readout_confusion(probs, (0.1,) * num_rates)
 
 
 def test_run_noisy_total_readout_scrambling_is_uniform():

@@ -206,17 +206,26 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
-def test_apply_gate_matches_reference_expansion(seed, n):
+@st.composite
+def registers_and_targets(draw):
+    """n in 1..4 and 1..min(3, n) distinct targets in any order, so adjacent,
+    non-adjacent and reversed target lists all occur."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    return n, tuple(order[: draw(st.integers(1, min(3, n)))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(registers_and_targets(), st.integers(0, 2**32 - 1))
+def test_apply_gate_matches_reference_expansion(register, seed):
+    n, targets = register
     rng = np.random.default_rng(seed)
     state = random_state(n, rng)
-    k = int(rng.integers(1, 3))
-    targets = tuple(rng.permutation(n)[:k])
-    gate = random_unitary(2**k, rng)
+    gate = random_unitary(2 ** len(targets), rng)
+    full = expand_gate_reference(gate, targets, n)
     out = apply_gate(state, gate, targets)
-    expected = expand_gate_reference(gate, targets, n) @ state.amplitudes
-    assert np.allclose(out.amplitudes, expected, atol=1e-10)
+    assert np.abs(out.amplitudes - full @ state.amplitudes).max() <= 1e-12
+    assert np.abs(expanded_unitary(gate, targets, n) - full).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
