@@ -31,7 +31,6 @@ from .algorithms import (
 from .entanglement import (
     FAMILIES,
     FamilyAuditReport,
-    ProductStateParams,
     SeparabilityVerdict,
     audit_family_distinguishability,
     bloch_grid_params,
@@ -76,7 +75,6 @@ from .qstate import (
     basis_state,
     controlled,
     is_unitary,
-    measurement_distribution,
     partial_trace,
     purity,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "FidelityReport",
     "GateOp",
     "NoiseModel",
-    "ProductStateParams",
     "PromisePair",
     "RunRecord",
     "SeparabilityVerdict",
@@ -126,7 +123,6 @@ __all__ = [
     "fully_product",
     "is_balanced",
     "is_unitary",
-    "measurement_distribution",
     "oracle_unitary",
     "parse_oracle",
     "partial_trace",

@@ -206,7 +206,11 @@ def _build_parser() -> _Parser:
 
     audit = sub.add_parser("audit-theorem", help="separability theorem audit")
     audit.add_argument("--samples", type=int, default=1000)
-    audit.add_argument("--grid", type=int, default=51)
+    audit.add_argument(
+        "--grid", type=int, default=51,
+        help="theta points, grid+1 phi points; only an odd count puts theta = "
+        "pi/2 on the grid, where any-tensor-minus decides f0^f1",
+    )
     audit.add_argument("--seed", type=int, default=None)
     audit.add_argument("--output", default="json", choices=("json",))
 
@@ -370,20 +374,14 @@ def _payload_verify(request: RunRequest) -> tuple[dict, int]:
 
 
 def _payload_audit(request: RunRequest) -> tuple[dict, int]:
+    samples = random_product_params(request.samples, request.seed)
     disagreements = []
-    for params in random_product_params(request.samples, request.seed):
+    for params in samples.tolist():
         predicted, actual = cnot_product_condition(params)
         if predicted != actual:
-            disagreements.append(
-                {
-                    "alpha": repr(complex(params.alpha)),
-                    "beta": repr(complex(params.beta)),
-                    "gamma": repr(complex(params.gamma)),
-                    "delta": repr(complex(params.delta)),
-                    "predicted": predicted,
-                    "actual": actual,
-                }
-            )
+            names = ("alpha", "beta", "gamma", "delta")
+            entry = {name: repr(complex(v)) for name, v in zip(names, params)}
+            disagreements.append({**entry, "predicted": predicted, "actual": actual})
     grid = bloch_grid_params(request.grid, request.grid + 1)
     families = []
     all_single = True
@@ -402,7 +400,7 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
     payload = {
         "passed": passed,
         "cnot_product_condition": {
-            "samples": request.samples,
+            "samples": len(samples),
             "disagreements": disagreements,
         },
         "families": families,
@@ -543,13 +541,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         envelope, code = execute(request)
+        text = emit(envelope, request.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # CLI boundary: report, don't traceback
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(emit(envelope, request.output))
+    sys.stdout.write(text)
     return code
 
 

@@ -87,65 +87,52 @@ def fully_product(state: StateVector) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ProductStateParams:
-    """Amplitudes (alpha, beta) of the oracle's input wire and (gamma, delta)
-    of its target wire, each pair normalized."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self) -> None:
-        pairs = (
-            ("alpha/beta", self.alpha, self.beta),
-            ("gamma/delta", self.gamma, self.delta),
-        )
-        for label, a, b in pairs:
-            norm2 = abs(a) ** 2 + abs(b) ** 2
-            if abs(norm2 - 1.0) > ATOL:
-                raise ValueError(
-                    f"{label} amplitudes not normalized: sum of squares {norm2!r}"
-                )
-
-    def product_state(self) -> StateVector:
-        """(alpha|0> + beta|1>) (gamma|0> + delta|1>), input wire first."""
-        return StateVector(
-            2, np.multiply.outer([self.alpha, self.beta], [self.gamma, self.delta])
-        )
+_PAIR_LABELS = ("alpha/beta", "gamma/delta")
+_NOT_NORMALIZED = "{} amplitudes not normalized: sum of squares {!r}"
 
 
-def cnot_product_condition(params: ProductStateParams) -> tuple[bool, bool]:
+def cnot_product_condition(params: Sequence[complex]) -> tuple[bool, bool]:
     """(algebraic prediction, numerical verdict) for whether a CNOT leaves
-    the product state separable.
+    the product state (alpha|0> + beta|1>)(gamma|0> + delta|1>) separable;
+    params is one (alpha, beta, gamma, delta) row, each pair normalized.
 
     The prediction is |alpha*beta*(gamma^2 - delta^2)| ~ 0 (complex squares,
     not magnitudes); the verdict applies the gate and runs the Schmidt test.
     The two must agree.
     """
-    det = params.alpha * params.beta * (params.gamma**2 - params.delta**2)
+    alpha, beta, gamma, delta = params
+    for label, a, b in zip(_PAIR_LABELS, (alpha, gamma), (beta, delta)):
+        norm2 = float(abs(a) ** 2 + abs(b) ** 2)
+        if abs(norm2 - 1.0) > ATOL:
+            raise ValueError(_NOT_NORMALIZED.format(label, norm2))
+    det = alpha * beta * (gamma**2 - delta**2)
     predicted = bool(abs(det) < PRODUCT_TOL)
-    out = apply_gate(params.product_state(), CNOT, (0, 1))
-    actual = schmidt_analyze(out, [0]).is_product
+    state = StateVector(2, np.multiply.outer([alpha, beta], [gamma, delta]))
+    actual = schmidt_analyze(apply_gate(state, CNOT, (0, 1)), [0]).is_product
     return predicted, actual
 
 
-def oracle_output_gram(
-    family: str, sample_params: Sequence[ProductStateParams]
-) -> np.ndarray:
-    """(S, 4, 4) array of |<out_i|out_j>| over the samples, where out_i is the
-    family's input state after one query of the i-th function of C1, C2, B1,
-    B2. The family fixes one tensor factor; params give the other."""
+def oracle_output_gram(family: str, params: np.ndarray) -> np.ndarray:
+    """(S, 4, 4) array of |<out_i|out_j>| over the (S, 4) rows (alpha, beta,
+    gamma, delta) of params, where out_i is the family's input state after
+    one query of the i-th function of C1, C2, B1, B2. The family fixes one
+    tensor factor; each row gives the other."""
     if family not in _FAMILY_FACTORS:
         raise ValueError(
             f'unknown family "{family}" (known: {", ".join(FAMILIES)})'
         )
+    params = np.asarray(params, dtype=np.complex128)
+    if params.ndim != 2 or params.shape[1] != 4:
+        raise ValueError(f"params must have shape (S, 4), got {params.shape}")
+    squares = np.abs(params) ** 2
+    norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
+    bad = np.argwhere(np.abs(norms - 1.0) > ATOL)
+    if bad.size:
+        sample, pair = bad[0]
+        label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
+        raise ValueError(_NOT_NORMALIZED.format(label, norm2))
     fixed, wire = _FAMILY_FACTORS[family]
-    free = np.array(
-        [(p.gamma, p.delta) if wire == 0 else (p.alpha, p.beta) for p in sample_params],
-        dtype=np.complex128,
-    ).reshape(-1, 2)
+    free = params[:, 2:] if wire == 0 else params[:, :2]
     ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
     inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
     unitaries = np.stack([oracle_unitary(fn) for fn in _AUDIT_FUNCTIONS])
@@ -159,62 +146,50 @@ def _decidable_quantities(gram: np.ndarray) -> np.ndarray:
     return np.all((gram[:, None] < PRODUCT_TOL) | ~_DISAGREE, axis=(2, 3))
 
 
-@dataclass(frozen=True)
-class FamilySampleVerdict:
-    params: ProductStateParams
-    decidable: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no single-bool ==
 class FamilyAuditReport:
     family: str
-    samples: tuple[FamilySampleVerdict, ...]
+    samples: np.ndarray  # (S, 3) read-only bool, columns in QUANTITIES order
     decidable: tuple[str, ...]  # union over all samples
 
     @property
     def at_most_one_decidable(self) -> bool:
-        """True when no sample (and hence the union) decides two quantities."""
-        return len(self.decidable) <= 1 and all(
-            len(s.decidable) <= 1 for s in self.samples
-        )
+        """True when the union, and hence every sample, decides at most one
+        quantity."""
+        return len(self.decidable) <= 1
 
 
 def audit_family_distinguishability(
-    family: str, sample_params: Sequence[ProductStateParams]
+    family: str, params: np.ndarray
 ) -> FamilyAuditReport:
-    """For every sampled input in the family, query all four functions and
-    report which of f(0), f(1), f(0)^f(1) is perfectly decidable."""
-    decided = _decidable_quantities(oracle_output_gram(family, sample_params))
-    verdicts = [
-        FamilySampleVerdict(params, tuple(q for q, d in zip(QUANTITIES, row) if d))
-        for params, row in zip(sample_params, decided)
-    ]
-    seen = {q for v in verdicts for q in v.decidable}
-    union = tuple(q for q in QUANTITIES if q in seen)
-    return FamilyAuditReport(family=family, samples=tuple(verdicts), decidable=union)
+    """For every (alpha, beta, gamma, delta) row in the family, query all four
+    functions and report which of f(0), f(1), f(0)^f(1) is perfectly
+    decidable."""
+    decided = _decidable_quantities(oracle_output_gram(family, params))
+    decided.flags.writeable = False
+    union = tuple(q for q, seen in zip(QUANTITIES, decided.any(axis=0)) if seen)
+    return FamilyAuditReport(family=family, samples=decided, decidable=union)
 
 
-def bloch_grid_params(
-    theta_points: int = 51, phi_points: int = 52
-) -> list[ProductStateParams]:
-    """Deterministic single-qubit grid, polar x azimuthal, used for both free
-    factors; families pick out whichever factor they need.
+def bloch_grid_params(theta_points: int = 51, phi_points: int = 52) -> np.ndarray:
+    """Deterministic single-qubit grid, polar x azimuthal, as (theta * phi, 4)
+    rows (a, b, a, b): the same factor for both wires, theta-major; families
+    pick out whichever factor they need.
 
     Point counts are chosen so the grid hits the special angles exactly:
-    theta = pi/2 (equal magnitudes) and phi in {0, pi/2, pi, 3pi/2}.
+    theta = pi/2 (equal magnitudes, only for an odd theta count) and phi in
+    {0, pi/2, pi, 3pi/2}.
     """
-    params = []
-    for theta in np.linspace(0.0, np.pi, theta_points):
-        a = complex(np.cos(theta / 2))
-        s = np.sin(theta / 2)
-        for phi in np.linspace(0.0, 2 * np.pi, phi_points, endpoint=False):
-            b = s * np.exp(1j * phi)
-            params.append(ProductStateParams(a, b, a, b))
-    return params
+    half = np.linspace(0.0, np.pi, theta_points)[:, None] / 2
+    phi = np.linspace(0.0, 2 * np.pi, phi_points, endpoint=False)
+    b = np.sin(half) * np.exp(1j * phi)
+    a = np.broadcast_to(np.cos(half), b.shape)
+    return np.stack([a, b, a, b], axis=-1).reshape(-1, 4)
 
 
-def random_product_params(count: int, seed: int) -> list[ProductStateParams]:
-    """Haar-distributed single-qubit factors from a seeded generator."""
+def random_product_params(count: int, seed: int) -> np.ndarray:
+    """(count, 4) rows (alpha, beta, gamma, delta) of Haar-distributed
+    single-qubit factors from a seeded generator."""
     # one draw in the order of a per-sample loop: sample, factor, real or
     # imaginary part, amplitude
     draw = np.random.default_rng(seed).normal(size=(count, 2, 2, 2))
@@ -223,7 +198,7 @@ def random_product_params(count: int, seed: int) -> list[ProductStateParams]:
     # so each factor is rounded as when it was normalized on its own
     norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     factors = (re + 1j * im) / norms[..., None]
-    return [ProductStateParams(*row) for row in factors.reshape(count, 4).tolist()]
+    return factors.reshape(count, 4)
 
 
 def trace_run_separability(record: RunRecord) -> list[tuple[str, bool]]:

@@ -144,13 +144,6 @@ def apply_gate(
     return StateVector(n, out.reshape(-1))
 
 
-def measurement_distribution(state: StateVector) -> dict[int, float]:
-    """Born-rule probabilities keyed by basis index; entries below the
-    1e-12 cutoff are omitted."""
-    probs = np.abs(state.amplitudes) ** 2
-    return {int(i): float(p) for i, p in enumerate(probs) if p >= PROB_CUTOFF}
-
-
 def bitstring_distribution(probs: np.ndarray, num_qubits: int) -> dict[str, float]:
     """Probability vector as big-endian bitstring -> probability, in basis
     order; entries below the 1e-12 cutoff are omitted."""

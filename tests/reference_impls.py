@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's transpose/einsum/broadcasting code
 paths: gates are expanded by explicit bit surgery, reduced and depolarized
-density matrices by index loops, and random samples are drawn one factor
-at a time, so agreement with the library is a genuine cross-check.
+density matrices by index loops, random samples are drawn one factor at a
+time and grid points are built one angle at a time, so agreement with the
+library is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -112,6 +113,19 @@ def random_product_params_reference(count: int, seed: int) -> list[tuple]:
     return out
 
 
+def bloch_grid_params_reference(theta_points: int, phi_points: int) -> list[tuple]:
+    """(a, b, a, b) per grid point, one theta and one phi at a time:
+    a = cos(theta/2), b = sin(theta/2) e^(i phi), theta-major."""
+    params = []
+    for theta in np.linspace(0.0, np.pi, theta_points):
+        a = complex(np.cos(theta / 2))
+        s = np.sin(theta / 2)
+        for phi in np.linspace(0.0, 2 * np.pi, phi_points, endpoint=False):
+            b = s * np.exp(1j * phi)
+            params.append((a, b, a, b))
+    return params
+
+
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     v = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return StateVector(num_qubits, v / np.linalg.norm(v))
@@ -138,16 +152,18 @@ AUDIT_FUNCTIONS = (C1, C2, B1, B2)  # the order of the audit's Gram axes
 
 def family_input_reference(family: str, params) -> np.ndarray:
     """Two-qubit input of the one-query audit: the family fixes one factor
-    and params give the other, joined by an explicit Kronecker product."""
+    and the (alpha, beta, gamma, delta) row gives the other, joined by an
+    explicit Kronecker product."""
+    alpha, beta, gamma, delta = params
     s = 1.0 / np.sqrt(2.0)
     if family == "ket0-tensor-any":
-        ctrl, tgt = [1.0, 0.0], [params.gamma, params.delta]
+        ctrl, tgt = [1.0, 0.0], [gamma, delta]
     elif family == "ket1-tensor-any":
-        ctrl, tgt = [0.0, 1.0], [params.gamma, params.delta]
+        ctrl, tgt = [0.0, 1.0], [gamma, delta]
     elif family == "any-tensor-plus":
-        ctrl, tgt = [params.alpha, params.beta], [s, s]
+        ctrl, tgt = [alpha, beta], [s, s]
     elif family == "any-tensor-minus":
-        ctrl, tgt = [params.alpha, params.beta], [s, -s]
+        ctrl, tgt = [alpha, beta], [s, -s]
     else:
         raise ValueError(f"unknown family {family!r}")
     return np.kron(np.array(ctrl, dtype=complex), np.array(tgt, dtype=complex))

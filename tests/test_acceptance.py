@@ -29,7 +29,6 @@ from pairdeutsch.entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
-    ProductStateParams,
     random_product_params,
     schmidt_analyze,
 )
@@ -138,10 +137,10 @@ def test_criterion_4_theorem_audit():
         assert predicted == actual
     # ... plus the four surviving input families themselves
     family_reps = [
-        ProductStateParams(1.0, 0.0, 0.6, 0.8j),
-        ProductStateParams(0.0, 1.0, 0.28, 0.96),
-        ProductStateParams(0.6, 0.8, SQ2, SQ2),
-        ProductStateParams(0.8, -0.6, SQ2, -SQ2),
+        (1.0, 0.0, 0.6, 0.8j),
+        (0.0, 1.0, 0.28, 0.96),
+        (0.6, 0.8, SQ2, SQ2),
+        (0.8, -0.6, SQ2, -SQ2),
     ]
     for params in family_reps:
         assert cnot_product_condition(params) == (True, True)

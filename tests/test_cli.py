@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pairdeutsch.algorithms
@@ -492,6 +493,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         capsys, ["run", "--algorithm", "entangled", "--f", "B1", "--g", "B1"]
     )
     assert code == EXIT_INTERNAL
+    assert err.startswith("error: internal:")
+
+
+def test_unserializable_envelope_is_an_internal_error(capsys, monkeypatch):
+    # json.dumps rejects np.float32: rendering fails inside the CLI boundary
+    monkeypatch.setattr(
+        pairdeutsch.cli, "bhattacharyya", lambda *args: np.float32(0.5)
+    )
+    code, out, err = run_cli(
+        capsys, ["sweep-noise", "--algorithm", "deutsch", "--f", "B1"]
+    )
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: internal:")
 
 

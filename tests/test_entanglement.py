@@ -13,7 +13,7 @@ from pairdeutsch.entanglement import (
     MINUS_FAMILY,
     PLUS_FAMILY,
     PRODUCT_TOL,
-    ProductStateParams,
+    QUANTITIES,
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
@@ -26,6 +26,7 @@ from pairdeutsch.entanglement import (
 from pairdeutsch.oracles import B1, C1, PromisePair, all_promise_pairs
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
+    bloch_grid_params_reference,
     decidable_quantities_reference,
     oracle_output_gram_reference,
     random_product_params_reference,
@@ -105,30 +106,43 @@ def test_fully_product_examples():
 
 
 def test_product_state_params_validation():
-    with pytest.raises(ValueError, match="alpha/beta"):
-        ProductStateParams(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="gamma/delta"):
-        ProductStateParams(1.0, 0.0, 0.5, 0.5)
+    for row, label in (
+        ((1.0, 1.0, 1.0, 0.0), "alpha/beta"),
+        ((1.0, 0.0, 0.5, 0.5), "gamma/delta"),
+    ):
+        with pytest.raises(ValueError, match=f"{label} amplitudes not normalized"):
+            cnot_product_condition(row)
+        per_row = str(pytest.raises(ValueError, cnot_product_condition, row).value)
+        rows = np.array([(1.0, 0.0, 1.0, 0.0), row])  # the bad row second
+        for family in FAMILIES:  # every pair is checked, not only the free one
+            err = pytest.raises(ValueError, oracle_output_gram, family, rows)
+            assert str(err.value) == per_row
+
+
+def test_oracle_output_gram_rejects_non_row_shapes():
+    for shape in ((4,), (2, 3), (1, 8), (1, 2, 4)):
+        with pytest.raises(ValueError, match="shape"):
+            oracle_output_gram(KET0_FAMILY, np.zeros(shape))
 
 
 def test_cnot_condition_bell_creator():
-    params = ProductStateParams(SQ2, SQ2, 1.0, 0.0)
+    params = (SQ2, SQ2, 1.0, 0.0)
     assert cnot_product_condition(params) == (False, False)
 
 
 def test_cnot_condition_plus_target():
-    params = ProductStateParams(SQ2, SQ2, SQ2, SQ2)
+    params = (SQ2, SQ2, SQ2, SQ2)
     assert cnot_product_condition(params) == (True, True)
 
 
 def test_cnot_condition_basis_control():
-    params = ProductStateParams(1.0, 0.0, 0.6, 0.8)
+    params = (1.0, 0.0, 0.6, 0.8)
     assert cnot_product_condition(params) == (True, True)
 
 
 def test_cnot_condition_complex_phase_entangles():
     # gamma^2 - delta^2 uses complex squares: delta = i/sqrt2 gives 1, not 0
-    params = ProductStateParams(SQ2, SQ2, SQ2, 1j * SQ2)
+    params = (SQ2, SQ2, SQ2, 1j * SQ2)
     assert cnot_product_condition(params) == (False, False)
 
 
@@ -144,13 +158,12 @@ def test_cnot_condition_agrees_on_1000_random_samples():
 @pytest.mark.parametrize("seed", [0, 1, 7, 77, 20240917])
 @pytest.mark.parametrize("count", [0, 1, 500])
 def test_random_params_match_the_per_sample_loop(count, seed):
-    params = random_product_params(count, seed)
-    got = np.array([(p.alpha, p.beta, p.gamma, p.delta) for p in params])
+    got = random_product_params(count, seed)
     want = np.array(random_product_params_reference(count, seed))
-    assert got.reshape(-1, 4).shape == want.reshape(-1, 4).shape == (count, 4)
-    assert np.all(np.abs(got - want) <= 1e-15)
-    assert [cnot_product_condition(p) for p in params] == [
-        cnot_product_condition(ProductStateParams(*w)) for w in want
+    assert got.shape == want.reshape(-1, 4).shape == (count, 4)
+    assert np.all(np.abs(got - want.reshape(-1, 4)) <= 1e-15)
+    assert [cnot_product_condition(p) for p in got] == [
+        cnot_product_condition(w) for w in want
     ]
 
 
@@ -178,19 +191,20 @@ def test_cnot_condition_agrees_on_the_four_surviving_families():
             assert predicted and actual, family
 
 
-def _family_params(family: str, params: ProductStateParams) -> ProductStateParams:
-    """Constrain params to the family shape (same projection the audit uses)."""
+def _family_params(family: str, params) -> tuple:
+    """Constrain a row to the family shape (same projection the audit uses)."""
+    alpha, beta, gamma, delta = params
     if family == KET0_FAMILY:
-        return ProductStateParams(1.0, 0.0, params.gamma, params.delta)
+        return (1.0, 0.0, gamma, delta)
     if family == KET1_FAMILY:
-        return ProductStateParams(0.0, 1.0, params.gamma, params.delta)
+        return (0.0, 1.0, gamma, delta)
     if family == PLUS_FAMILY:
-        return ProductStateParams(params.alpha, params.beta, SQ2, SQ2)
-    return ProductStateParams(params.alpha, params.beta, SQ2, -SQ2)
+        return (alpha, beta, SQ2, SQ2)
+    return (alpha, beta, SQ2, -SQ2)
 
 
 def test_family_input_state_rejects_unknown_family():
-    params = ProductStateParams(1.0, 0.0, 1.0, 0.0)
+    params = np.array([(1.0, 0.0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="unknown family"):
         oracle_output_gram("any-tensor-ghz", [params])
     with pytest.raises(ValueError, match="unknown family"):
@@ -198,33 +212,33 @@ def test_family_input_state_rejects_unknown_family():
 
 
 def test_minus_family_decides_only_xor_at_equal_weights():
-    params = ProductStateParams(SQ2, SQ2, 1.0, 0.0)
-    report = audit_family_distinguishability(MINUS_FAMILY, [params])
+    params = np.array([(SQ2, SQ2, 1.0, 0.0)])
+    report = audit_family_distinguishability(MINUS_FAMILY, params)
     assert report.decidable == ("f0_xor_f1",)
-    gram = oracle_output_gram(MINUS_FAMILY, [params])[0]
+    gram = oracle_output_gram(MINUS_FAMILY, params)[0]
     assert gram[GRAM_INDEX["C1"], GRAM_INDEX["C2"]] == pytest.approx(1.0, abs=1e-12)
     for a, b in (("B1", "C1"), ("B1", "C2"), ("B2", "C1"), ("B2", "C2")):
         assert gram[GRAM_INDEX[a], GRAM_INDEX[b]] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plus_family_decides_nothing():
-    params = ProductStateParams(0.6, 0.8, 1.0, 0.0)
-    report = audit_family_distinguishability(PLUS_FAMILY, [params])
+    params = np.array([(0.6, 0.8, 1.0, 0.0)])
+    report = audit_family_distinguishability(PLUS_FAMILY, params)
     assert report.decidable == ()
-    gram = oracle_output_gram(PLUS_FAMILY, [params])[0]
+    gram = oracle_output_gram(PLUS_FAMILY, params)[0]
     pairs = gram[np.triu_indices(4, k=1)]  # the six distinct function pairs
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in pairs)
 
 
 def test_ket0_family_decides_only_f0_at_basis_target():
-    params = ProductStateParams(1.0, 0.0, 1.0, 0.0)
-    report = audit_family_distinguishability(KET0_FAMILY, [params])
+    params = np.array([(1.0, 0.0, 1.0, 0.0)])
+    report = audit_family_distinguishability(KET0_FAMILY, params)
     assert report.decidable == ("f0",)
 
 
 def test_grid_audit_never_decides_two_quantities():
     grid = bloch_grid_params(51, 52)
-    assert len(grid) == 51 * 52
+    assert grid.shape == (51 * 52, 4)
     expected_unions = {
         KET0_FAMILY: ("f0",),
         KET1_FAMILY: ("f1",),
@@ -234,19 +248,46 @@ def test_grid_audit_never_decides_two_quantities():
     for family in FAMILIES:
         report = audit_family_distinguishability(family, grid)
         assert report.at_most_one_decidable
-        assert all(len(s.decidable) <= 1 for s in report.samples)
+        assert report.samples.shape == (len(grid), len(QUANTITIES))
+        assert np.all(report.samples.sum(axis=1) <= 1)
         assert report.decidable == expected_unions[family]
 
 
+def test_family_audit_samples_are_read_only():
+    report = audit_family_distinguishability(KET0_FAMILY, bloch_grid_params(3, 4))
+    with pytest.raises(ValueError, match="read-only"):
+        report.samples[0, 0] = not report.samples[0, 0]
+
+
+@pytest.mark.parametrize("t", [2, 3, 9, 10, 11, 51, 203, 256])
+def test_bloch_grid_matches_the_per_point_loop(t):
+    got = bloch_grid_params(t, t + 1)
+    want = np.array(bloch_grid_params_reference(t, t + 1), dtype=np.complex128)
+    assert got.shape == want.shape == (t * (t + 1), 4)
+    # float-hex identity: every real and imaginary part, sign of zero included
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_only_odd_grids_put_theta_half_pi_on_the_grid():
+    for t, hits in ((9, True), (10, False), (11, True)):
+        grid = bloch_grid_params(t, t + 1)
+        report = audit_family_distinguishability(MINUS_FAMILY, grid)
+        assert report.decidable == (("f0_xor_f1",) if hits else ()), t
+
+
 def test_gram_and_verdicts_match_the_loop_reference():
-    params = bloch_grid_params(51, 52) + random_product_params(500, seed=77)
+    params = np.concatenate(
+        [bloch_grid_params(51, 52), random_product_params(500, seed=77)]
+    )
     for family in FAMILIES:
         gram = oracle_output_gram(family, params)
         want = oracle_output_gram_reference(family, params)
         assert gram.shape == want.shape == (len(params), 4, 4)
         assert np.max(np.abs(gram - want)) <= 1e-12, family
         report = audit_family_distinguishability(family, params)
-        assert [s.decidable for s in report.samples] == [
+        assert [
+            tuple(q for q, d in zip(QUANTITIES, row) if d) for row in report.samples
+        ] == [
             decidable_quantities_reference(g, PRODUCT_TOL) for g in want
         ], family
 

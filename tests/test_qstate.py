@@ -15,8 +15,8 @@ from pairdeutsch.qstate import (
     basis_state,
     controlled,
     expanded_unitary,
+    bitstring_distribution,
     is_unitary,
-    measurement_distribution,
     partial_trace,
     purity,
 )
@@ -144,20 +144,24 @@ def test_is_unitary_agrees_with_allclose(seed, k, eps, scale_only):
     assert is_unitary(m) == np.allclose(gram, eye, rtol=0.0, atol=1e-10)
 
 
+def born(state: StateVector) -> dict[str, float]:
+    return bitstring_distribution(np.abs(state.amplitudes) ** 2, state.num_qubits)
+
+
 def test_measurement_distribution_examples():
     plus = StateVector(1, np.array([SQ2, SQ2]))
-    assert measurement_distribution(plus) == pytest.approx({0: 0.5, 1: 0.5})
-    assert measurement_distribution(basis_state(2, 3)) == {3: 1.0}
+    assert born(plus) == pytest.approx({"0": 0.5, "1": 0.5})
+    assert born(basis_state(2, 3)) == {"11": 1.0}
     ghzish = StateVector(3, np.array([0, 0, 0, 0, SQ2, 0, 0, SQ2]))
-    assert measurement_distribution(ghzish) == pytest.approx({4: 0.5, 7: 0.5})
+    assert born(ghzish) == pytest.approx({"100": 0.5, "111": 0.5})
 
 
 def test_measurement_distribution_drops_tiny_entries():
     eps = 1e-5  # probability 1e-10, above the 1e-12 cutoff: kept
     s = StateVector(1, np.array([np.sqrt(1 - eps**2), eps]))
-    assert 1 in measurement_distribution(s)
+    assert "1" in born(s)
     s2 = StateVector(1, np.array([np.sqrt(1 - 1e-26), np.sqrt(1e-26)]))
-    assert 1 not in measurement_distribution(s2)
+    assert "1" not in born(s2)
 
 
 def test_partial_trace_pure_product():
