@@ -47,6 +47,7 @@ from .noise import (
     bhattacharyya,
     depolarize,
     run_noisy,
+    run_noisy_models,
     sample_shots,
     statistical_fidelity,
 )
@@ -131,6 +132,7 @@ __all__ = [
     "run_deutsch",
     "run_entangled_pair",
     "run_noisy",
+    "run_noisy_models",
     "run_product_pair",
     "same_at_zero",
     "sample_shots",

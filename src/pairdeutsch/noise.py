@@ -171,10 +171,17 @@ class NoiseModel:
         return cls.from_config_text(Path(path).read_text())
 
 
-def depolarize(rho: DensityMatrix, qubits, p: float) -> DensityMatrix:
-    """(1-p) * rho + p * (maximally mixed on `qubits`, reduced state elsewhere)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability {p!r} outside [0, 1]")
+def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
+    """(1-p) * rho + p * (maximally mixed on `qubits`, reduced state elsewhere),
+    with one rate p for every member of the stack or a sequence of one per
+    member; a member whose rate is 0 is returned unchanged."""
+    try:
+        values = [float(r) for r in p]
+    except TypeError:  # one rate, not a sequence
+        values = [float(p)]
+    for r in values:
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"depolarizing probability {r!r} outside [0, 1]")
     targets = sorted({int(q) for q in qubits})
     n = rho.num_qubits
     if not targets:
@@ -182,54 +189,87 @@ def depolarize(rho: DensityMatrix, qubits, p: float) -> DensityMatrix:
     for q in targets:
         if not 0 <= q < n:
             raise ValueError(f"target {q} out of range for {n} qubit(s)")
-    if p == 0.0:
+    if not any(values):
         return rho
     kept = [q for q in range(n) if q not in targets]
-    reduced = partial_trace(rho, kept).entries if kept else np.ones((1, 1))
     k = len(targets)
     # reduced (x) I/2^k by broadcasting: each factor gets the row and column
     # axes of all n qubits, size 1 on the qubits it does not act on
-    kept_axes = [1 if q in targets else 2 for q in range(n)] * 2
     target_axes = [2 if q in targets else 1 for q in range(n)] * 2
-    mixed = reduced.reshape(kept_axes) * (np.eye(2**k) / 2**k).reshape(target_axes)
-    entries = (1.0 - p) * rho.entries + p * mixed.reshape(2**n, 2**n)
+    mixed = (np.eye(2**k) / 2**k).reshape(target_axes)
+    if kept:  # with every qubit a target the trace is 1: no reduction taken
+        reduced = partial_trace(rho, kept).entries
+        kept_axes = [1 if q in targets else 2 for q in range(n)] * 2
+        mixed = reduced.reshape(reduced.shape[:-2] + tuple(kept_axes)) * mixed
+    mixed = mixed.reshape(mixed.shape[: mixed.ndim - 2 * n] + (2**n, 2**n))
+    coef = values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1))
+    entries = (1.0 - coef) * rho.entries + coef * mixed
+    if not all(values):
+        entries = np.where(coef > 0.0, entries, rho.entries)
     return DensityMatrix._trusted(n, entries)
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
-    """Push a probability vector through per-qubit symmetric bit-flip
-    confusion matrices [[1-e, e], [e, 1-e]], one rate per qubit."""
-    n = len(rates)
-    if probs.size != 2**n:
+    """Push probability vectors, shape (..., 2**n), through per-qubit
+    symmetric bit-flip confusion matrices [[1-e, e], [e, 1-e]], with one row
+    of per-qubit rates, shape (..., n), per vector; the leading axes of the
+    two broadcast."""
+    e = np.asarray(rates, dtype=float)
+    n = e.shape[-1]
+    if probs.shape[-1] != 2**n:
         raise ValueError(
-            f"{n} readout rate(s) need {2**n} probabilities, got {probs.size}"
+            f"{n} readout rate(s) need {2**n} probabilities, got {probs.shape[-1]}"
         )
-    p = probs.reshape((2,) * n)
-    for q, e in enumerate(rates):
-        m = np.array([[1.0 - e, e], [e, 1.0 - e]])
-        p = np.moveaxis(np.tensordot(m, p, axes=([1], [q])), 0, q)
-    return p.reshape(-1)
+    confusion = np.stack([1.0 - e, e, e, 1.0 - e], axis=-1).reshape(e.shape + (2, 2))
+    b = max(probs.ndim, e.ndim) - 1
+    p = probs.reshape((1,) * (b + 1 - probs.ndim) + probs.shape[:-1] + (2,) * n)
+    for q in range(n):
+        # qstate._apply's transpose-and-dot, with one 2x2 matrix per vector
+        order = [*range(b), b + q, *(a for a in range(b, b + n) if a != b + q)]
+        moved = p.transpose(order)
+        out = confusion[..., q, :, :] @ moved.reshape(moved.shape[:b] + (2, -1))
+        back = sorted(range(b + n), key=order.__getitem__)
+        p = out.reshape(out.shape[:b] + moved.shape[b:]).transpose(back)
+    return p.reshape(p.shape[:b] + (2**n,))
+
+
+def run_noisy_models(
+    algorithm: str, oracles: BoolFn | PromisePair, models: Sequence[NoiseModel]
+) -> list[dict[str, float]]:
+    """Exact density-matrix runs of the chosen circuit, one per noise model, as
+    one walk of a stack: a depolarizing channel after every gate, at each
+    model's rate for it, and each model's readout confusion on its final
+    distribution. Returns bitstring -> probability per model, each equal to
+    that model's walk alone. ValueError unless every model covers the circuit."""
+    ops, n = circuit_ops(algorithm, oracles)
+    for model in models:
+        model.check_covers(n, ops)
+    if not models:
+        return []
+    # one matrix, which the first channel with per-model rates spreads into
+    # a stack of len(models)
+    rho = DensityMatrix.from_state(basis_state(n, 0))
+    for op in ops:
+        rho = apply_gate_density(rho, op.matrix, op.targets)
+        if len(op.targets) == 1:
+            rates = [model.qubit_gate_rate(op.targets[0]) for model in models]
+        else:
+            rates = [model.pair_gate_rate(*op.targets) for model in models]
+        rho = depolarize(rho, op.targets, rates)
+    rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
+    # one model, or no nonzero gate rate, leaves a single matrix, which the
+    # readout broadcasts against every model's rates
+    probs = apply_readout_confusion(
+        rho.probabilities(), [m.readout_error[:n] for m in models]
+    )
+    return [bitstring_distribution(p, n) for p in probs]
 
 
 def run_noisy(
     algorithm: str, oracles: BoolFn | PromisePair, model: NoiseModel
 ) -> dict[str, float]:
-    """Exact density-matrix run of the chosen circuit with a depolarizing
-    channel after every gate (at that gate's rate) and readout confusion on
-    the final distribution. Returns bitstring -> probability."""
-    ops, n = circuit_ops(algorithm, oracles)
-    rho = DensityMatrix.from_state(basis_state(n, 0))
-    for op in ops:
-        rho = apply_gate_density(rho, op.matrix, op.targets)
-        if len(op.targets) == 1:
-            rate = model.qubit_gate_rate(op.targets[0])
-        else:
-            rate = model.pair_gate_rate(*op.targets)
-        if rate > 0.0:
-            rho = depolarize(rho, op.targets, rate)
-    rho = DensityMatrix(n, rho.entries)  # the walk's one check of its result
-    probs = apply_readout_confusion(rho.probabilities(), model.readout_error[:n])
-    return bitstring_distribution(probs, n)
+    """`run_noisy_models` for one model: bitstring -> probability."""
+    return run_noisy_models(algorithm, oracles, [model])[0]
 
 
 @dataclass(frozen=True)

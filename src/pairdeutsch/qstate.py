@@ -87,7 +87,9 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool((abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol).all())
+    err = m.conj().T @ m
+    err.ravel()[:: len(m) + 1] -= 1.0  # minus the identity, without building it
+    return bool(abs(err).max(initial=0.0) <= tol)  # 0x0: vacuously unitary
 
 
 def controlled(gate: np.ndarray) -> np.ndarray:
@@ -153,8 +155,9 @@ def bitstring_distribution(probs: np.ndarray, num_qubits: int) -> dict[str, floa
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits:
-    checked by `DensityMatrix(...)` and `from_state`, and preserved by the
+    """Hermitian, unit-trace, positive-semidefinite matrix on n qubits, or a
+    stack of S of them, shape (S, 2**n, 2**n): checked, the whole stack at
+    once, by `DensityMatrix(...)` and `from_state`, and preserved by the
     channels, which build their results unchecked through `_trusted`."""
 
     num_qubits: int
@@ -164,13 +167,13 @@ class DensityMatrix:
         _check_num_qubits(self.num_qubits)
         dim = 2**self.num_qubits
         m = np.asarray(self.entries, dtype=np.complex128)
-        if m.shape != (dim, dim):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim) or m.size == 0:
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
+        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=ATOL):
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, not 1")
+        for tr in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
+            if abs(tr - 1.0) > ATOL:
+                raise ValueError(f"density matrix trace is {tr!r}, not 1")
         min_eig = float(np.linalg.eigvalsh(m).min())
         if min_eig < -EIG_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig!r}")
@@ -178,7 +181,7 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, num_qubits: int, entries: np.ndarray) -> DensityMatrix:
-        """Wrap a freshly computed, valid-by-construction matrix read-only."""
+        """Wrap freshly computed, valid-by-construction entries read-only."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "num_qubits", num_qubits)
         object.__setattr__(rho, "entries", _readonly(entries))
@@ -191,10 +194,10 @@ class DensityMatrix:
         )
 
     def probabilities(self) -> np.ndarray:
-        """Diagonal as a real probability vector; eigenvalue-tolerance
-        negatives are clipped and the vector renormalized."""
-        p = np.clip(np.real(np.diag(self.entries)), 0.0, None)
-        return p / p.sum()
+        """Diagonal as a real probability vector, one row per stack member;
+        eigenvalue-tolerance negatives are clipped and each row renormalized."""
+        p = np.clip(np.diagonal(self.entries, axis1=-2, axis2=-1).real, 0.0, None)
+        return p / p.sum(axis=-1, keepdims=True)
 
 
 def expanded_unitary(
@@ -211,6 +214,7 @@ def expanded_unitary(
 def apply_gate_density(
     rho: DensityMatrix, gate: np.ndarray, targets: Sequence[int]
 ) -> DensityMatrix:
+    """U rho U^H, one product of the full unitary for the whole stack."""
     u = expanded_unitary(gate, targets, rho.num_qubits)
     # the one input that can break validity: a d x d gate off unitarity by e
     # per entry moves the trace by up to d * e, so e <= ATOL / d bounds it
@@ -220,7 +224,7 @@ def apply_gate_density(
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep`.
+    """Trace out every qubit not listed in `keep`, from every member.
 
     The output qubit order follows the `keep` list, so keep=[1, 0] also
     swaps the two remaining qubits.
@@ -242,8 +246,10 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     src = "".join(row) + "".join(col)
     dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
     k = len(keep)
-    reduced = np.einsum(f"{src}->{dst}", rho.entries.reshape((2,) * (2 * n)))
-    return DensityMatrix._trusted(k, reduced.reshape(2**k, 2**k))
+    stack = rho.entries.shape[:-2]
+    tensor = rho.entries.reshape(stack + (2,) * (2 * n))
+    reduced = np.einsum(f"...{src}->...{dst}", tensor)
+    return DensityMatrix._trusted(k, reduced.reshape(stack + (2**k, 2**k)))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -99,6 +99,21 @@ def depolarize_reference(
     return (1.0 - p) * entries + p * mixed
 
 
+def readout_confusion_reference(probs: np.ndarray, rates) -> np.ndarray:
+    """Observed-outcome probabilities, one true and one observed bitstring at
+    a time: each qubit reads its bit flipped with its rate e, else intact."""
+    n = len(rates)
+    observed = np.zeros(2**n)
+    for true in range(2**n):
+        for seen in range(2**n):
+            weight = 1.0
+            for q, e in enumerate(rates):
+                flipped = bit_of(true, q, n) != bit_of(seen, q, n)
+                weight *= e if flipped else 1.0 - e
+            observed[seen] += weight * probs[true]
+    return observed
+
+
 def random_product_params_reference(count: int, seed: int) -> list[tuple]:
     """(alpha, beta, gamma, delta) per sample, one factor at a time: a real
     and an imaginary size-2 Gaussian draw, normalized by np.linalg.norm."""

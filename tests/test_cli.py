@@ -10,6 +10,7 @@ import pairdeutsch.algorithms
 import pairdeutsch.cli
 import pairdeutsch.noise
 import pairdeutsch.oracles
+import pairdeutsch.qstate
 from pairdeutsch.algorithms import DecodedAnswer, ENTANGLED_PAIR, run_entangled_pair
 from pairdeutsch.cli import (
     EXIT_CHECK_FAILED,
@@ -101,6 +102,7 @@ def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
         (["audit-theorem", "--grid", "1"], None),
         (["audit-theorem", "--samples", "100001"], None),
         (["audit-theorem", "--samples", "0"], None),
+        (["sweep-noise", *pair, "--scales", ",".join(["1"] * 1025)], None),
     ]
     for argv, env_seed in rows:
         if env_seed is None:
@@ -403,6 +405,33 @@ def test_sweep_noise_csv_header(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "scale,fidelity,argmax_correct"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_sweep_noise_makes_one_walk_whatever_its_scale_count(count, monkeypatch):
+    checks, walks = [], []
+    check = pairdeutsch.qstate.DensityMatrix.__post_init__
+    monkeypatch.setattr(pairdeutsch.qstate.DensityMatrix, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    circuit_ops = pairdeutsch.algorithms.circuit_ops
+    counted = lambda *a: walks.append(a) or circuit_ops(*a)  # noqa: E731
+    monkeypatch.setattr(pairdeutsch.algorithms, "circuit_ops", counted)
+    monkeypatch.setattr(pairdeutsch.noise, "circuit_ops", counted)
+    scales = ",".join(str(0.1 * i) for i in range(count))
+    request = parse_request(["sweep-noise", "--algorithm", "product", "--f", "B1",
+                             "--g", "B2", "--scales", scales])
+    envelope, code = execute(request)
+    assert code == EXIT_OK and len(envelope.payload["sweep"]) == count
+    assert (len(checks), len(walks)) == (2, 2)  # the ideal run and one walk
+
+
+def test_sweep_noise_scale_cap_is_inclusive(capsys):
+    argv = ["sweep-noise", "--algorithm", "deutsch", "--f", "B1", "--output", "csv"]
+    code, out, _ = run_cli(capsys, [*argv, "--scales", ",".join(["0.5"] * 1024)])
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 1025
+    code, out, err = run_cli(capsys, [*argv, "--scales", ",".join(["0.5"] * 1025)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --scales must list 1..1024 factors, got 1025\n"
 
 
 def test_sweep_noise_rejects_off(capsys):

@@ -58,7 +58,8 @@ COMMANDS = {
     "sweep-noise": {
         **CIRCUIT,
         "--scales": (["0,0.5,1", "1", "0", "-0"],
-                     ["", "a,b", "-1", "nan", "inf", "1e9", " , "]),
+                     ["", "a,b", "-1", "nan", "inf", "1e9", " , ",
+                      ",".join(["1"] * 1025)]),  # one factor over the cap
         "--noise": NOISE,
         "--seed": SEED,
         "--output": (["json", "csv"], ["xml"]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairdeutsch.algorithms import (
+    DEUTSCH,
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
     decode,
@@ -22,18 +23,26 @@ from pairdeutsch.noise import (
     bhattacharyya,
     depolarize,
     run_noisy,
+    run_noisy_models,
     sample_shots,
     statistical_fidelity,
 )
 from pairdeutsch.oracles import (
     B1,
+    B2,
+    C1,
+    C2,
     PromisePair,
     all_promise_pairs,
     is_balanced,
     same_at_zero,
 )
 from pairdeutsch.qstate import DensityMatrix, basis_state
-from reference_impls import depolarize_reference, random_density_matrix
+from reference_impls import (
+    depolarize_reference,
+    random_density_matrix,
+    readout_confusion_reference,
+)
 
 
 def test_table2_defaults():
@@ -179,6 +188,81 @@ def test_readout_confusion_needs_one_rate_per_qubit(num_rates):
     probs = np.full(8, 1 / 8)
     with pytest.raises(ValueError, match="got 8"):
         apply_readout_confusion(probs, (0.1,) * num_rates)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_readout_confusion_matches_loop_reference_single_and_stacked(seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(8), size=4)
+    rates = rng.uniform(0.0, 0.5, size=(4, 3))
+    stacked = apply_readout_confusion(probs, rates)
+    assert stacked.shape == (4, 8)
+    for p, e, out in zip(probs, rates, stacked):
+        assert np.abs(out - readout_confusion_reference(p, e)).max() <= 1e-12
+        assert np.array_equal(apply_readout_confusion(p, e), out)
+
+
+def test_depolarize_takes_one_rate_per_member():
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_density_matrix(3, rng) for _ in range(3)])
+    rates = [0.0, 0.25, 1.0]
+    out = depolarize(DensityMatrix(3, stack), [2, 0], rates)
+    for member, p, got in zip(stack, rates, out.entries):
+        want = depolarize(DensityMatrix(3, member), [2, 0], p).entries
+        assert np.array_equal(got, want)
+    assert np.array_equal(out.entries[0], stack[0])  # rate 0: unchanged
+    with pytest.raises(ValueError, match="outside"):
+        depolarize(DensityMatrix(3, stack), [0], [0.1, float("nan"), 0.2])
+
+
+SWEEP_CIRCUITS = [
+    *((alg, pair) for alg in (ENTANGLED_PAIR, PRODUCT_PAIR)
+      for pair in all_promise_pairs()),
+    *((DEUTSCH, fn) for fn in (C1, C2, B1, B2)),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm, oracles",
+    SWEEP_CIRCUITS,
+    ids=[f"{alg}-{oracles.label()}" for alg, oracles in SWEEP_CIRCUITS],
+)
+def test_one_stacked_walk_equals_separate_walks(algorithm, oracles):
+    models = [NoiseModel.table2().scaled(s) for s in (0, 0.5, 1, 2, 3, 5, 7, 10)]
+    together = run_noisy_models(algorithm, oracles, models)
+    assert len(together) == len(models)
+    for model, dist in zip(models, together):
+        alone = run_noisy(algorithm, oracles, model)
+        assert dist.keys() == alone.keys()
+        assert all(dist[k] == alone[k] for k in alone)  # bit for bit
+
+
+def test_walk_without_gate_noise_reads_out_once_per_model():
+    pairs = {p: 0.0 for p in TABLE2_TWO_QUBIT}
+    models = [NoiseModel((0.0,) * 3, pairs, readout) for readout in
+              [(0.0, 0.0, 0.0), (0.1, 0.2, 0.3), (0.5, 0.0, 0.25)]]
+    pair = PromisePair(B1, B2)
+    together = run_noisy_models(PRODUCT_PAIR, pair, models)
+    assert together == [run_noisy(PRODUCT_PAIR, pair, m) for m in models]
+    assert together[0] != together[1]
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (NoiseModel((1e-3,) * 3, {(0, 1): 0.03, (0, 2): 0.03}, (0.01,) * 3),
+         r"no two-qubit error rate for pair \(1, 2\)"),
+        (NoiseModel((1e-3,) * 2, {(0, 1): 0.03}, (0.01,) * 2),
+         r"rates cover 2 qubit\(s\), the circuit uses 3"),
+    ],
+)
+def test_walk_rejects_a_model_that_does_not_cover_the_circuit(model, message):
+    pair = PromisePair(B1, B2)
+    for models in ([model], [NoiseModel.table2(), model]):
+        with pytest.raises(ValueError, match=message):
+            run_noisy_models(ENTANGLED_PAIR, pair, models)
+    with pytest.raises(ValueError, match=message):
+        run_noisy(ENTANGLED_PAIR, pair, model)
 
 
 def test_run_noisy_total_readout_scrambling_is_uniform():

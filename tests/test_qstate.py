@@ -12,6 +12,7 @@ from pairdeutsch.qstate import (
     DensityMatrix,
     StateVector,
     apply_gate,
+    apply_gate_density,
     basis_state,
     controlled,
     expanded_unitary,
@@ -22,6 +23,7 @@ from pairdeutsch.qstate import (
 )
 from reference_impls import (
     expand_gate_reference,
+    random_density_matrix,
     random_state,
     random_unitary,
     reduced_density_reference,
@@ -296,3 +298,49 @@ def test_expanded_unitary_matches_reference():
         expand_gate_reference(gate, (2, 0), 3),
         atol=1e-12,
     )
+
+
+def test_apply_gate_density_matches_reference_on_single_and_stacked():
+    rng = np.random.default_rng(11)
+    gate = random_unitary(4, rng)
+    full = expand_gate_reference(gate, (2, 0), 3)
+    stack = np.stack([random_density_matrix(3, rng) for _ in range(4)])
+    stacked = apply_gate_density(DensityMatrix(3, stack), gate, (2, 0)).entries
+    assert stacked.shape == (4, 8, 8)
+    for member, out in zip(stack, stacked):
+        assert np.abs(out - full @ member @ full.conj().T).max() <= 1e-12
+        single = apply_gate_density(DensityMatrix(3, member), gate, (2, 0))
+        assert np.array_equal(single.entries, out)  # a member is walked alone
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.eye(2), "trace"),
+        (np.array([[1.5, 0], [0, -0.5]]), "negative eigenvalue"),
+    ],
+)
+def test_one_invalid_member_fails_the_whole_stack(bad, message):
+    good = np.eye(2) / 2
+    for position in range(3):
+        stack = [good, good, good]
+        stack[position] = bad
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(1, np.stack(stack))
+    assert DensityMatrix(1, np.stack([good] * 3)).entries.shape == (3, 2, 2)
+    with pytest.raises(ValueError, match="expected"):  # one stack axis at most
+        DensityMatrix(1, np.stack([good] * 3)[None])
+
+
+def test_channels_reduce_every_member_of_a_stack():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_density_matrix(3, rng) for _ in range(3)])
+    reduced = partial_trace(DensityMatrix(3, stack), [2, 0]).entries
+    for member, out in zip(stack, reduced):
+        want = partial_trace(DensityMatrix(3, member), [2, 0]).entries
+        assert np.array_equal(out, want)
+    probs = DensityMatrix(3, stack).probabilities()
+    assert probs.shape == (3, 8)
+    for member, row in zip(stack, probs):
+        assert np.array_equal(row, DensityMatrix(3, member).probabilities())
