@@ -383,13 +383,13 @@ def _payload_verify(request: RunRequest) -> tuple[dict, int]:
 
 def _payload_audit(request: RunRequest) -> tuple[dict, int]:
     samples = random_product_params(request.samples, request.seed)
+    predicted, actual = cnot_product_condition(samples)
+    names = ("alpha", "beta", "gamma", "delta")
     disagreements = []
-    for params in samples.tolist():
-        predicted, actual = cnot_product_condition(params)
-        if predicted != actual:
-            names = ("alpha", "beta", "gamma", "delta")
-            entry = {name: repr(complex(v)) for name, v in zip(names, params)}
-            disagreements.append({**entry, "predicted": predicted, "actual": actual})
+    for i in (predicted != actual).nonzero()[0]:
+        entry = {name: repr(complex(v)) for name, v in zip(names, samples[i].tolist())}
+        verdicts = {"predicted": bool(predicted[i]), "actual": bool(actual[i])}
+        disagreements.append({**entry, **verdicts})
     grid = bloch_grid_params(request.grid, request.grid + 1)
     families = []
     all_single = True

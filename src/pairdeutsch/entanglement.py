@@ -11,7 +11,7 @@ shown to make at most one of f(0), f(1), f(0)^f(1) perfectly decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,14 +49,15 @@ _DISAGREE = _QUANTITY_VALUES[:, :, None] != _QUANTITY_VALUES[:, None, :]
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     bipartition: tuple[tuple[int, ...], tuple[int, ...]]
-    schmidt_coefficients: tuple[float, ...]
-    is_product: bool
+    schmidt_coefficients: tuple[float, ...]  # on a stack: read-only (S, k) array
+    is_product: bool  # on a stack: read-only (S,) bool array
 
 
 def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerdict:
     """Schmidt coefficients across the bipartition: singular values of the
     amplitude tensor reshaped to (left qubits) x (remaining qubits),
-    sorted descending. Product iff the second coefficient vanishes."""
+    sorted descending. Product iff the second coefficient vanishes. A
+    stack takes one batched SVD; the verdict's fields gain its leading axis."""
     left_qubits = sorted({int(q) for q in left})
     n = state.num_qubits
     if not left_qubits or len(left_qubits) == n:
@@ -65,17 +66,17 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n} qubit(s)")
     right = [q for q in range(n) if q not in left_qubits]
-    psi = state.amplitudes.reshape((2,) * n)
-    mat = np.transpose(psi, axes=left_qubits + right).reshape(
-        2 ** len(left_qubits), -1
-    )
-    coeffs = np.linalg.svd(mat, compute_uv=False)
-    second = float(coeffs[1]) if coeffs.size > 1 else 0.0
-    return SeparabilityVerdict(
-        bipartition=(tuple(left_qubits), tuple(right)),
-        schmidt_coefficients=tuple(float(c) for c in coeffs),
-        is_product=second < PRODUCT_TOL,
-    )
+    lead = state.amplitudes.ndim - 1  # 1 for a stack, 0 for one state
+    psi = state.amplitudes.reshape(state.amplitudes.shape[:lead] + (2,) * n)
+    mat = psi.transpose([*range(lead)] + [lead + q for q in left_qubits + right])
+    mat = mat.reshape(psi.shape[:lead] + (2 ** len(left_qubits), 2 ** len(right)))
+    coeffs = np.linalg.svd(mat, compute_uv=False)  # k >= 2: each side has a qubit
+    if lead:
+        product = coeffs[:, 1] < PRODUCT_TOL
+        coeffs.flags.writeable = product.flags.writeable = False
+    else:
+        coeffs, product = tuple(map(float, coeffs)), float(coeffs[1]) < PRODUCT_TOL
+    return SeparabilityVerdict((tuple(left_qubits), tuple(right)), coeffs, product)
 
 
 def fully_product(state: StateVector) -> bool:
@@ -91,25 +92,36 @@ _PAIR_LABELS = ("alpha/beta", "gamma/delta")
 _NOT_NORMALIZED = "{} amplitudes not normalized: sum of squares {!r}"
 
 
-def cnot_product_condition(params: Sequence[complex]) -> tuple[bool, bool]:
-    """(algebraic prediction, numerical verdict) for whether a CNOT leaves
-    the product state (alpha|0> + beta|1>)(gamma|0> + delta|1>) separable;
-    params is one (alpha, beta, gamma, delta) row, each pair normalized.
+def _checked_rows(params: np.ndarray) -> np.ndarray:
+    """params as (S, 4) rows (alpha, beta, gamma, delta), each pair normalized."""
+    params = np.asarray(params, dtype=np.complex128)
+    if params.ndim != 2 or params.shape[1] != 4:
+        raise ValueError(f"params must have shape (S, 4), got {params.shape}")
+    squares = np.abs(params) ** 2
+    norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
+    bad = np.argwhere(np.abs(norms - 1.0) > ATOL)
+    if bad.size:
+        sample, pair = bad[0]
+        label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
+        raise ValueError(_NOT_NORMALIZED.format(label, norm2))
+    return params
+
+
+def cnot_product_condition(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(algebraic prediction, numerical verdict), two read-only (S,) bool
+    arrays, for whether a CNOT leaves the product state
+    (alpha|0> + beta|1>)(gamma|0> + delta|1>) of each (S, 4) row separable.
 
     The prediction is |alpha*beta*(gamma^2 - delta^2)| ~ 0 (complex squares,
-    not magnitudes); the verdict applies the gate and runs the Schmidt test.
-    The two must agree.
-    """
-    alpha, beta, gamma, delta = params
-    for label, a, b in zip(_PAIR_LABELS, (alpha, gamma), (beta, delta)):
-        norm2 = float(abs(a) ** 2 + abs(b) ** 2)
-        if abs(norm2 - 1.0) > ATOL:
-            raise ValueError(_NOT_NORMALIZED.format(label, norm2))
-    det = alpha * beta * (gamma**2 - delta**2)
-    predicted = bool(abs(det) < PRODUCT_TOL)
-    state = StateVector(2, np.multiply.outer([alpha, beta], [gamma, delta]))
-    actual = schmidt_analyze(apply_gate(state, CNOT, (0, 1)), [0]).is_product
-    return predicted, actual
+    not magnitudes); the verdict applies the gate to the stack of all rows'
+    states and runs one batched Schmidt test. The two must agree."""
+    params = _checked_rows(params)
+    alpha, beta, gamma, delta = params.T
+    predicted = np.abs(alpha * beta * (gamma**2 - delta**2)) < PRODUCT_TOL
+    predicted.flags.writeable = False
+    products = (params[:, :2, None] * params[:, None, 2:]).reshape(-1, 4)
+    actual = schmidt_analyze(apply_gate(StateVector(2, products), CNOT, (0, 1)), [0])
+    return predicted, actual.is_product
 
 
 def oracle_output_gram(family: str, params: np.ndarray) -> np.ndarray:
@@ -121,16 +133,7 @@ def oracle_output_gram(family: str, params: np.ndarray) -> np.ndarray:
         raise ValueError(
             f'unknown family "{family}" (known: {", ".join(FAMILIES)})'
         )
-    params = np.asarray(params, dtype=np.complex128)
-    if params.ndim != 2 or params.shape[1] != 4:
-        raise ValueError(f"params must have shape (S, 4), got {params.shape}")
-    squares = np.abs(params) ** 2
-    norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
-    bad = np.argwhere(np.abs(norms - 1.0) > ATOL)
-    if bad.size:
-        sample, pair = bad[0]
-        label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
-        raise ValueError(_NOT_NORMALIZED.format(label, norm2))
+    params = _checked_rows(params)
     fixed, wire = _FAMILY_FACTORS[family]
     free = params[:, 2:] if wire == 0 else params[:, :2]
     ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])

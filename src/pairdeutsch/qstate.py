@@ -35,25 +35,31 @@ def _check_num_qubits(num_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitudes over the 2**num_qubits basis states."""
+    """Normalized amplitudes over 2**num_qubits basis states, or an (S, 2**n) stack."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         _check_num_qubits(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got {amps.size}"
-            )
-        norm2 = float((np.abs(amps) ** 2).sum())
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.ndim == 2:  # a stack, one state per row: the first bad row fails it
+            norms = (np.abs(amps) ** 2).sum(axis=1)
+            bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
+            size, norm2 = amps.shape[1], (float(norms[bad[0]]) if bad.size else 1.0)
+        else:
+            amps = amps.reshape(-1)
+            size, norm2 = amps.size, float((np.abs(amps) ** 2).sum())
+        if size != 2**self.num_qubits:
+            raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {size}")
         if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
     def tensor(self, other: StateVector) -> StateVector:
-        """Tensor product, self's qubits first (more significant)."""
+        """Tensor product of single states, self's qubits first (more significant)."""
+        if self.amplitudes.ndim != 1 or other.amplitudes.ndim != 1:
+            raise ValueError("tensor takes one state on each side, not a stack")
         return StateVector(
             self.num_qubits + other.num_qubits,
             np.multiply.outer(self.amplitudes, other.amplitudes).reshape(-1),
@@ -140,10 +146,14 @@ def _apply(
 def apply_gate(
     state: StateVector, gate: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
-    """Apply `gate` to the listed qubits, identity elsewhere."""
+    """Apply `gate` to the listed qubits, identity elsewhere, in every member."""
     n = state.num_qubits
-    out = _apply(state.amplitudes.reshape((2,) * n), gate, targets, n)
-    return StateVector(n, out.reshape(-1))
+    if state.amplitudes.ndim == 1:
+        out = _apply(state.amplitudes.reshape((2,) * n), gate, targets, n)
+        return StateVector(n, out.reshape(-1))
+    amps = state.amplitudes.T  # qubit axes first, the stack riding along
+    out = _apply(amps.reshape((2,) * n + amps.shape[1:]), gate, targets, n)
+    return StateVector(n, out.reshape(amps.shape).T)
 
 
 def bitstring_distribution(probs: np.ndarray, num_qubits: int) -> dict[str, float]:
@@ -253,5 +263,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2): 1 for pure states, 1/dim for the maximally mixed state."""
+    """Tr(rho^2) of one matrix: 1 for pure states, 1/dim for maximally mixed."""
+    if rho.entries.ndim != 2:
+        raise ValueError("purity takes one density matrix, not a stack")
     return float(np.real(np.trace(rho.entries @ rho.entries)))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from pairdeutsch.entanglement import PRODUCT_TOL, schmidt_analyze
 from pairdeutsch.oracles import B1, B2, C1, C2, BoolFn
-from pairdeutsch.qstate import StateVector
+from pairdeutsch.qstate import CNOT, StateVector, apply_gate
 
 
 def bit_of(index: int, qubit: int, num_qubits: int) -> int:
@@ -126,6 +127,18 @@ def random_product_params_reference(count: int, seed: int) -> list[tuple]:
             factors.append(v / np.linalg.norm(v))
         out.append((factors[0][0], factors[0][1], factors[1][0], factors[1][1]))
     return out
+
+
+def cnot_product_condition_reference(row) -> tuple[bool, bool]:
+    """(algebraic prediction, numerical verdict) for one (alpha, beta, gamma,
+    delta) row: scalar arithmetic for the prediction, then one single-state
+    CNOT and one single-state Schmidt test for the verdict."""
+    alpha, beta, gamma, delta = (complex(v) for v in row)
+    det = alpha * beta * (gamma**2 - delta**2)
+    predicted = bool(abs(det) < PRODUCT_TOL)
+    state = StateVector(2, np.multiply.outer([alpha, beta], [gamma, delta]).reshape(-1))
+    actual = schmidt_analyze(apply_gate(state, CNOT, (0, 1)), [0]).is_product
+    return predicted, actual
 
 
 def bloch_grid_params_reference(theta_points: int, phi_points: int) -> list[tuple]:

@@ -132,9 +132,10 @@ def test_criterion_3_deutsch_determinism():
 def test_criterion_4_theorem_audit():
     start = time.perf_counter()
     # (a) algebraic criterion vs numerical Schmidt test: 1000 random samples
-    for params in random_product_params(1000, seed=20240917):
-        predicted, actual = cnot_product_condition(params)
-        assert predicted == actual
+    predicted, actual = cnot_product_condition(
+        random_product_params(1000, seed=20240917)
+    )
+    assert np.array_equal(predicted, actual)
     # ... plus the four surviving input families themselves
     family_reps = [
         (1.0, 0.0, 0.6, 0.8j),
@@ -142,8 +143,8 @@ def test_criterion_4_theorem_audit():
         (0.6, 0.8, SQ2, SQ2),
         (0.8, -0.6, SQ2, -SQ2),
     ]
-    for params in family_reps:
-        assert cnot_product_condition(params) == (True, True)
+    predicted, actual = cnot_product_condition(family_reps)
+    assert predicted.tolist() == actual.tolist() == [True] * len(family_reps)
     # (b) one-query information audit over a dense grid, 51x52 per family
     grid = bloch_grid_params(51, 52)
     for family in FAMILIES:

@@ -8,6 +8,7 @@ import pytest
 
 import pairdeutsch.algorithms
 import pairdeutsch.cli
+import pairdeutsch.entanglement
 import pairdeutsch.noise
 import pairdeutsch.oracles
 import pairdeutsch.qstate
@@ -25,6 +26,7 @@ from pairdeutsch.cli import (
     main,
     parse_request,
 )
+from pairdeutsch.entanglement import random_product_params
 from pairdeutsch.noise import NoiseModel, sample_shots
 from pairdeutsch.oracles import B1, PromisePair
 
@@ -288,10 +290,13 @@ def test_audit_theorem_smoke(capsys):
 
 def test_audit_theorem_reports_each_disagreement(capsys, monkeypatch):
     real = pairdeutsch.cli.cnot_product_condition
+    flipped = [1, 4, 6]
 
     def disagreeing(params):
-        predicted, _ = real(params)
-        return predicted, not predicted
+        predicted, actual = real(params)
+        actual = actual.copy()
+        actual[flipped] = ~actual[flipped]
+        return predicted, actual
 
     monkeypatch.setattr(pairdeutsch.cli, "cnot_product_condition", disagreeing)
     code, out, _ = run_cli(capsys, ["audit-theorem", "--samples", "7",
@@ -300,11 +305,39 @@ def test_audit_theorem_reports_each_disagreement(capsys, monkeypatch):
     data = json.loads(out)
     assert data["passed"] is False
     entries = data["cnot_product_condition"]["disagreements"]
-    assert len(entries) == 7
-    for entry in entries:
+    assert len(entries) == len(flipped)
+    samples = random_product_params(7, 11)
+    for i, entry in zip(flipped, entries):
         assert entry["predicted"] != entry["actual"]
-        for name in ("alpha", "beta", "gamma", "delta"):
-            complex(entry[name])  # repr(complex): numpy-version independent
+        for name, v in zip(("alpha", "beta", "gamma", "delta"), samples[i]):
+            assert complex(entry[name]) == v  # repr(complex): numpy-version independent
+
+
+@pytest.mark.parametrize("samples", [1, 100, 1000])
+def test_audit_theorem_makes_one_stacked_check_whatever_its_sample_count(
+    samples, monkeypatch
+):
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        counted = lambda *a: calls.append(name) or real(*a)  # noqa: E731
+        monkeypatch.setattr(module, name, counted)
+
+    counting(pairdeutsch.cli, "cnot_product_condition")
+    counting(pairdeutsch.entanglement, "apply_gate")
+    counting(pairdeutsch.entanglement, "schmidt_analyze")
+    check = pairdeutsch.qstate.StateVector.__post_init__
+    monkeypatch.setattr(pairdeutsch.qstate.StateVector, "__post_init__",
+                        lambda self: calls.append("check") or check(self))
+    request = parse_request(["audit-theorem", "--samples", str(samples),
+                             "--grid", "3", "--seed", "5"])
+    envelope, code = execute(request)
+    assert code == EXIT_OK
+    assert envelope.payload["cnot_product_condition"]["samples"] == samples
+    assert sorted(calls) == [  # the input stack and the CNOT output are checked
+        "apply_gate", "check", "check", "cnot_product_condition", "schmidt_analyze"
+    ]
 
 
 def test_fidelity_subcommand(capsys, tmp_path):

@@ -27,6 +27,7 @@ from pairdeutsch.oracles import B1, C1, PromisePair, all_promise_pairs
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
     bloch_grid_params_reference,
+    cnot_product_condition_reference,
     decidable_quantities_reference,
     oracle_output_gram_reference,
     random_product_params_reference,
@@ -37,6 +38,12 @@ from reference_impls import (
 
 SQ2 = 1 / np.sqrt(2)
 GRAM_INDEX = {"C1": 0, "C2": 1, "B1": 2, "B2": 3}  # axes of oracle_output_gram
+
+
+def verdict_pairs(rows) -> list[tuple[bool, bool]]:
+    """cnot_product_condition's two arrays as one (predicted, actual) per row."""
+    predicted, actual = cnot_product_condition(rows)
+    return list(zip(predicted.tolist(), actual.tolist()))
 
 
 def bell_minus() -> StateVector:
@@ -111,9 +118,11 @@ def test_product_state_params_validation():
         ((1.0, 0.0, 0.5, 0.5), "gamma/delta"),
     ):
         with pytest.raises(ValueError, match=f"{label} amplitudes not normalized"):
-            cnot_product_condition(row)
-        per_row = str(pytest.raises(ValueError, cnot_product_condition, row).value)
+            cnot_product_condition([row])
+        per_row = str(pytest.raises(ValueError, cnot_product_condition, [row]).value)
         rows = np.array([(1.0, 0.0, 1.0, 0.0), row])  # the bad row second
+        err = pytest.raises(ValueError, cnot_product_condition, rows)
+        assert str(err.value) == per_row
         for family in FAMILIES:  # every pair is checked, not only the free one
             err = pytest.raises(ValueError, oracle_output_gram, family, rows)
             assert str(err.value) == per_row
@@ -123,36 +132,36 @@ def test_oracle_output_gram_rejects_non_row_shapes():
     for shape in ((4,), (2, 3), (1, 8), (1, 2, 4)):
         with pytest.raises(ValueError, match="shape"):
             oracle_output_gram(KET0_FAMILY, np.zeros(shape))
+        with pytest.raises(ValueError, match="shape"):  # no one-row variant
+            cnot_product_condition(np.zeros(shape))
 
 
 def test_cnot_condition_bell_creator():
     params = (SQ2, SQ2, 1.0, 0.0)
-    assert cnot_product_condition(params) == (False, False)
+    assert verdict_pairs([params]) == [(False, False)]
 
 
 def test_cnot_condition_plus_target():
     params = (SQ2, SQ2, SQ2, SQ2)
-    assert cnot_product_condition(params) == (True, True)
+    assert verdict_pairs([params]) == [(True, True)]
 
 
 def test_cnot_condition_basis_control():
     params = (1.0, 0.0, 0.6, 0.8)
-    assert cnot_product_condition(params) == (True, True)
+    assert verdict_pairs([params]) == [(True, True)]
 
 
 def test_cnot_condition_complex_phase_entangles():
     # gamma^2 - delta^2 uses complex squares: delta = i/sqrt2 gives 1, not 0
     params = (SQ2, SQ2, SQ2, 1j * SQ2)
-    assert cnot_product_condition(params) == (False, False)
+    assert verdict_pairs([params]) == [(False, False)]
 
 
 def test_cnot_condition_agrees_on_1000_random_samples():
-    disagreements = [
-        params
-        for params in random_product_params(1000, seed=20240917)
-        if len(set(cnot_product_condition(params))) != 1
-    ]
-    assert disagreements == []
+    predicted, actual = cnot_product_condition(
+        random_product_params(1000, seed=20240917)
+    )
+    assert np.flatnonzero(predicted != actual).tolist() == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 77, 20240917])
@@ -162,9 +171,7 @@ def test_random_params_match_the_per_sample_loop(count, seed):
     want = np.array(random_product_params_reference(count, seed))
     assert got.shape == want.reshape(-1, 4).shape == (count, 4)
     assert np.all(np.abs(got - want.reshape(-1, 4)) <= 1e-15)
-    assert [cnot_product_condition(p) for p in got] == [
-        cnot_product_condition(w) for w in want
-    ]
+    assert verdict_pairs(got) == verdict_pairs(want.reshape(-1, 4))
 
 
 def test_cnot_condition_validates_two_states(monkeypatch):
@@ -176,19 +183,60 @@ def test_cnot_condition_validates_two_states(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(StateVector, "__post_init__", counting)
-    for params in random_product_params(10, seed=3):
+    for count in (1, 10, 1000):
         calls.clear()
-        cnot_product_condition(params)
-        assert calls == [2, 2]  # the input product state and the CNOT output
+        cnot_product_condition(random_product_params(count, seed=3))
+        assert calls == [2, 2]  # the input product stack and the CNOT output
 
 
 def test_cnot_condition_agrees_on_the_four_surviving_families():
     rng = np.random.default_rng(5)
     for family in FAMILIES:
-        for params in random_product_params(25, seed=int(rng.integers(2**32))):
-            state_params = _family_params(family, params)
-            predicted, actual = cnot_product_condition(state_params)
-            assert predicted and actual, family
+        samples = random_product_params(25, seed=int(rng.integers(2**32)))
+        predicted, actual = cnot_product_condition(
+            [_family_params(family, params) for params in samples]
+        )
+        assert predicted.all() and actual.all(), family
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        *(random_product_params(5000, seed) for seed in (0, 1, 7, 20240917)),
+        bloch_grid_params(51, 52),
+        [  # the four family representatives of the acceptance audit
+            (1.0, 0.0, 0.6, 0.8j),
+            (0.0, 1.0, 0.28, 0.96),
+            (0.6, 0.8, SQ2, SQ2),
+            (0.8, -0.6, SQ2, -SQ2),
+        ],
+    ],
+    ids=["haar-0", "haar-1", "haar-7", "haar-20240917", "grid-51x52", "families"],
+)
+def test_cnot_condition_matches_the_per_row_reference(rows):
+    predicted, actual = cnot_product_condition(rows)
+    want = [cnot_product_condition_reference(row) for row in rows]
+    assert predicted.tolist() == [p for p, _ in want]
+    assert actual.tolist() == [a for _, a in want]
+    for verdicts in (predicted, actual):
+        assert verdicts.shape == (len(rows),) and verdicts.dtype == bool
+        assert not verdicts.flags.writeable
+
+
+def test_schmidt_analyze_on_a_stack_matches_each_member():
+    rng = np.random.default_rng(12)
+    members = [random_state(3, rng) for _ in range(6)] + [basis_state(3, 5)]
+    stack = StateVector(3, np.stack([m.amplitudes for m in members]))
+    for left in ([0], [1], [0, 2]):
+        verdict = schmidt_analyze(stack, left)
+        singles = [schmidt_analyze(m, left) for m in members]
+        assert verdict.bipartition == singles[0].bipartition
+        assert verdict.schmidt_coefficients.tolist() == [
+            list(v.schmidt_coefficients) for v in singles
+        ]
+        assert verdict.is_product.tolist() == [v.is_product for v in singles]
+        assert not verdict.schmidt_coefficients.flags.writeable
+        assert not verdict.is_product.flags.writeable
 
 
 def _family_params(family: str, params) -> tuple:

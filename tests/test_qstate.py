@@ -62,6 +62,56 @@ def test_state_vector_is_immutable():
         s.amplitudes[0] = 0.0
 
 
+def random_stack(num_qubits: int, size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([random_state(num_qubits, rng).amplitudes for _ in range(size)])
+
+
+def test_state_vector_stack_fails_on_one_bad_member():
+    stack = random_stack(2, 5, seed=1)
+    assert StateVector(2, stack).amplitudes.shape == (5, 4)
+    bad = stack.copy()
+    bad[3] *= 2.0
+    bad[4] *= 3.0
+    err = pytest.raises(ValueError, StateVector, 2, bad)
+    # the message names the first bad member's norm, worded as for one state
+    one = pytest.raises(ValueError, StateVector, 2, bad[3])
+    assert str(err.value) == str(one.value)
+    with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
+        StateVector(2, stack[:, :2])
+
+
+def test_state_vector_stack_is_read_only():
+    source = random_stack(3, 4, seed=2)
+    s = StateVector(3, source)
+    assert not s.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        s.amplitudes[0, 0] = 0.0
+    source[0, 0] = 0.0  # the stack holds its own copy
+    assert s.amplitudes[0, 0] != 0.0
+
+
+@pytest.mark.parametrize(
+    "num_qubits, gate, targets",
+    [(3, H, (0,)), (3, H, (1,)), (3, H, (2,)), (2, CNOT, (0, 1)), (2, CNOT, (1, 0))],
+)
+def test_stacked_apply_gate_equals_each_member_bit_for_bit(num_qubits, gate, targets):
+    stack = random_stack(num_qubits, 50, seed=3)
+    out = apply_gate(StateVector(num_qubits, stack), gate, targets)
+    members = [apply_gate(StateVector(num_qubits, row), gate, targets) for row in stack]
+    assert out.amplitudes.shape == stack.shape
+    assert np.array_equal(out.amplitudes, [m.amplitudes for m in members])
+
+
+def test_tensor_rejects_a_stack():
+    one = basis_state(1, 0)
+    for size in (1, 2):
+        stack = StateVector(1, np.tile(one.amplitudes, (size, 1)))
+        for left, right in ((stack, one), (one, stack)):
+            with pytest.raises(ValueError, match="not a stack"):
+                left.tensor(right)
+
+
 def test_hadamard_on_zero():
     out = apply_gate(basis_state(1, 0), H, [0])
     assert np.allclose(out.amplitudes, [SQ2, SQ2])
@@ -201,6 +251,13 @@ def test_purity_values():
     assert purity(DensityMatrix.from_state(basis_state(2, 2))) == pytest.approx(1.0)
     assert purity(DensityMatrix(1, np.eye(2) / 2)) == pytest.approx(0.5)
     assert purity(DensityMatrix(2, np.eye(4) / 4)) == pytest.approx(0.25)
+
+
+def test_purity_rejects_a_stack():
+    for size in (1, 3):
+        stack = DensityMatrix(1, np.tile(np.eye(2) / 2, (size, 1, 1)))
+        with pytest.raises(ValueError, match="not a stack"):
+            purity(stack)
 
 
 def test_density_matrix_validation():
