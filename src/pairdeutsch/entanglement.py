@@ -49,8 +49,8 @@ _DISAGREE = _QUANTITY_VALUES[:, :, None] != _QUANTITY_VALUES[:, None, :]
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     bipartition: tuple[tuple[int, ...], tuple[int, ...]]
-    schmidt_coefficients: tuple[float, ...]  # on a stack: read-only (S, k) array
-    is_product: bool  # on a stack: read-only (S,) bool array
+    schmidt_coefficients: tuple[float, ...] | np.ndarray  # stack: read-only (S, k)
+    is_product: bool | np.ndarray  # stack: read-only (S,) bool array
 
 
 def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerdict:

@@ -43,7 +43,9 @@ class StateVector:
     def __post_init__(self) -> None:
         _check_num_qubits(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim == 2:  # a stack, one state per row: the first bad row fails it
+        if amps.ndim > 2:  # one state is 1-D; a stack holds one state per row
+            raise ValueError(f"expected one state or a stack, got shape {amps.shape}")
+        if amps.ndim == 2:  # the first bad row fails the whole stack
             norms = (np.abs(amps) ** 2).sum(axis=1)
             bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
             size, norm2 = amps.shape[1], (float(norms[bad[0]]) if bad.size else 1.0)
@@ -139,7 +141,7 @@ def _apply(
     # first, one matrix product, then every axis back in place
     order = targets + tuple(a for a in range(tensor.ndim) if a not in targets)
     moved = tensor.transpose(order)
-    out = np.dot(g, moved.reshape(2**k, -1)).reshape(moved.shape)
+    out = np.dot(g, moved.reshape(2**k, moved.size // 2**k)).reshape(moved.shape)
     return out.transpose(sorted(range(len(order)), key=order.__getitem__))
 
 
@@ -148,10 +150,7 @@ def apply_gate(
 ) -> StateVector:
     """Apply `gate` to the listed qubits, identity elsewhere, in every member."""
     n = state.num_qubits
-    if state.amplitudes.ndim == 1:
-        out = _apply(state.amplitudes.reshape((2,) * n), gate, targets, n)
-        return StateVector(n, out.reshape(-1))
-    amps = state.amplitudes.T  # qubit axes first, the stack riding along
+    amps = state.amplitudes.T  # qubit axes first, a stack riding along
     out = _apply(amps.reshape((2,) * n + amps.shape[1:]), gate, targets, n)
     return StateVector(n, out.reshape(amps.shape).T)
 

@@ -210,8 +210,9 @@ def test_cnot_condition_agrees_on_the_four_surviving_families():
             (0.6, 0.8, SQ2, SQ2),
             (0.8, -0.6, SQ2, -SQ2),
         ],
+        np.zeros((0, 4)),
     ],
-    ids=["haar-0", "haar-1", "haar-7", "haar-20240917", "grid-51x52", "families"],
+    ids=["haar-0", "haar-1", "haar-7", "haar-20240917", "grid-51x52", "families", "empty"],
 )
 def test_cnot_condition_matches_the_per_row_reference(rows):
     predicted, actual = cnot_product_condition(rows)

@@ -81,6 +81,18 @@ def test_state_vector_stack_fails_on_one_bad_member():
         StateVector(2, stack[:, :2])
 
 
+def test_state_vector_takes_one_state_or_a_stack_of_rows():
+    # a 2-D array is a stack, one state per row, even when it would flatten
+    # to one valid state; more than two axes are rejected, not flattened
+    with pytest.raises(ValueError, match="expected 4 amplitudes, got 2"):
+        StateVector(2, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=r"got shape \(1, 2, 2\)"):
+        StateVector(2, np.full((1, 2, 2), 0.5))
+    assert StateVector(2, np.full(4, 0.5)).amplitudes.shape == (4,)
+    assert StateVector(2, np.full((1, 4), 0.5)).amplitudes.shape == (1, 4)
+    assert StateVector(2, np.zeros((0, 4))).amplitudes.shape == (0, 4)
+
+
 def test_state_vector_stack_is_read_only():
     source = random_stack(3, 4, seed=2)
     s = StateVector(3, source)
