@@ -16,9 +16,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from io import StringIO
+from types import MappingProxyType
+from typing import Callable
 
 from . import __version__, algorithms
 from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR, RunRecord
@@ -81,17 +83,20 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunRequest:
+    """One parsed request. Fields run in the order the envelope echoes them;
+    None marks a field the command does not take."""
+
     command: str
-    algorithm: str | None = None
-    oracles: BoolFn | PromisePair | None = None
-    shots: int | None = None  # None means exact probabilities
-    noise: str = "off"
     seed: int = 0
     output: str = "json"
-    counts_path: str | None = None
+    algorithm: str | None = None
+    oracles: BoolFn | PromisePair | None = None
+    shots: int | str | None = None  # a count, or "exact" for probabilities
+    noise: str | None = None
+    counts: str | None = None  # path of the counts file
     scales: tuple[float, ...] | None = None
-    samples: int = 1000
-    grid: int = 51
+    samples: int | None = None
+    grid: int | None = None
 
     @property
     def oracle_f(self) -> BoolFn | None:
@@ -102,24 +107,14 @@ class RunRequest:
         return getattr(self.oracles, "g", None)
 
     def as_dict(self) -> dict:
-        d: dict = {"command": self.command, "seed": self.seed, "output": self.output}
-        if self.algorithm is not None:
-            d["algorithm"] = self.algorithm
-        if self.oracle_f is not None:
-            d["f"] = {"name": self.oracle_f.name, "table": self.oracle_f.table_text()}
-        if self.oracle_g is not None:
-            d["g"] = {"name": self.oracle_g.name, "table": self.oracle_g.table_text()}
-        if self.command in ("run", "fidelity"):
-            d["shots"] = self.shots if self.shots is not None else "exact"
-        if self.command in ("run", "sweep-noise"):
-            d["noise"] = self.noise
-        if self.counts_path is not None:
-            d["counts"] = self.counts_path
-        if self.scales is not None:
-            d["scales"] = list(self.scales)
-        if self.command == "audit-theorem":
-            d["samples"] = self.samples
-            d["grid"] = self.grid
+        d: dict = {}
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            if name == "oracles":  # echoed as f, then g if the circuit takes a pair
+                for key, fn in (("f", self.oracle_f), ("g", self.oracle_g)):
+                    if fn is not None:
+                        d[key] = {"name": fn.name, "table": fn.table_text()}
+            elif value is not None:
+                d[name] = list(value) if name == "scales" else value
         return d
 
 
@@ -154,9 +149,9 @@ def _seed(flag_value: int | None) -> int:
     return seed
 
 
-def _parse_shots(text: str) -> int | None:
+def _parse_shots(text: str) -> int | str:
     if text == "exact":
-        return None
+        return text
     try:
         shots = int(text)
     except ValueError:
@@ -188,55 +183,10 @@ def _parse_scales(text: str) -> tuple[float, ...]:
     return tuple(scales)
 
 
-def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
+def _circuit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithm", required=True, choices=sorted(_ALGORITHM_NAMES))
     parser.add_argument("--f", required=True, help='oracle: B1/B2/C1/C2 or "0:b,1:b"')
     parser.add_argument("--g", help="second oracle (pair algorithms only)")
-
-
-@functools.cache  # built on first use, then shared by every request
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pairdeutsch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute one algorithm")
-    _add_circuit_arguments(run)
-    run.add_argument("--shots", default="exact", help='shot count or "exact"')
-    run.add_argument("--noise", default="off", help="off | table2 | config path")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--output", default="json", choices=("json", "csv"))
-
-    ver = sub.add_parser("verify", help="exhaustive correctness and separability suite")
-    ver.add_argument("--output", default="json", choices=("json",))
-
-    audit = sub.add_parser("audit-theorem", help="separability theorem audit")
-    audit.add_argument("--samples", type=int, default=1000)
-    audit.add_argument(
-        "--grid", type=int, default=51,
-        help="theta points, grid+1 phi points; only an odd count puts theta = "
-        "pi/2 on the grid, where any-tensor-minus decides f0^f1",
-    )
-    audit.add_argument("--seed", type=int, default=None)
-    audit.add_argument("--output", default="json", choices=("json",))
-
-    fid = sub.add_parser("fidelity", help="statistical fidelity of counts vs theory")
-    fid.add_argument("--counts", required=True, help="JSON file of bitstring counts")
-    fid.add_argument(
-        "--theory", required=True, help="reference run, e.g. entangled:B1,B1"
-    )
-    fid.add_argument("--seed", type=int, default=None)
-    fid.add_argument("--output", default="json", choices=("json",))
-
-    sweep = sub.add_parser("sweep-noise", help="fidelity under scaled noise rates")
-    _add_circuit_arguments(sweep)
-    sweep.add_argument(
-        "--scales", default="0,0.5,1,2",
-        help=f"comma-separated noise scale factors, at most {MAX_SCALES}",
-    )
-    sweep.add_argument("--noise", default="table2", help="table2 | config path")
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--output", default="json", choices=("json", "csv"))
-    return parser
 
 
 def _parse_circuit(
@@ -261,66 +211,75 @@ def _parse_circuit(
         raise UsageError(str(exc)) from None
 
 
-def parse_request(argv: list[str]) -> RunRequest:
-    ns = _build_parser().parse_args(argv)
-    seed = _seed(getattr(ns, "seed", None))
-    if ns.command == "run":
-        algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
-        return RunRequest(
-            command="run",
-            algorithm=algorithm,
-            oracles=oracles,
-            shots=_parse_shots(ns.shots),
-            noise=ns.noise,
-            seed=seed,
-            output=ns.output,
+def _circuit_fields(ns: argparse.Namespace) -> dict:
+    """--algorithm, --f and --g as request fields, with the --noise source."""
+    algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
+    return {"algorithm": algorithm, "oracles": oracles, "noise": ns.noise}
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    _circuit_flags(parser)
+    parser.add_argument("--shots", default="exact", help='shot count or "exact"')
+    parser.add_argument("--noise", default="off", help="off | table2 | config path")
+
+
+def _run_fields(ns: argparse.Namespace) -> dict:
+    return {**_circuit_fields(ns), "shots": _parse_shots(ns.shots)}
+
+
+def _audit_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument(
+        "--grid", type=int, default=51,
+        help="theta points, grid+1 phi points; only an odd count puts theta = "
+        "pi/2 on the grid, where any-tensor-minus decides f0^f1",
+    )
+
+
+def _audit_fields(ns: argparse.Namespace) -> dict:
+    if not 1 <= ns.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
+    if not 2 <= ns.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be in 2..{MAX_GRID}, got {ns.grid}")
+    return {"samples": ns.samples, "grid": ns.grid}
+
+
+def _fidelity_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--counts", required=True, help="JSON file of bitstring counts")
+    parser.add_argument(
+        "--theory", required=True, help="reference run, e.g. entangled:B1,B1"
+    )
+
+
+def _fidelity_fields(ns: argparse.Namespace) -> dict:
+    m = _THEORY_SPEC.match(ns.theory)
+    if m is None:
+        raise UsageError(
+            f'--theory: "{ns.theory}" does not match algorithm:f[,g] '
+            '(e.g. entangled:B1,B1)'
         )
-    if ns.command == "verify":
-        return RunRequest(command="verify", seed=seed, output=ns.output)
-    if ns.command == "audit-theorem":
-        if not 1 <= ns.samples <= MAX_SAMPLES:
-            raise UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
-        if not 2 <= ns.grid <= MAX_GRID:
-            raise UsageError(f"--grid must be in 2..{MAX_GRID}, got {ns.grid}")
-        return RunRequest(
-            command="audit-theorem",
-            seed=seed,
-            output=ns.output,
-            samples=ns.samples,
-            grid=ns.grid,
-        )
-    if ns.command == "fidelity":
-        m = _THEORY_SPEC.match(ns.theory)
-        if m is None:
-            raise UsageError(
-                f'--theory: "{ns.theory}" does not match algorithm:f[,g] '
-                '(e.g. entangled:B1,B1)'
-            )
-        algorithm, oracles = _parse_circuit(
-            m.group("alg"), m.group("f"), m.group("g"), ("--theory", "--theory g")
-        )
-        return RunRequest(
-            command="fidelity",
-            algorithm=algorithm,
-            oracles=oracles,
-            counts_path=ns.counts,
-            seed=seed,
-            output=ns.output,
-        )
-    if ns.command == "sweep-noise":
-        algorithm, oracles = _parse_circuit(ns.algorithm, ns.f, ns.g)
-        if ns.noise == "off":
-            raise UsageError("sweep-noise needs a noise model (table2 or a config path)")
-        return RunRequest(
-            command="sweep-noise",
-            algorithm=algorithm,
-            oracles=oracles,
-            scales=_parse_scales(ns.scales),
-            noise=ns.noise,
-            seed=seed,
-            output=ns.output,
-        )
-    raise UsageError(f"unknown command {ns.command!r}")
+    algorithm, oracles = _parse_circuit(
+        m.group("alg"), m.group("f"), m.group("g"), ("--theory", "--theory g")
+    )
+    # the reference run is exact, whatever the counts file totals
+    return {"algorithm": algorithm, "oracles": oracles, "shots": "exact",
+            "counts": ns.counts}
+
+
+def _sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _circuit_flags(parser)
+    parser.add_argument(
+        "--scales", default="0,0.5,1,2",
+        help=f"comma-separated noise scale factors, at most {MAX_SCALES}",
+    )
+    parser.add_argument("--noise", default="table2", help="table2 | config path")
+
+
+def _sweep_fields(ns: argparse.Namespace) -> dict:
+    circuit = _circuit_fields(ns)
+    if ns.noise == "off":
+        raise UsageError(f"{ns.command} needs a noise model (table2 or a config path)")
+    return {**circuit, "scales": _parse_scales(ns.scales)}
 
 
 def _load_noise(source: str, record: RunRecord) -> NoiseModel:
@@ -357,7 +316,7 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
         "gate_count": len(record.ops),  # informational, never asserted on
         "probabilities": {k: probabilities[k] for k in sorted(probabilities)},
     }
-    if request.shots is not None:
+    if request.shots != "exact":
         result = sample_shots(probabilities, request.shots, request.seed)
         payload["counts"] = {k: result.counts[k] for k in sorted(result.counts)}
     payload["decoded"] = _decode_outcome(request.algorithm, _argmax(probabilities))
@@ -392,7 +351,6 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
         disagreements.append({**entry, **verdicts})
     grid = bloch_grid_params(request.grid, request.grid + 1)
     families = []
-    all_single = True
     for family in FAMILIES:
         report = audit_family_distinguishability(family, grid)
         families.append(
@@ -403,8 +361,7 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
                 "at_most_one_decidable": report.at_most_one_decidable,
             }
         )
-        all_single = all_single and report.at_most_one_decidable
-    passed = not disagreements and all_single
+    passed = not disagreements and all(f["at_most_one_decidable"] for f in families)
     payload = {
         "passed": passed,
         "cnot_product_condition": {
@@ -446,9 +403,7 @@ def _load_counts(path: str, width: int) -> dict[str, int]:
 
 
 def _payload_fidelity(request: RunRequest) -> tuple[dict, int]:
-    counts = _load_counts(
-        request.counts_path, algorithms.spec(request.algorithm).num_qubits
-    )
+    counts = _load_counts(request.counts, algorithms.spec(request.algorithm).num_qubits)
     record = algorithms.run(request.algorithm, request.oracles)
     result = ShotResult(sum(counts.values()), counts)
     report = statistical_fidelity(
@@ -486,24 +441,56 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
     return {"sweep": rows}, EXIT_OK
 
 
-_PAYLOAD_BUILDERS = {
-    "run": _payload_run,
-    "verify": _payload_verify,
-    "audit-theorem": _payload_audit,
-    "fidelity": _payload_fidelity,
-    "sweep-noise": _payload_sweep,
-}
+@dataclass(frozen=True)
+class Subcommand:
+    """Everything one subcommand adds: its flags beyond --seed and --output,
+    the request fields it parses from them, and the payload it computes."""
+
+    help: str
+    payload: Callable[[RunRequest], tuple[dict, int]]
+    add_flags: Callable[[argparse.ArgumentParser], None] = lambda parser: None
+    fields: Callable[[argparse.Namespace], dict] = lambda ns: {}
+    outputs: tuple[str, ...] = ("json",)  # --output choices
+    seeded: bool = True  # takes --seed
+
+
+SUBCOMMANDS = MappingProxyType({
+    "run": Subcommand("execute one algorithm", _payload_run, _run_flags,
+                      _run_fields, outputs=("json", "csv")),
+    "verify": Subcommand("exhaustive correctness and separability suite",
+                         _payload_verify, seeded=False),
+    "audit-theorem": Subcommand("separability theorem audit", _payload_audit,
+                                _audit_flags, _audit_fields),
+    "fidelity": Subcommand("statistical fidelity of counts vs theory",
+                           _payload_fidelity, _fidelity_flags, _fidelity_fields),
+    "sweep-noise": Subcommand("fidelity under scaled noise rates", _payload_sweep,
+                              _sweep_flags, _sweep_fields, outputs=("json", "csv")),
+})
+
+
+@functools.cache  # built on first use, then shared by every request
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="pairdeutsch", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, row in SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=row.help)
+        row.add_flags(command)
+        if row.seeded:
+            command.add_argument("--seed", type=int, default=None)
+        command.add_argument("--output", default="json", choices=row.outputs)
+    return parser
+
+
+def parse_request(argv: list[str]) -> RunRequest:
+    ns = _build_parser().parse_args(argv)
+    seed = _seed(getattr(ns, "seed", None))
+    return RunRequest(ns.command, seed, ns.output, **SUBCOMMANDS[ns.command].fields(ns))
 
 
 def execute(request: RunRequest) -> tuple[ResultEnvelope, int]:
-    payload, code = _PAYLOAD_BUILDERS[request.command](request)
-    envelope = ResultEnvelope(
-        request=request,
-        payload=payload,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    return envelope, code
+    payload, code = SUBCOMMANDS[request.command].payload(request)
+    timestamp = datetime.now(timezone.utc).isoformat()
+    return ResultEnvelope(request, payload, __version__, timestamp), code
 
 
 def _format_probability(p: float) -> str:
@@ -527,7 +514,8 @@ def emit(envelope: ResultEnvelope, fmt: str) -> str:
         return out.getvalue()
     probabilities = envelope.payload.get("probabilities")
     if probabilities is None:
-        raise UsageError("csv output is only available for run and sweep-noise")
+        takes_csv = [name for name, row in SUBCOMMANDS.items() if "csv" in row.outputs]
+        raise UsageError(f"csv output is only available for {' and '.join(takes_csv)}")
     counts = envelope.payload.get("counts", {})
     out.write("bitstring,probability,count\n")
     for bitstring in sorted(probabilities):
@@ -542,17 +530,13 @@ def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         request = parse_request(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code in (0, None) else int(exc.code)
-    try:
         envelope, code = execute(request)
         text = emit(envelope, request.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # argparse --help
+        return 0 if exc.code in (0, None) else int(exc.code)
     except Exception as exc:  # CLI boundary: report, don't traceback
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -81,6 +81,8 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
 
 def fully_product(state: StateVector) -> bool:
     """True when every single-qubit-vs-rest bipartition is product."""
+    if state.amplitudes.ndim != 1:
+        raise ValueError("fully_product takes one state, not a stack")
     if state.num_qubits < 2:
         raise ValueError("fully_product needs at least two qubits")
     return all(

@@ -198,9 +198,10 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: StateVector) -> DensityMatrix:
-        return cls(
-            state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj())
-        )
+        a = state.amplitudes
+        if a.ndim != 1:
+            raise ValueError("from_state takes one state, not a stack")
+        return cls(state.num_qubits, np.outer(a, a.conj()))
 
     def probabilities(self) -> np.ndarray:
         """Diagonal as a real probability vector, one row per stack member;

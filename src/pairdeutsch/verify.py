@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import algorithms
+from .algorithms import RunRecord
 from .entanglement import PRODUCT_TOL, schmidt_analyze, trace_run_separability
 from .oracles import NAMED_FUNCTIONS, all_promise_pairs, is_balanced, same_at_zero
 
@@ -54,16 +55,24 @@ def _require(condition: bool, message: str) -> None:
         raise VerificationError(message)
 
 
-def _check(name: str, fn) -> CheckResult:
+def _run(algorithm: str, oracles) -> RunRecord | Exception:
     try:
-        detail = fn()
+        return algorithms.run(algorithm, oracles)
+    except Exception as exc:  # fails every check that reads this run
+        return exc
+
+
+def _check(name: str, record: RunRecord | Exception, fn, *args) -> CheckResult:
+    if isinstance(record, Exception):
+        return CheckResult(name, False, str(record))
+    try:
+        detail = fn(record, *args)
     except Exception as exc:  # failures become report entries, not crashes
         return CheckResult(name, False, str(exc))
     return CheckResult(name, True, detail or "ok")
 
 
-def _pair_correctness(algorithm: str, pair) -> str:
-    record = algorithms.run(algorithm, pair)
+def _pair_correctness(record: RunRecord, pair) -> str:
     truth = (is_balanced(pair.f), same_at_zero(pair))
     decoded = astuple(record.decoded)
     _require(decoded == truth, f"decoded {decoded}, truth {truth}")
@@ -79,8 +88,7 @@ def _pair_correctness(algorithm: str, pair) -> str:
     return f"decoded {decoded} with probability 1"
 
 
-def _deutsch_correctness(fn) -> str:
-    record = algorithms.run_deutsch(fn)
+def _deutsch_correctness(record: RunRecord, fn) -> str:
     want = is_balanced(fn)
     _require(
         record.decoded.balanced == want,
@@ -98,8 +106,7 @@ def _deutsch_correctness(fn) -> str:
     return f"answer bit {want} with probability 1"
 
 
-def _entangled_separability(pair) -> str:
-    record = algorithms.run_entangled_pair(pair)
+def _entangled_separability(record: RunRecord) -> str:
     trace = trace_run_separability(record)
     _require(
         any(not product for _, product in trace),
@@ -118,8 +125,7 @@ def _entangled_separability(pair) -> str:
     return f"entangled at initialization (second coefficient {second:.6f})"
 
 
-def _product_separability(pair) -> str:
-    record = algorithms.run_product_pair(pair)
+def _product_separability(record: RunRecord) -> str:
     worst = 0.0
     for label, state in record.step_states:
         second = max(
@@ -135,35 +141,23 @@ def _product_separability(pair) -> str:
 
 
 def verify_build() -> VerificationReport:
+    """Each circuit runs once per oracle choice; every check that reads the
+    run gets its record, or fails with the run's error."""
     checks: list[CheckResult] = []
     for pair in all_promise_pairs():
         label = pair.label()
-        checks.append(
-            _check(
-                f"correctness-entangled:{label}",
-                lambda p=pair: _pair_correctness(algorithms.ENTANGLED_PAIR, p),
-            )
-        )
-        checks.append(
-            _check(
-                f"correctness-product:{label}",
-                lambda p=pair: _pair_correctness(algorithms.PRODUCT_PAIR, p),
-            )
-        )
-        checks.append(
-            _check(
-                f"separability-entangled:{label}",
-                lambda p=pair: _entangled_separability(p),
-            )
-        )
-        checks.append(
-            _check(
-                f"separability-product:{label}",
-                lambda p=pair: _product_separability(p),
-            )
-        )
+        entangled = _run(algorithms.ENTANGLED_PAIR, pair)
+        product = _run(algorithms.PRODUCT_PAIR, pair)
+        for group, record, check, args in (
+            ("correctness-entangled", entangled, _pair_correctness, (pair,)),
+            ("correctness-product", product, _pair_correctness, (pair,)),
+            ("separability-entangled", entangled, _entangled_separability, ()),
+            ("separability-product", product, _product_separability, ()),
+        ):
+            checks.append(_check(f"{group}:{label}", record, check, *args))
     for name, fn in NAMED_FUNCTIONS.items():
+        record = _run(algorithms.DEUTSCH, fn)
         checks.append(
-            _check(f"correctness-deutsch:{name}", lambda f=fn: _deutsch_correctness(f))
+            _check(f"correctness-deutsch:{name}", record, _deutsch_correctness, fn)
         )
     return VerificationReport(tuple(checks))

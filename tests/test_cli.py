@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 import subprocess
 import sys
 
@@ -29,6 +30,7 @@ from pairdeutsch.cli import (
 from pairdeutsch.entanglement import random_product_params
 from pairdeutsch.noise import NoiseModel, sample_shots
 from pairdeutsch.oracles import B1, PromisePair
+from pairdeutsch.verify import verify_build
 
 
 def run_cli(capsys, argv):
@@ -52,7 +54,7 @@ def test_parse_run_request():
     assert req.algorithm == ENTANGLED_PAIR
     assert req.oracle_f.name == "B1"
     assert req.oracle_g.name == "B2"
-    assert req.shots is None
+    assert req.shots == "exact"
     assert req.noise == "off"
 
 
@@ -261,6 +263,33 @@ def test_verify_fails_if_product_run_entangles(capsys, monkeypatch):
     report = json.loads(out)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert any(name.startswith("separability-product") for name in failed)
+
+
+def test_verify_fails_exactly_the_checks_that_read_a_failed_run(capsys, monkeypatch):
+    def broken_run(pair):
+        raise RuntimeError("product circuit unavailable")
+
+    monkeypatch.setattr(pairdeutsch.algorithms, "run_product_pair", broken_run)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out)["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    groups = sorted(c["name"].split(":")[0] for c in failed)
+    assert groups == ["correctness-product"] * 8 + ["separability-product"] * 8
+    assert {c["detail"] for c in failed} == {"product circuit unavailable"}
+    assert sum(c["passed"] for c in checks) == 20
+
+
+def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
+    calls = Counter()
+    for name in ("run_deutsch", "run_entangled_pair", "run_product_pair"):
+        def counted(oracles, name=name, run=getattr(pairdeutsch.algorithms, name)):
+            calls[name] += 1
+            return run(oracles)
+
+        monkeypatch.setattr(pairdeutsch.algorithms, name, counted)
+    assert verify_build().passed
+    assert calls == {"run_deutsch": 4, "run_entangled_pair": 8, "run_product_pair": 8}
 
 
 def test_largest_shot_counts_are_accepted(capsys, tmp_path):
@@ -556,6 +585,17 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     )
     assert code == EXIT_INTERNAL
     assert err.startswith("error: internal:")
+
+
+def test_internal_error_while_parsing_exit_code(capsys, monkeypatch):
+    # parse_request sits inside the same boundary as execute and emit
+    def boom(text):
+        raise RuntimeError("synthetic parse failure")
+
+    monkeypatch.setattr(pairdeutsch.cli, "parse_oracle", boom)
+    code, out, err = run_cli(capsys, ["run", "--algorithm", "deutsch", "--f", "B1"])
+    assert code == EXIT_INTERNAL
+    assert (out, err) == ("", "error: internal: synthetic parse failure\n")
 
 
 def test_unserializable_envelope_is_an_internal_error(capsys, monkeypatch):

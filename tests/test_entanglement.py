@@ -112,6 +112,16 @@ def test_fully_product_examples():
         fully_product(basis_state(1, 0))
 
 
+def test_fully_product_rejects_a_stack():
+    # a stack of one used to pass as one state, a larger one to raise numpy's
+    # ambiguous-truth-value error
+    one = basis_state(2, 0)
+    for size in (1, 2):
+        stack = StateVector(2, np.tile(one.amplitudes, (size, 1)))
+        with pytest.raises(ValueError, match="fully_product takes one state"):
+            fully_product(stack)
+
+
 def test_product_state_params_validation():
     for row, label in (
         ((1.0, 1.0, 1.0, 0.0), "alpha/beta"),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pairdeutsch.cli import SEED_ENV_VAR, main
+from pairdeutsch.cli import SEED_ENV_VAR, SUBCOMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden_cli.json").read_text())
@@ -25,7 +25,7 @@ TIMESTAMP_LINE = re.compile(r'^  "timestamp": "[^"]*",\n', re.MULTILINE)
 def test_golden_covers_every_subcommand():
     assert len(GOLDEN) == 40
     commands = {case["argv"][0] for case in GOLDEN.values()}
-    assert commands == {"run", "verify", "audit-theorem", "fidelity", "sweep-noise"}
+    assert commands == set(SUBCOMMANDS)  # a new subcommand needs golden cases
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -265,6 +265,16 @@ def test_purity_values():
     assert purity(DensityMatrix(2, np.eye(4) / 4)) == pytest.approx(0.25)
 
 
+def test_from_state_rejects_a_stack():
+    # a stack of one used to flatten into one matrix, a larger stack to fail
+    # with a misleading shape message
+    one = basis_state(1, 0)
+    for size in (1, 2):
+        stack = StateVector(1, np.tile(one.amplitudes, (size, 1)))
+        with pytest.raises(ValueError, match="from_state takes one state"):
+            DensityMatrix.from_state(stack)
+
+
 def test_purity_rejects_a_stack():
     for size in (1, 3):
         stack = DensityMatrix(1, np.tile(np.eye(2) / 2, (size, 1, 1)))
