@@ -35,9 +35,9 @@ from .entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
-    fully_product,
     random_product_params,
     schmidt_analyze,
+    step_second_coefficients,
     trace_run_separability,
 )
 from .noise import (
@@ -121,7 +121,6 @@ __all__ = [
     "controlled",
     "decode",
     "depolarize",
-    "fully_product",
     "is_balanced",
     "is_unitary",
     "oracle_unitary",
@@ -138,6 +137,7 @@ __all__ = [
     "sample_shots",
     "schmidt_analyze",
     "statistical_fidelity",
+    "step_second_coefficients",
     "trace_run_separability",
     "verify_build",
 ]

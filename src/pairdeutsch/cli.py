@@ -483,8 +483,9 @@ def _build_parser() -> _Parser:
 
 def parse_request(argv: list[str]) -> RunRequest:
     ns = _build_parser().parse_args(argv)
-    seed = _seed(getattr(ns, "seed", None))
-    return RunRequest(ns.command, seed, ns.output, **SUBCOMMANDS[ns.command].fields(ns))
+    row = SUBCOMMANDS[ns.command]
+    seed = _seed(ns.seed) if row.seeded else 0  # an unseeded command draws nothing
+    return RunRequest(ns.command, seed, ns.output, **row.fields(ns))
 
 
 def execute(request: RunRequest) -> tuple[ResultEnvelope, int]:

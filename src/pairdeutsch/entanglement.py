@@ -79,17 +79,6 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
     return SeparabilityVerdict((tuple(left_qubits), tuple(right)), coeffs, product)
 
 
-def fully_product(state: StateVector) -> bool:
-    """True when every single-qubit-vs-rest bipartition is product."""
-    if state.amplitudes.ndim != 1:
-        raise ValueError("fully_product takes one state, not a stack")
-    if state.num_qubits < 2:
-        raise ValueError("fully_product needs at least two qubits")
-    return all(
-        schmidt_analyze(state, [q]).is_product for q in range(state.num_qubits)
-    )
-
-
 _PAIR_LABELS = ("alpha/beta", "gamma/delta")
 _NOT_NORMALIZED = "{} amplitudes not normalized: sum of squares {!r}"
 
@@ -206,6 +195,17 @@ def random_product_params(count: int, seed: int) -> np.ndarray:
     return factors.reshape(count, 4)
 
 
+def step_second_coefficients(record: RunRecord) -> list[tuple[str, float]]:
+    """Largest second Schmidt coefficient over the single-qubit cuts, for
+    every recorded step of a run. The steps form one stack, so each cut is
+    one batched Schmidt test."""
+    labels, states = zip(*record.step_states)
+    n = states[0].num_qubits
+    stack = StateVector(n, np.stack([state.amplitudes for state in states]))
+    cuts = [schmidt_analyze(stack, [q]).schmidt_coefficients[:, 1] for q in range(n)]
+    return list(zip(labels, np.max(cuts, axis=0).tolist()))
+
+
 def trace_run_separability(record: RunRecord) -> list[tuple[str, bool]]:
-    """fully_product verdict for every recorded step of a run."""
-    return [(label, fully_product(state)) for label, state in record.step_states]
+    """Whether every single-qubit cut is product, for every recorded step of a run."""
+    return [(label, s < PRODUCT_TOL) for label, s in step_second_coefficients(record)]

@@ -143,13 +143,17 @@ class NoiseModel:
                     f'line {lineno}: value for "{key}" is not a number'
                 ) from None
             if m := _SINGLE_KEY.match(key):
-                singles[int(m.group(1))] = rate
+                rates, slot = singles, int(m.group(1))
             elif m := _READOUT_KEY.match(key):
-                readouts[int(m.group(1))] = rate
+                rates, slot = readouts, int(m.group(1))
             elif m := _PAIR_KEY.match(key):
-                pairs[(int(m.group(1)), int(m.group(2)))] = rate
+                rates, slot = pairs, (int(m.group(1)), int(m.group(2)))
             else:
                 raise ValueError(f'line {lineno}: unknown key "{key}"')
+            # a pair has one rate, whichever direction names it
+            if slot in rates or (rates is pairs and slot[::-1] in rates):
+                raise ValueError(f'line {lineno}: "{key}" repeats a rate given earlier')
+            rates[slot] = rate
         for label, rates in (("single_qubit_gate_error", singles),
                              ("readout_error", readouts)):
             if sorted(rates) != list(range(len(rates))) or not rates:

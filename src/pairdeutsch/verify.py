@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algorithms
 from .algorithms import RunRecord
-from .entanglement import PRODUCT_TOL, schmidt_analyze, trace_run_separability
+from .entanglement import PRODUCT_TOL, step_second_coefficients
 from .oracles import NAMED_FUNCTIONS, all_promise_pairs, is_balanced, same_at_zero
 
 CORRECT_MASS_TOL = 1e-10
@@ -107,16 +107,12 @@ def _deutsch_correctness(record: RunRecord, fn) -> str:
 
 
 def _entangled_separability(record: RunRecord) -> str:
-    trace = trace_run_separability(record)
+    seconds = step_second_coefficients(record)
     _require(
-        any(not product for _, product in trace),
+        any(second >= PRODUCT_TOL for _, second in seconds),
         "no entangled step found in the two-query run",
     )
-    init = dict(record.step_states)["initialize"]
-    second = max(
-        schmidt_analyze(init, [q]).schmidt_coefficients[1]
-        for q in range(init.num_qubits)
-    )
+    second = dict(seconds)["initialize"]
     _require(
         second >= INIT_SCHMIDT_FLOOR,
         f"initialization second Schmidt coefficient {second!r} below"
@@ -126,17 +122,13 @@ def _entangled_separability(record: RunRecord) -> str:
 
 
 def _product_separability(record: RunRecord) -> str:
-    worst = 0.0
-    for label, state in record.step_states:
-        second = max(
-            schmidt_analyze(state, [q]).schmidt_coefficients[1]
-            for q in range(state.num_qubits)
-        )
-        worst = max(worst, second)
+    seconds = step_second_coefficients(record)
+    for label, second in seconds:
         _require(
             second < PRODUCT_TOL,
             f'step "{label}" has second Schmidt coefficient {second!r}',
         )
+    worst = max(second for _, second in seconds)
     return f"all steps product (worst second coefficient {worst:.2e})"
 
 

@@ -141,6 +141,17 @@ def cnot_product_condition_reference(row) -> tuple[bool, bool]:
     return predicted, actual
 
 
+def step_second_coefficients_reference(record) -> list[tuple[str, float]]:
+    """(label, largest second Schmidt coefficient over the single-qubit cuts)
+    for every recorded step of a run: one single-state Schmidt test per step
+    and cut."""
+    out = []
+    for label, state in record.step_states:
+        cuts = [schmidt_analyze(state, [q]) for q in range(state.num_qubits)]
+        out.append((label, max(cut.schmidt_coefficients[1] for cut in cuts)))
+    return out
+
+
 def bloch_grid_params_reference(theta_points: int, phi_points: int) -> list[tuple]:
     """(a, b, a, b) per grid point, one theta and one phi at a time:
     a = cos(theta/2), b = sin(theta/2) e^(i phi), theta-major."""

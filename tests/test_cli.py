@@ -292,6 +292,25 @@ def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
     assert calls == {"run_deutsch": 4, "run_entangled_pair": 8, "run_product_pair": 8}
 
 
+def test_each_run_is_analysed_once_per_cut(monkeypatch):
+    stacks = []  # the number of stacked steps of each schmidt_analyze call
+    real = pairdeutsch.entanglement.schmidt_analyze
+    monkeypatch.setattr(pairdeutsch.entanglement, "schmidt_analyze",
+                        lambda state, left: stacks.append(len(state.amplitudes))
+                        or real(state, left))
+    assert verify_build().passed
+    assert len(stacks) == 48  # 16 pair records x 3 cuts (204 with one per step)
+    for argv, qubits in (
+        (["run", "--algorithm", "entangled", "--f", "B1", "--g", "B2"], 3),
+        (["run", "--algorithm", "product", "--f", "C1", "--g", "C2"], 3),
+        (["run", "--algorithm", "deutsch", "--f", "B1"], 2),
+    ):
+        stacks.clear()
+        envelope, code = execute(parse_request(argv))
+        assert code == EXIT_OK
+        assert stacks == [len(envelope.payload["separability"])] * qubits, argv
+
+
 def test_largest_shot_counts_are_accepted(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["run", "--algorithm", "deutsch", "--f", "B1",
                                     "--shots", str(2**62)])
@@ -548,6 +567,19 @@ def test_noise_config_must_cover_the_circuit(capsys, tmp_path):
     assert run_cli(capsys, deutsch)[0] == EXIT_OK
 
 
+def test_noise_config_may_not_give_a_rate_twice(capsys, tmp_path):
+    table2 = NoiseModel.table2().to_config_text()  # 9 lines
+    pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
+    for extra in ("two_qubit_gate_error_q1_q0 = 0.5", "readout_error_q2 = 0.5"):
+        path = tmp_path / "twice.cfg"
+        path.write_text(table2 + extra + "\n")
+        for command in ("run", "sweep-noise"):
+            code, out, err = run_cli(capsys, [command, *pair, "--noise", str(path)])
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: --noise config") and err.count("\n") == 1
+            assert f'line 10: "{extra.split()[0]}" repeats a rate' in err
+
+
 def test_run_rejects_missing_noise_config(capsys):
     code, _, err = run_cli(
         capsys,
@@ -565,6 +597,17 @@ def test_seed_env_var_default(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "xyz")
     with pytest.raises(UsageError, match=SEED_ENV_VAR):
         parse_request(["run", "--algorithm", "deutsch", "--f", "B1"])
+
+
+def test_verify_ignores_the_seed_env_var(capsys, monkeypatch):
+    # verify draws nothing at random; it always echoes seed 0
+    for env_seed in ("abc", "-2", "5"):
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        assert parse_request(["verify"]).seed == 0
+        code, out, err = run_cli(capsys, ["verify"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["request"] == {"command": "verify", "seed": 0,
+                                              "output": "json"}
 
 
 def test_explicit_seed_overrides_env(monkeypatch):

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,13 @@ from pairdeutsch.entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
-    fully_product,
     oracle_output_gram,
     random_product_params,
     schmidt_analyze,
+    step_second_coefficients,
     trace_run_separability,
 )
-from pairdeutsch.oracles import B1, C1, PromisePair, all_promise_pairs
+from pairdeutsch.oracles import B1, C1, NAMED_FUNCTIONS, PromisePair, all_promise_pairs
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
     bloch_grid_params_reference,
@@ -34,6 +35,7 @@ from reference_impls import (
     random_state,
     random_unitary,
     schmidt_coefficients_reference,
+    step_second_coefficients_reference,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -104,22 +106,32 @@ def test_schmidt_invariant_under_local_unitaries(seed):
     assert np.allclose(before, after, atol=1e-9)
 
 
-def test_fully_product_examples():
-    assert fully_product(basis_state(3, 2))  # |010>
+def test_step_second_coefficients_match_the_per_state_reference():
+    pairs = all_promise_pairs()  # the 20 records one verify makes
+    records = ([run_entangled_pair(p) for p in pairs] + [run_product_pair(p) for p in pairs]
+               + [run_deutsch(fn) for fn in NAMED_FUNCTIONS.values()])
+    assert len(records) == 20
+    for record in records:
+        got = step_second_coefficients(record)
+        want = step_second_coefficients_reference(record)
+        assert got == want  # float ==: one batched SVD per cut, bit for bit
+        assert all(type(second) is float for _, second in got)
+        assert trace_run_separability(record) == [
+            (label, second < PRODUCT_TOL) for label, second in want
+        ]
+
+
+def test_step_second_coefficients_examples():
     entangled_init = run_entangled_pair(PromisePair(B1, B1)).step_states[0][1]
-    assert not fully_product(entangled_init)
-    with pytest.raises(ValueError):
-        fully_product(basis_state(1, 0))
-
-
-def test_fully_product_rejects_a_stack():
-    # a stack of one used to pass as one state, a larger one to raise numpy's
-    # ambiguous-truth-value error
-    one = basis_state(2, 0)
-    for size in (1, 2):
-        stack = StateVector(2, np.tile(one.amplitudes, (size, 1)))
-        with pytest.raises(ValueError, match="fully_product takes one state"):
-            fully_product(stack)
+    steps = SimpleNamespace(step_states=(("010", basis_state(3, 2)),
+                                         ("initialize", entangled_init)))
+    got = step_second_coefficients(steps)
+    assert got == step_second_coefficients_reference(steps)
+    assert got[0][1] < PRODUCT_TOL and np.isclose(got[1][1], SQ2)
+    assert trace_run_separability(steps) == [("010", True), ("initialize", False)]
+    one_qubit = SimpleNamespace(step_states=(("one", basis_state(1, 0)),))
+    with pytest.raises(ValueError, match="proper subset"):
+        step_second_coefficients(one_qubit)
 
 
 def test_product_state_params_validation():

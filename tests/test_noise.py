@@ -118,6 +118,20 @@ def test_config_parse_errors():
         )
     with pytest.raises(ValueError, match="key = value"):
         NoiseModel.from_config_text("just some text\n")
+    table2 = NoiseModel.table2().to_config_text()  # 9 lines
+    for extra in (
+        "single_qubit_gate_error_q1 = 0.5",
+        "single_qubit_gate_error_q01 = 0.5",  # qubit 1 again
+        "readout_error_q0 = 0.042",  # the same value is still a second rate
+        "two_qubit_gate_error_q0_q1 = 0.5",
+        "two_qubit_gate_error_q1_q0 = 0.5",  # the reversed pair
+    ):
+        key = extra.split()[0]
+        with pytest.raises(ValueError, match=f'^line 10: "{key}" repeats a rate'):
+            NoiseModel.from_config_text(table2 + extra + "\n")
+    # the reversed key on its own is the pair's one rate
+    reversed_only = table2.replace("two_qubit_gate_error_q0_q1", "two_qubit_gate_error_q1_q0")
+    assert NoiseModel.from_config_text(reversed_only).pair_gate_rate(0, 1) == 3.17e-2
 
 
 def test_config_ignores_comments_and_blanks():
