@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .algorithms import RunRecord
-from .oracles import B1, B2, C1, C2, oracle_unitary
+from .oracles import B1, B2, C2, oracle_unitary
 from .qstate import ATOL, CNOT, StateVector, apply_gate
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
@@ -38,12 +38,11 @@ FAMILIES = tuple(_FAMILY_FACTORS)
 
 QUANTITIES = ("f0", "f1", "f0_xor_f1")
 
-_AUDIT_FUNCTIONS = (C1, C2, B1, B2)
-# _DISAGREE[q, i, j]: functions i and j give different values of QUANTITIES[q]
-_QUANTITY_VALUES = np.array(
-    [(fn.f0, fn.f1, fn.f0 ^ fn.f1) for fn in _AUDIT_FUNCTIONS]
-).T
-_DISAGREE = _QUANTITY_VALUES[:, :, None] != _QUANTITY_VALUES[:, None, :]
+# The oracles are XOR permutations, so U_f^H U_g = U_{f^g}, with f^g one of
+# _DIFFERENCES for f != g. _FLIPS[h, q]: functions that differ by
+# _DIFFERENCES[h] disagree on QUANTITIES[q], as h gives q the value 1.
+_DIFFERENCES = (C2, B1, B2)
+_FLIPS = np.array([(h.f0, h.f1, h.f0 ^ h.f1) for h in _DIFFERENCES], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,9 @@ class SeparabilityVerdict:
 def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerdict:
     """Schmidt coefficients across the bipartition: singular values of the
     amplitude tensor reshaped to (left qubits) x (remaining qubits),
-    sorted descending. Product iff the second coefficient vanishes. A
-    stack takes one batched SVD; the verdict's fields gain its leading axis."""
+    sorted descending. Product iff the second coefficient vanishes. A 2x2
+    matrix (two qubits) takes a closed form, any other one SVD; a stack is
+    analysed at once and the verdict's fields gain its leading axis."""
     left_qubits = sorted({int(q) for q in left})
     n = state.num_qubits
     if not left_qubits or len(left_qubits) == n:
@@ -70,13 +70,26 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
     psi = state.amplitudes.reshape(state.amplitudes.shape[:lead] + (2,) * n)
     mat = psi.transpose([*range(lead)] + [lead + q for q in left_qubits + right])
     mat = mat.reshape(psi.shape[:lead] + (2 ** len(left_qubits), 2 ** len(right)))
-    coeffs = np.linalg.svd(mat, compute_uv=False)  # k >= 2: each side has a qubit
+    # k >= 2: each side has a qubit; two qubits take the closed form
+    coeffs = (_singular_values_2x2(mat) if mat.shape[-2:] == (2, 2)
+              else np.linalg.svd(mat, compute_uv=False))
     if lead:
         product = coeffs[:, 1] < PRODUCT_TOL
         coeffs.flags.writeable = product.flags.writeable = False
     else:
         coeffs, product = tuple(map(float, coeffs)), float(coeffs[1]) < PRODUCT_TOL
     return SeparabilityVerdict((tuple(left_qubits), tuple(right)), coeffs, product)
+
+
+def _singular_values_2x2(mat: np.ndarray) -> np.ndarray:
+    """(s1, s2) of each 2x2 matrix on the last two axes from d = |det M| and
+    F = |M|_F^2 (s1^2 + s2^2 = F, s1*s2 = d); s2 = d/s1 is as small as d."""
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    d = np.sqrt(det.real**2 + det.imag**2)
+    frob = np.sum(mat.real**2 + mat.imag**2, axis=(-2, -1))
+    root = np.sqrt(np.maximum((frob - 2 * d) * (frob + 2 * d), 0.0))
+    s1 = np.sqrt((frob + root) / 2)  # > 0: a state's amplitudes have norm 1
+    return np.stack([s1, d / s1], axis=-1)
 
 
 _PAIR_LABELS = ("alpha/beta", "gamma/delta")
@@ -115,29 +128,28 @@ def cnot_product_condition(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return predicted, actual.is_product
 
 
-def oracle_output_gram(family: str, params: np.ndarray) -> np.ndarray:
-    """(S, 4, 4) array of |<out_i|out_j>| over the (S, 4) rows (alpha, beta,
-    gamma, delta) of params, where out_i is the family's input state after
-    one query of the i-th function of C1, C2, B1, B2. The family fixes one
-    tensor factor; each row gives the other."""
+def oracle_output_overlaps(family: str, params: np.ndarray) -> np.ndarray:
+    """(S, 3) array of |<in|U_h|in>| for h = C2, B1, B2: the overlap of the
+    one-query outputs of any two of C1, C2, B1, B2 that differ by h. The
+    family fixes one tensor factor of the input state in, and each of the
+    (S, 4) rows (alpha, beta, gamma, delta) of params gives the other."""
     if family not in _FAMILY_FACTORS:
-        raise ValueError(
-            f'unknown family "{family}" (known: {", ".join(FAMILIES)})'
-        )
+        raise ValueError(f'unknown family "{family}" (known: {", ".join(FAMILIES)})')
     params = _checked_rows(params)
     fixed, wire = _FAMILY_FACTORS[family]
     free = params[:, 2:] if wire == 0 else params[:, :2]
     ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
     inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
-    unitaries = np.stack([oracle_unitary(fn) for fn in _AUDIT_FUNCTIONS])
-    outs = np.einsum("fij,sj->sfi", unitaries, inputs)
-    return np.abs(np.einsum("sfi,sgi->sfg", outs.conj(), outs))
+    # each U_h is a permutation matrix: amplitude perm[i] of in moves to row i
+    perms = [np.argmax(oracle_unitary(h), axis=1) for h in _DIFFERENCES]
+    outs = inputs[:, perms]  # (S, 3, 4): U_h|in> for every row and h
+    return np.abs(np.einsum("si,shi->sh", inputs.conj(), outs))
 
 
-def _decidable_quantities(gram: np.ndarray) -> np.ndarray:
-    """(S, 3) bool: a quantity is decidable in one shot when every pair of
-    functions that disagrees on it has orthogonal outputs."""
-    return np.all((gram[:, None] < PRODUCT_TOL) | ~_DISAGREE, axis=(2, 3))
+def _decidable_quantities(overlaps: np.ndarray) -> np.ndarray:
+    """(S, 3) bool: a quantity is decidable in one shot when every difference
+    that flips it leaves orthogonal outputs."""
+    return ~(~(overlaps < PRODUCT_TOL) @ _FLIPS)  # no flipping difference overlaps
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no single-bool ==
@@ -159,7 +171,7 @@ def audit_family_distinguishability(
     """For every (alpha, beta, gamma, delta) row in the family, query all four
     functions and report which of f(0), f(1), f(0)^f(1) is perfectly
     decidable."""
-    decided = _decidable_quantities(oracle_output_gram(family, params))
+    decided = _decidable_quantities(oracle_output_overlaps(family, params))
     decided.flags.writeable = False
     union = tuple(q for q, seen in zip(QUANTITIES, decided.any(axis=0)) if seen)
     return FamilyAuditReport(family=family, samples=decided, decidable=union)

@@ -49,6 +49,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         pair_rates = MappingProxyType(dict(self.two_qubit_gate_error))
         object.__setattr__(self, "two_qubit_gate_error", pair_rates)
+        for a, b in pair_rates:  # a pair has one rate, whichever direction names it
+            if a != b and (b, a) in pair_rates:
+                raise ValueError(f"pair ({a}, {b}) has a rate in both directions")
         rates = (
             list(self.single_qubit_gate_error)
             + list(self.two_qubit_gate_error.values())

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CNOT, X
-
 
 @dataclass(frozen=True)
 class BoolFn:
@@ -82,22 +80,6 @@ def oracle_unitary(fn: BoolFn) -> np.ndarray:
         for y in (0, 1):
             u[(x << 1) | (y ^ fn(x)), (x << 1) | y] = 1.0
     return u
-
-
-def oracle_gate_sequence(fn: BoolFn) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
-    """Two-wire gate realization of the oracle: a CNOT when the function is
-    balanced, then an X on the target wire when fn(0) = 1.
-
-    Composing the sequence reproduces oracle_unitary(fn) exactly; the direct
-    permutation matrix stays the single source of truth and this
-    decomposition exists to be checked against it.
-    """
-    seq: list[tuple[str, np.ndarray, tuple[int, ...]]] = []
-    if is_balanced(fn):
-        seq.append(("CNOT", CNOT, (0, 1)))
-    if fn.f0:
-        seq.append(("X", X, (1,)))
-    return seq
 
 
 def all_promise_pairs() -> list[PromisePair]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from pairdeutsch.entanglement import PRODUCT_TOL, schmidt_analyze
 from pairdeutsch.oracles import B1, B2, C1, C2, BoolFn
-from pairdeutsch.qstate import CNOT, StateVector, apply_gate
+from pairdeutsch.qstate import CNOT, X, StateVector, apply_gate
 
 
 def bit_of(index: int, qubit: int, num_qubits: int) -> int:
@@ -132,12 +132,13 @@ def random_product_params_reference(count: int, seed: int) -> list[tuple]:
 def cnot_product_condition_reference(row) -> tuple[bool, bool]:
     """(algebraic prediction, numerical verdict) for one (alpha, beta, gamma,
     delta) row: scalar arithmetic for the prediction, then one single-state
-    CNOT and one single-state Schmidt test for the verdict."""
+    CNOT and the SVD of its 2x2 amplitude matrix for the verdict."""
     alpha, beta, gamma, delta = (complex(v) for v in row)
     det = alpha * beta * (gamma**2 - delta**2)
     predicted = bool(abs(det) < PRODUCT_TOL)
     state = StateVector(2, np.multiply.outer([alpha, beta], [gamma, delta]).reshape(-1))
-    actual = schmidt_analyze(apply_gate(state, CNOT, (0, 1)), [0]).is_product
+    out = apply_gate(state, CNOT, (0, 1)).amplitudes.reshape(2, 2)
+    actual = bool(np.linalg.svd(out, compute_uv=False)[1] < PRODUCT_TOL)
     return predicted, actual
 
 
@@ -215,6 +216,18 @@ def oracle_matrix_reference(fn: BoolFn) -> np.ndarray:
         x, y = bit_of(col, 0, 2), bit_of(col, 1, 2)
         u[2 * x + (y ^ fn(x)), col] = 1.0
     return u
+
+
+def oracle_gate_sequence(fn: BoolFn) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
+    """Two-wire gate realization of the oracle: a CNOT when the function is
+    balanced, then an X on the target wire when fn(0) = 1. Composing the
+    sequence must reproduce oracle_unitary(fn), the single source of truth."""
+    seq: list[tuple[str, np.ndarray, tuple[int, ...]]] = []
+    if fn.f0 ^ fn.f1:
+        seq.append(("CNOT", CNOT, (0, 1)))
+    if fn.f0:
+        seq.append(("X", X, (1,)))
+    return seq
 
 
 def oracle_output_gram_reference(family: str, sample_params) -> np.ndarray:

@@ -154,6 +154,16 @@ def test_criterion_4_theorem_audit():
     assert time.perf_counter() - start < 10.0
 
 
+@criterion("4: default audit-theorem (1000 samples, 51x52 grid) in process in <15ms")
+def test_criterion_4_default_audit_theorem_is_fast():
+    def audit():
+        envelope, code = execute(parse_request(["audit-theorem"]))
+        assert code == EXIT_OK and envelope.payload["passed"] is True
+
+    elapsed = best_time(audit, repeats=5)
+    assert elapsed < 15e-3, f"best audit-theorem took {elapsed * 1e3:.3f} ms"
+
+
 @criterion("5: entangled run entangles at initialization; product run never does")
 def test_criterion_5_entanglement_presence_absence():
     floor = SQ2 - 1e-6

@@ -18,7 +18,7 @@ from pairdeutsch.entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
-    oracle_output_gram,
+    oracle_output_overlaps,
     random_product_params,
     schmidt_analyze,
     step_second_coefficients,
@@ -39,7 +39,7 @@ from reference_impls import (
 )
 
 SQ2 = 1 / np.sqrt(2)
-GRAM_INDEX = {"C1": 0, "C2": 1, "B1": 2, "B2": 3}  # axes of oracle_output_gram
+OVERLAP_INDEX = {"C2": 0, "B1": 1, "B2": 2}  # columns of oracle_output_overlaps
 
 
 def verdict_pairs(rows) -> list[tuple[bool, bool]]:
@@ -114,7 +114,7 @@ def test_step_second_coefficients_match_the_per_state_reference():
     for record in records:
         got = step_second_coefficients(record)
         want = step_second_coefficients_reference(record)
-        assert got == want  # float ==: one batched SVD per cut, bit for bit
+        assert got == want  # float ==: one stacked Schmidt test per cut, bit for bit
         assert all(type(second) is float for _, second in got)
         assert trace_run_separability(record) == [
             (label, second < PRODUCT_TOL) for label, second in want
@@ -146,14 +146,14 @@ def test_product_state_params_validation():
         err = pytest.raises(ValueError, cnot_product_condition, rows)
         assert str(err.value) == per_row
         for family in FAMILIES:  # every pair is checked, not only the free one
-            err = pytest.raises(ValueError, oracle_output_gram, family, rows)
+            err = pytest.raises(ValueError, oracle_output_overlaps, family, rows)
             assert str(err.value) == per_row
 
 
-def test_oracle_output_gram_rejects_non_row_shapes():
+def test_oracle_output_overlaps_rejects_non_row_shapes():
     for shape in ((4,), (2, 3), (1, 8), (1, 2, 4)):
         with pytest.raises(ValueError, match="shape"):
-            oracle_output_gram(KET0_FAMILY, np.zeros(shape))
+            oracle_output_overlaps(KET0_FAMILY, np.zeros(shape))
         with pytest.raises(ValueError, match="shape"):  # no one-row variant
             cnot_product_condition(np.zeros(shape))
 
@@ -262,6 +262,45 @@ def test_schmidt_analyze_on_a_stack_matches_each_member():
         assert not verdict.is_product.flags.writeable
 
 
+def _two_qubit_states(rng) -> tuple[list[StateVector], list[float | None]]:
+    """Bell states (equal coefficients, so the closed form's root is 0), basis,
+    product and Haar states, then states of known second coefficient near
+    1e-9 behind random local unitaries: the states and those coefficients."""
+    states = [bell_minus(), StateVector(2, np.array([SQ2, 0, 0, SQ2]))]
+    states += [basis_state(2, k) for k in range(4)]
+    states += [random_state(1, rng).tensor(random_state(1, rng)) for _ in range(30)]
+    states += [random_state(2, rng) for _ in range(60)]
+    seconds = [None] * len(states)
+    for second in 1e-9 * np.geomspace(0.1, 10, 30):
+        state = StateVector(2, np.array([np.sqrt(1 - second**2), 0, 0, second]))
+        for q in (0, 1):
+            state = apply_gate(state, random_unitary(2, rng), [q])
+        states.append(state)
+        seconds.append(second)
+    return states, seconds
+
+
+def test_two_qubit_closed_form_matches_the_references():
+    states, seconds = _two_qubit_states(np.random.default_rng(31))
+    stack = StateVector(2, np.stack([s.amplitudes for s in states]))
+    for left in ([0], [1]):
+        verdict = schmidt_analyze(stack, left)
+        assert verdict.schmidt_coefficients.shape == (len(states), 2)
+        for state, second, row in zip(states, seconds, verdict.schmidt_coefficients):
+            single = schmidt_analyze(state, left).schmidt_coefficients
+            assert single == tuple(row)  # one state takes its stack row's arithmetic
+            # the reference's eigenvalues are the squares, accurate to ~1e-16
+            want = schmidt_coefficients_reference(state, left)
+            assert np.max(np.abs(row**2 - want**2)) <= 1e-12
+            svd = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
+            assert np.max(np.abs(row - svd)) <= 1e-12
+            if second is not None:
+                assert abs(row[1] - second) <= 1e-12
+        assert verdict.is_product.tolist() == [
+            row[1] < PRODUCT_TOL for row in verdict.schmidt_coefficients
+        ]
+
+
 def _family_params(family: str, params) -> tuple:
     """Constrain a row to the family shape (same projection the audit uses)."""
     alpha, beta, gamma, delta = params
@@ -277,7 +316,7 @@ def _family_params(family: str, params) -> tuple:
 def test_family_input_state_rejects_unknown_family():
     params = np.array([(1.0, 0.0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="unknown family"):
-        oracle_output_gram("any-tensor-ghz", [params])
+        oracle_output_overlaps("any-tensor-ghz", [params])
     with pytest.raises(ValueError, match="unknown family"):
         audit_family_distinguishability("nope", [params])
 
@@ -286,19 +325,19 @@ def test_minus_family_decides_only_xor_at_equal_weights():
     params = np.array([(SQ2, SQ2, 1.0, 0.0)])
     report = audit_family_distinguishability(MINUS_FAMILY, params)
     assert report.decidable == ("f0_xor_f1",)
-    gram = oracle_output_gram(MINUS_FAMILY, params)[0]
-    assert gram[GRAM_INDEX["C1"], GRAM_INDEX["C2"]] == pytest.approx(1.0, abs=1e-12)
-    for a, b in (("B1", "C1"), ("B1", "C2"), ("B2", "C1"), ("B2", "C2")):
-        assert gram[GRAM_INDEX[a], GRAM_INDEX[b]] == pytest.approx(0.0, abs=1e-12)
+    overlaps = oracle_output_overlaps(MINUS_FAMILY, params)[0]
+    # C1 and C2 differ by C2; a constant and a balanced function by B1 or B2
+    assert overlaps[OVERLAP_INDEX["C2"]] == pytest.approx(1.0, abs=1e-12)
+    for h in ("B1", "B2"):
+        assert overlaps[OVERLAP_INDEX[h]] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plus_family_decides_nothing():
     params = np.array([(0.6, 0.8, 1.0, 0.0)])
     report = audit_family_distinguishability(PLUS_FAMILY, params)
     assert report.decidable == ()
-    gram = oracle_output_gram(PLUS_FAMILY, params)[0]
-    pairs = gram[np.triu_indices(4, k=1)]  # the six distinct function pairs
-    assert all(v == pytest.approx(1.0, abs=1e-12) for v in pairs)
+    overlaps = oracle_output_overlaps(PLUS_FAMILY, params)[0]
+    assert overlaps == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)  # every difference
 
 
 def test_ket0_family_decides_only_f0_at_basis_target():
@@ -346,15 +385,16 @@ def test_only_odd_grids_put_theta_half_pi_on_the_grid():
         assert report.decidable == (("f0_xor_f1",) if hits else ()), t
 
 
-def test_gram_and_verdicts_match_the_loop_reference():
+def test_overlaps_and_verdicts_match_the_loop_reference():
     params = np.concatenate(
         [bloch_grid_params(51, 52), random_product_params(500, seed=77)]
     )
     for family in FAMILIES:
-        gram = oracle_output_gram(family, params)
+        overlaps = oracle_output_overlaps(family, params)
         want = oracle_output_gram_reference(family, params)
-        assert gram.shape == want.shape == (len(params), 4, 4)
-        assert np.max(np.abs(gram - want)) <= 1e-12, family
+        assert overlaps.shape == (len(params), 3)
+        # C1 is the identity, so its Gram row holds the overlaps with C2, B1, B2
+        assert np.max(np.abs(overlaps - want[:, 0, 1:])) <= 1e-12, family
         report = audit_family_distinguishability(family, params)
         assert [
             tuple(q for q, d in zip(QUANTITIES, row) if d) for row in report.samples

