@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -22,6 +23,7 @@ from .algorithms import GateOp, circuit_ops
 from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
+    _readonly,
     apply_gate_density,
     basis_state,
     bitstring_distribution,
@@ -178,6 +180,24 @@ class NoiseModel:
         return cls.from_config_text(Path(path).read_text())
 
 
+@lru_cache(maxsize=256)
+def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
+    """`depolarize`'s kept qubits and, after its checks, reduced (x) I/2^k as
+    a gather of the reduced state's flat entries times a read-only weight."""
+    if not targets:
+        raise ValueError("depolarize needs at least one target qubit")
+    for q in targets:
+        if not 0 <= q < n:
+            raise ValueError(f"target {q} out of range for {n} qubit(s)")
+    kept = tuple(q for q in range(n) if q not in targets)
+    bits = np.arange(2**n)[:, None] >> (n - 1 - np.arange(n)) & 1  # qubit 0 first
+    kept_index = bits[:, list(kept)] @ (1 << np.arange(len(kept)))[::-1]
+    target_index = bits[:, list(targets)] @ (1 << np.arange(len(targets)))[::-1]
+    gather = kept_index[:, None] * 2 ** len(kept) + kept_index[None, :]
+    weight = (target_index[:, None] == target_index[None, :]) / 2 ** len(targets)
+    return kept, _readonly(gather), _readonly(weight)
+
+
 def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
     """(1-p) * rho + p * (maximally mixed on `qubits`, reduced state elsewhere),
     with one rate p for every member of the stack or a sequence of one per
@@ -189,27 +209,14 @@ def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
     for r in values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"depolarizing probability {r!r} outside [0, 1]")
-    targets = sorted({int(q) for q in qubits})
     n = rho.num_qubits
-    if not targets:
-        raise ValueError("depolarize needs at least one target qubit")
-    for q in targets:
-        if not 0 <= q < n:
-            raise ValueError(f"target {q} out of range for {n} qubit(s)")
+    kept, gather, mixed = _mixing_plan(n, tuple(sorted(set(map(int, qubits)))))
     if not any(values):
         return rho
-    kept = [q for q in range(n) if q not in targets]
-    k = len(targets)
-    # reduced (x) I/2^k by broadcasting: each factor gets the row and column
-    # axes of all n qubits, size 1 on the qubits it does not act on
-    target_axes = [2 if q in targets else 1 for q in range(n)] * 2
-    mixed = (np.eye(2**k) / 2**k).reshape(target_axes)
     if kept:  # with every qubit a target the trace is 1: no reduction taken
         reduced = partial_trace(rho, kept).entries
-        kept_axes = [1 if q in targets else 2 for q in range(n)] * 2
-        mixed = reduced.reshape(reduced.shape[:-2] + tuple(kept_axes)) * mixed
-    mixed = mixed.reshape(mixed.shape[: mixed.ndim - 2 * n] + (2**n, 2**n))
-    coef = values[0] if len(values) == 1 else np.reshape(values, (-1, 1, 1))
+        mixed = reduced.reshape(reduced.shape[:-2] + (-1,)).take(gather, -1) * mixed
+    coef = values[0] if len(values) == 1 else np.array(values)[:, None, None]
     entries = (1.0 - coef) * rho.entries + coef * mixed
     if not all(values):
         entries = np.where(coef > 0.0, entries, rho.entries)
@@ -256,12 +263,10 @@ def run_noisy_models(
     # one matrix, which the first channel with per-model rates spreads into
     # a stack of len(models)
     rho = DensityMatrix.from_state(basis_state(n, 0))
+    rate_of = {1: NoiseModel.qubit_gate_rate, 2: NoiseModel.pair_gate_rate}
     for op in ops:
         rho = apply_gate_density(rho, op.matrix, op.targets)
-        if len(op.targets) == 1:
-            rates = [model.qubit_gate_rate(op.targets[0]) for model in models]
-        else:
-            rates = [model.pair_gate_rate(*op.targets) for model in models]
+        rates = [rate_of[len(op.targets)](model, *op.targets) for model in models]
         rho = depolarize(rho, op.targets, rates)
     rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
     # one model, or no nonzero gate rate, leaves a single matrix, which the

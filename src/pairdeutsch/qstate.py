@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from string import ascii_lowercase
 from typing import Sequence
 
@@ -90,14 +91,17 @@ Z = _const([[1, 0], [0, -1]])
 H = _const(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
 
 
+@lru_cache(maxsize=16)
+def _identity(dim: int) -> np.ndarray:
+    return _readonly(np.eye(dim, dtype=np.complex128))
+
+
 def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
-    """Every entry of m^H m is within `tol` of the identity's."""
+    """Every entry of m^H m is within `tol` of the identity's; NaN fails."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    err = m.conj().T @ m
-    err.ravel()[:: len(m) + 1] -= 1.0  # minus the identity, without building it
-    return bool(abs(err).max(initial=0.0) <= tol)  # 0x0: vacuously unitary
+    return bool((abs(m.conj().T @ m - _identity(len(m))) <= tol).all())
 
 
 def controlled(gate: np.ndarray) -> np.ndarray:
@@ -134,9 +138,7 @@ def _apply(
         if not 0 <= t < num_qubits:
             raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
     if g.shape != (2**k, 2**k):
-        raise ValueError(
-            f"gate of shape {g.shape} cannot act on {k} target qubit(s)"
-        )
+        raise ValueError(f"gate of shape {g.shape} cannot act on {k} target qubit(s)")
     # np.tensordot's contraction without its axis bookkeeping: target axes
     # first, one matrix product, then every axis back in place
     order = targets + tuple(a for a in range(tensor.ndim) if a not in targets)
@@ -178,7 +180,10 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=np.complex128)
         if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim) or m.size == 0:
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=ATOL):
+        h = m.conj().swapaxes(-1, -2)  # np.allclose(m, h, atol=ATOL), spelled out
+        close = (abs(m - h) <= ATOL + 1e-5 * abs(h) if np.isfinite(m).all()
+                 else np.isclose(m, h, atol=ATOL))  # which knows inf and NaN
+        if not close.all():
             raise ValueError("density matrix is not Hermitian")
         for tr in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
             if abs(tr - 1.0) > ATOL:
@@ -191,9 +196,8 @@ class DensityMatrix:
     @classmethod
     def _trusted(cls, num_qubits: int, entries: np.ndarray) -> DensityMatrix:
         """Wrap freshly computed, valid-by-construction entries read-only."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "num_qubits", num_qubits)
-        object.__setattr__(rho, "entries", _readonly(entries))
+        rho = object.__new__(cls)  # frozen: set through its __dict__
+        vars(rho).update(num_qubits=num_qubits, entries=_readonly(entries))
         return rho
 
     @classmethod
@@ -210,15 +214,25 @@ class DensityMatrix:
         return p / p.sum(axis=-1, keepdims=True)
 
 
+@lru_cache(maxsize=256)
+def _embedding(targets: tuple[int, ...], num_qubits: int, shape: tuple) -> tuple:
+    """Plan of `expanded_unitary`, after its checks: `_apply` of the gate's
+    entries labelled 1, 2, ... to the identity names each entry's source."""
+    _check_num_qubits(num_qubits)
+    dim = 2**num_qubits
+    identity = np.eye(dim).reshape((2,) * num_qubits + (dim,))
+    labels = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    label = _apply(identity, labels, targets, num_qubits).real.reshape(dim, dim)
+    return _readonly(label.astype(int) - 1), _readonly(label > 0)
+
+
 def expanded_unitary(
     gate: np.ndarray, targets: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Embed `gate` acting on `targets` into the full 2**n unitary: the
-    gate kernel applied to the identity, one column per basis state."""
-    _check_num_qubits(num_qubits)
-    dim = 2**num_qubits
-    identity = np.eye(dim, dtype=np.complex128).reshape((2,) * num_qubits + (dim,))
-    return _apply(identity, gate, targets, num_qubits).reshape(dim, dim)
+    """Embed `gate` acting on `targets` into the full 2**n unitary."""
+    g = np.asarray(gate, dtype=np.complex128)
+    flat, agree = _embedding(tuple(map(int, targets)), num_qubits, g.shape)
+    return np.where(agree, g.take(flat), 0)
 
 
 def apply_gate_density(
@@ -233,32 +247,32 @@ def apply_gate_density(
     return DensityMatrix._trusted(rho.num_qubits, u @ rho.entries @ u.conj().T)
 
 
+@lru_cache(maxsize=256)
+def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
+    """einsum subscripts of `partial_trace` after its checks; repeats trace."""
+    if not keep:
+        raise ValueError("keep list must be non-empty")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"repeated qubit in keep={list(keep)}")
+    for q in keep:
+        if not 0 <= q < n:
+            raise ValueError(f"keep qubit {q} out of range for {n} qubit(s)")
+    row, col = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
+    src = row + "".join(col[q] if q in keep else row[q] for q in range(n))
+    dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
+    return f"...{src}->...{dst}"
+
+
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not listed in `keep`, from every member.
 
     The output qubit order follows the `keep` list, so keep=[1, 0] also
     swaps the two remaining qubits.
     """
-    keep = [int(q) for q in keep]
-    if not keep:
-        raise ValueError("keep list must be non-empty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"repeated qubit in keep={keep}")
-    n = rho.num_qubits
-    for q in keep:
-        if not 0 <= q < n:
-            raise ValueError(f"keep qubit {q} out of range for {n} qubit(s)")
-    row = list(ascii_lowercase[:n])
-    col = list(ascii_lowercase[n : 2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]  # repeated index contracts: trace over qubit q
-    src = "".join(row) + "".join(col)
-    dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    k = len(keep)
+    n, keep = rho.num_qubits, tuple(map(int, keep))
+    subscripts, k = _trace_subscripts(n, keep), len(keep)  # checks keep against n
     stack = rho.entries.shape[:-2]
-    tensor = rho.entries.reshape(stack + (2,) * (2 * n))
-    reduced = np.einsum(f"...{src}->...{dst}", tensor)
+    reduced = np.einsum(subscripts, rho.entries.reshape(stack + (2,) * (2 * n)))
     return DensityMatrix._trusted(k, reduced.reshape(stack + (2**k, 2**k)))
 
 

@@ -70,6 +70,18 @@ def schmidt_coefficients_reference(state: StateVector, left: list[int]) -> np.nd
     return np.sqrt(np.sort(eigs)[::-1])
 
 
+def two_qubit_schmidt_reference(state: StateVector) -> np.ndarray:
+    """Schmidt coefficients (s1, s2) of one two-qubit state without an SVD or
+    an eigensolver. From d = |det M| and F = |M|_F^2 of its 2x2 amplitude
+    matrix, taken by index loops: (s1 +- s2)^2 = F +- 2d gives s1, and
+    s2 = d / s1 keeps a small second coefficient accurate near 0."""
+    m = [[state.amplitudes[2 * i + j] for j in range(2)] for i in range(2)]
+    d = abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    f = sum(abs(m[i][j]) ** 2 for i in range(2) for j in range(2))
+    s1 = (np.sqrt(f + 2 * d) + np.sqrt(max(f - 2 * d, 0.0))) / 2
+    return np.array([s1, d / s1])
+
+
 def depolarize_reference(
     entries: np.ndarray, targets: list[int], p: float
 ) -> np.ndarray:

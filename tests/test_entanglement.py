@@ -36,6 +36,7 @@ from reference_impls import (
     random_unitary,
     schmidt_coefficients_reference,
     step_second_coefficients_reference,
+    two_qubit_schmidt_reference,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -289,9 +290,10 @@ def test_two_qubit_closed_form_matches_the_references():
         for state, second, row in zip(states, seconds, verdict.schmidt_coefficients):
             single = schmidt_analyze(state, left).schmidt_coefficients
             assert single == tuple(row)  # one state takes its stack row's arithmetic
-            # the reference's eigenvalues are the squares, accurate to ~1e-16
-            want = schmidt_coefficients_reference(state, left)
-            assert np.max(np.abs(row**2 - want**2)) <= 1e-12
+            want = two_qubit_schmidt_reference(state)
+            assert np.max(np.abs(row - want)) <= 1e-12
+            if second is not None:  # the reference is as accurate near 0
+                assert abs(want[1] - second) <= 1e-12
             svd = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
             assert np.max(np.abs(row - svd)) <= 1e-12
             if second is not None:

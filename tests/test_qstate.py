@@ -187,6 +187,10 @@ def test_is_unitary():
     assert is_unitary(CNOT)
     assert not is_unitary(np.array([[1, 1], [0, 1]]))
     assert not is_unitary(np.ones((2, 3)))
+    assert not is_unitary(np.array([[np.nan, 0], [0, 1]]))
+    with np.errstate(invalid="ignore"):  # inf * 0 in m^H m
+        assert not is_unitary(np.array([[1, 0], [0, np.inf]]))
+    assert is_unitary(np.zeros((0, 0)))  # vacuously
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,6 +295,63 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
 
 
+def _half_with(entries: dict) -> np.ndarray:
+    m = np.eye(2, dtype=np.complex128) / 2
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+NOT_HERMITIAN = "density matrix is not Hermitian"
+
+
+# messages recorded from the np.allclose-based check this one replaced
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (_half_with({(0, 0): np.nan}), NOT_HERMITIAN),
+        (_half_with({(0, 1): np.nan}), NOT_HERMITIAN),
+        (_half_with({(0, 1): np.nan, (1, 0): np.nan}), NOT_HERMITIAN),
+        (_half_with({(1, 1): complex(0, np.nan)}), NOT_HERMITIAN),
+        (_half_with({(0, 0): np.inf}), "density matrix trace is (inf+0j), not 1"),
+        (_half_with({(1, 1): -np.inf}), "density matrix trace is (-inf+0j), not 1"),
+        (_half_with({(0, 1): np.inf}), NOT_HERMITIAN),
+        (_half_with({(1, 0): -np.inf}), NOT_HERMITIAN),
+        (_half_with({(0, 1): np.inf, (1, 0): -np.inf}), NOT_HERMITIAN),
+        (_half_with({(0, 0): complex(0, np.inf)}), NOT_HERMITIAN),
+        (_half_with({(0, 1): 2e-10}), NOT_HERMITIAN),
+        (_half_with({(0, 1): 2e-10j, (1, 0): 2e-10j}), NOT_HERMITIAN),
+    ],
+)
+def test_density_matrix_check_keeps_its_messages(entries, message):
+    for m in (entries, np.stack([np.eye(2) / 2, entries])):
+        with pytest.raises(ValueError) as exc:
+            DensityMatrix(1, m)
+        assert str(exc.value) == message
+
+
+def test_density_matrix_reports_the_first_bad_trace_of_a_stack():
+    stack = np.tile(np.eye(2, dtype=np.complex128) / 2, (5, 1, 1))
+    stack[2, 0, 0] += 2e-10
+    stack[4, 1, 1] += 3e-10
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(1, stack)
+    assert str(exc.value) == "density matrix trace is (1.0000000002+0j), not 1"
+    stack[2, 0, 0] = 0.5 + 2e-10j
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(1, stack)
+    assert str(exc.value) == "density matrix trace is (1+2e-10j), not 1"
+
+
+def test_density_matrix_check_keeps_its_tolerances():
+    DensityMatrix(1, _half_with({(0, 1): 0.9e-10}))  # inside ATOL: Hermitian
+    near = np.full((2, 2), 1e6, dtype=np.complex128)  # 5 inside 1e-5 * |1e6|
+    near[0, 0], near[1, 1], near[0, 1] = 0.5, 0.5, 1e6 + 5
+    with pytest.raises(ValueError) as exc:
+        DensityMatrix(1, near)
+    assert str(exc.value) == "density matrix has negative eigenvalue -999999.5"
+
+
 @st.composite
 def registers_and_targets(draw):
     """n in 1..4 and 1..min(3, n) distinct targets in any order, so adjacent,
@@ -310,7 +371,7 @@ def test_apply_gate_matches_reference_expansion(register, seed):
     full = expand_gate_reference(gate, targets, n)
     out = apply_gate(state, gate, targets)
     assert np.abs(out.amplitudes - full @ state.amplitudes).max() <= 1e-12
-    assert np.abs(expanded_unitary(gate, targets, n) - full).max() <= 1e-12
+    assert np.array_equal(expanded_unitary(gate, targets, n), full)
 
 
 @settings(max_examples=60, deadline=None)
