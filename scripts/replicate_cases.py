@@ -28,6 +28,7 @@ from pairdeutsch import (  # noqa: E402
     statistical_fidelity,
 )
 from pairdeutsch.algorithms import ALGORITHMS, run  # noqa: E402
+from pairdeutsch.cli import MAX_SHOTS  # noqa: E402
 
 CASES = [
     ("case-1", PromisePair(B1, B1)),
@@ -38,9 +39,20 @@ CASES = [
 PAIR_ALGORITHMS = [name for name, entry in ALGORITHMS.items() if entry.takes_pair]
 
 
+def shot_count(text: str) -> int:
+    """--shots value: an integer in 1..MAX_SHOTS, or an argparse error."""
+    try:
+        shots = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 < shots <= MAX_SHOTS:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_SHOTS}, got {shots}")
+    return shots
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shots", type=int, default=8192)
+    parser.add_argument("--shots", type=shot_count, default=8192)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--noise", default="table2", help="table2 | config path")
     parser.add_argument("--csv", type=Path, help="also write rows to this file")

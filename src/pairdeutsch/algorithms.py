@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -195,22 +195,54 @@ def circuit_ops(
     return builders[algorithm](oracles), entry.num_qubits
 
 
-def _run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:
-    ops, num_qubits = circuit_ops(algorithm, oracles)
+def run_many(
+    algorithm: str, oracle_list: Sequence[BoolFn | PromisePair]
+) -> list[RunRecord]:
+    """Run the named algorithm for every oracle choice in one walk, one record
+    each in order. The walk keeps one state while every member's gate is the
+    same object; from the first gate where they differ it carries a stack,
+    one row per member, which a gate stack advances row by row."""
+    circuits = [circuit_ops(algorithm, oracles) for oracles in oracle_list]
+    if not circuits:
+        raise ValueError("run_many needs at least one oracle choice")
+    ops_list = [ops for ops, _ in circuits]
+    num_qubits = circuits[0][1]
+    if len(ops_list) > 1 and len({
+        tuple((op.step, op.targets, op.oracle) for op in ops) for ops in ops_list
+    }) > 1:
+        raise ValueError(f"{algorithm} circuits differ beyond their gates")
     state = basis_state(num_qubits, 0)
     steps: list[tuple[str, StateVector]] = []
     queries: dict[str, int] = {}
-    for label, group in groupby(ops, key=lambda op: op.step):
-        for op in group:
-            state = apply_gate(state, op.matrix, op.targets)
+    for label, group in groupby(zip(*ops_list), key=lambda column: column[0].step):
+        for op, *rest in group:
+            gate = op.matrix
+            if rest and any(other.matrix is not gate for other in rest):
+                gate = np.stack([gate] + [other.matrix for other in rest])
+            state = apply_gate(state, gate, op.targets)
             if op.oracle is not None:
                 queries[op.oracle] = queries.get(op.oracle, 0) + 1
         steps.append((label, state))
-    dist = bitstring_distribution(np.abs(state.amplitudes) ** 2, num_qubits)
-    answers = {decode_outcome(algorithm, o) for o in dist}
-    if len(answers) != 1:
-        raise RuntimeError(f"outcomes decode inconsistently: {sorted(dist)}")
-    return RunRecord(algorithm, dist, queries, tuple(steps), answers.pop(), tuple(ops))
+    probs = np.abs(state.amplitudes) ** 2
+    records = []
+    for s, ops in enumerate(ops_list):
+        # a member's step is the state shared before the walk split, its row after
+        member_steps = tuple(
+            (label, step if step.amplitudes.ndim == 1
+             else StateVector._trusted(num_qubits, step.amplitudes[s]))
+            for label, step in steps
+        )
+        dist = bitstring_distribution(probs[s] if probs.ndim == 2 else probs, num_qubits)
+        answers = {decode_outcome(algorithm, o) for o in dist}
+        if len(answers) != 1:
+            raise RuntimeError(f"outcomes decode inconsistently: {sorted(dist)}")
+        records.append(RunRecord(algorithm, dist, dict(queries), member_steps,
+                                 answers.pop(), tuple(ops)))
+    return records
+
+
+def _run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:
+    return run_many(algorithm, [oracles])[0]
 
 
 def run_deutsch(fn: BoolFn) -> RunRecord:

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from . import __version__, algorithms
-from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR, RunRecord
+from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR
 from .entanglement import (
     FAMILIES,
     audit_family_distinguishability,
@@ -34,6 +34,7 @@ from .entanglement import (
 )
 from .noise import (
     NoiseModel,
+    NotCovered,
     ShotResult,
     bhattacharyya,
     run_noisy,
@@ -282,17 +283,23 @@ def _sweep_fields(ns: argparse.Namespace) -> dict:
     return {**circuit, "scales": _parse_scales(ns.scales)}
 
 
-def _load_noise(source: str, record: RunRecord) -> NoiseModel:
-    """The named model, checked to cover every qubit and two-qubit gate of
-    the run's circuit."""
+def _load_noise(source: str) -> NoiseModel:
+    """The named model; the noisy walk checks that it covers the circuit."""
     if source != "table2" and not os.path.isfile(source):
         raise UsageError(f'--noise: "{source}" is neither "table2" nor a config file')
     try:
-        model = NoiseModel.table2() if source == "table2" else NoiseModel.load(source)
-        model.check_covers(algorithms.spec(record.algorithm).num_qubits, record.ops)
+        return NoiseModel.table2() if source == "table2" else NoiseModel.load(source)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad rates
         raise UsageError(f"--noise config {source}: {exc}") from None
-    return model
+
+
+def _noisy(source: str, walk, *args):
+    """walk(*args), a noisy walk, whose one check that the model covers every
+    qubit and two-qubit gate of the circuit fails as a usage error."""
+    try:
+        return walk(*args)
+    except NotCovered as exc:
+        raise UsageError(f"--noise config {source}: {exc}") from None
 
 
 def _decode_outcome(algorithm: str, bitstring: str) -> dict:
@@ -309,8 +316,9 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
     if request.noise == "off":
         probabilities = record.final_distribution
     else:
-        model = _load_noise(request.noise, record)
-        probabilities = run_noisy(request.algorithm, request.oracles, model)
+        model = _load_noise(request.noise)
+        probabilities = _noisy(request.noise, run_noisy, request.algorithm,
+                               request.oracles, model)
     payload: dict = {
         "queries": dict(sorted(record.query_counts.items())),
         "gate_count": len(record.ops),  # informational, never asserted on
@@ -420,7 +428,7 @@ def _payload_fidelity(request: RunRequest) -> tuple[dict, int]:
 
 def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
     record = algorithms.run(request.algorithm, request.oracles)
-    base = _load_noise(request.noise, record)
+    base = _load_noise(request.noise)
     ideal = record.final_distribution
     ideal_decoded = _decode_outcome(request.algorithm, _argmax(ideal))
     try:
@@ -428,7 +436,8 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
     except ValueError as exc:
         raise UsageError(f"--scales: {exc}") from None
     # every scale rides in one density walk
-    noisy_runs = run_noisy_models(request.algorithm, request.oracles, models)
+    noisy_runs = _noisy(request.noise, run_noisy_models, request.algorithm,
+                        request.oracles, models)
     rows = [
         {
             "scale": scale,

@@ -11,6 +11,7 @@ shown to make at most one of f(0), f(1), f(0)^f(1) perfectly decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -207,15 +208,24 @@ def random_product_params(count: int, seed: int) -> np.ndarray:
     return factors.reshape(count, 4)
 
 
-def step_second_coefficients(record: RunRecord) -> list[tuple[str, float]]:
+def step_second_coefficients(
+    record: RunRecord | Iterable[RunRecord],
+) -> list[tuple[str, float]] | list[list[tuple[str, float]]]:
     """Largest second Schmidt coefficient over the single-qubit cuts, for
-    every recorded step of a run. The steps form one stack, so each cut is
-    one batched Schmidt test."""
-    labels, states = zip(*record.step_states)
-    n = states[0].num_qubits
+    every recorded step of a run: [(label, second), ...]. Given a sequence of
+    records of one width instead, one such list per record. All steps form
+    one stack, so each cut is one batched Schmidt test."""
+    one = hasattr(record, "step_states")
+    records = [record] if one else list(record)
+    if not records:
+        return []
+    labels, states = zip(*(step for r in records for step in r.step_states))
+    n = states[0].num_qubits  # np.stack rejects a record of another width
     stack = StateVector(n, np.stack([state.amplitudes for state in states]))
     cuts = [schmidt_analyze(stack, [q]).schmidt_coefficients[:, 1] for q in range(n)]
-    return list(zip(labels, np.max(cuts, axis=0).tolist()))
+    seconds = iter(zip(labels, np.max(cuts, axis=0).tolist()))
+    out = [list(islice(seconds, len(r.step_states))) for r in records]
+    return out[0] if one else out
 
 
 def trace_run_separability(record: RunRecord) -> list[tuple[str, bool]]:

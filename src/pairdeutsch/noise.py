@@ -34,6 +34,11 @@ TABLE2_SINGLE_QUBIT = (1.72e-3, 1.46e-3, 1.80e-3)
 TABLE2_READOUT = (4.20e-2, 7.00e-2, 1.40e-2)
 TABLE2_TWO_QUBIT = {(0, 1): 3.17e-2, (1, 2): 2.87e-2, (0, 2): 2.67e-2}
 
+
+class NotCovered(ValueError):
+    """A noise model has no rate for a qubit or gate pair the circuit uses."""
+
+
 _PAIR_KEY = re.compile(r"^two_qubit_gate_error_q(\d+)_q(\d+)$")
 _SINGLE_KEY = re.compile(r"^single_qubit_gate_error_q(\d+)$")
 _READOUT_KEY = re.compile(r"^readout_error_q(\d+)$")
@@ -103,11 +108,11 @@ class NoiseModel:
         raise KeyError(f"no two-qubit error rate for pair ({a}, {b})")
 
     def check_covers(self, num_qubits: int, ops: Sequence[GateOp]) -> None:
-        """Raise ValueError unless qubits 0..num_qubits-1 and the pair of every
+        """Raise NotCovered unless qubits 0..num_qubits-1 and the pair of every
         two-qubit gate in `ops` have error rates."""
         covered = len(self.single_qubit_gate_error)
         if covered < num_qubits:
-            raise ValueError(
+            raise NotCovered(
                 f"rates cover {covered} qubit(s), the circuit uses {num_qubits}"
             )
         for op in ops:
@@ -115,7 +120,7 @@ class NoiseModel:
                 try:
                     self.pair_gate_rate(*op.targets)
                 except KeyError as exc:
-                    raise ValueError(exc.args[0]) from None
+                    raise NotCovered(exc.args[0]) from None
 
     def to_config_text(self) -> str:
         """key = value lines; values use repr so round-trips are bit-exact."""
@@ -254,7 +259,7 @@ def run_noisy_models(
     one walk of a stack: a depolarizing channel after every gate, at each
     model's rate for it, and each model's readout confusion on its final
     distribution. Returns bitstring -> probability per model, each equal to
-    that model's walk alone. ValueError unless every model covers the circuit."""
+    that model's walk alone. NotCovered unless every model covers the circuit."""
     ops, n = circuit_ops(algorithm, oracles)
     for model in models:
         model.check_covers(n, ops)

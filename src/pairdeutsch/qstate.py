@@ -48,16 +48,25 @@ class StateVector:
             raise ValueError(f"expected one state or a stack, got shape {amps.shape}")
         if amps.ndim == 2:  # the first bad row fails the whole stack
             norms = (np.abs(amps) ** 2).sum(axis=1)
-            bad = np.flatnonzero(np.abs(norms - 1.0) > ATOL)
-            size, norm2 = amps.shape[1], (float(norms[bad[0]]) if bad.size else 1.0)
+            bad = ~(np.abs(norms - 1.0) <= ATOL)  # a NaN norm is bad too
+            size = amps.shape[1]
+            norm2 = float(norms[bad.argmax()]) if bad.any() else 1.0
         else:
             amps = amps.reshape(-1)
             size, norm2 = amps.size, float((np.abs(amps) ** 2).sum())
         if size != 2**self.num_qubits:
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {size}")
-        if abs(norm2 - 1.0) > ATOL:
+        if not abs(norm2 - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
+        """Wrap amplitudes already checked, such as a row of a checked stack,
+        read-only and without a second check."""
+        state = object.__new__(cls)  # frozen: set through its __dict__
+        vars(state).update(num_qubits=num_qubits, amplitudes=_readonly(amplitudes))
+        return state
 
     def tensor(self, other: StateVector) -> StateVector:
         """Tensor product of single states, self's qubits first (more significant)."""
@@ -120,39 +129,66 @@ def controlled(gate: np.ndarray) -> np.ndarray:
 CNOT = _readonly(controlled(X))
 
 
+@lru_cache(maxsize=256)
+def _axes(targets: tuple, num_qubits: int, ndim: int, stacked: bool) -> tuple:
+    """Plan of `_apply` after its target checks: the axis order that puts the
+    targets first (after the stack axis, the last one, for a gate stack) and
+    the order that puts every axis back."""
+    targets = tuple(int(t) for t in targets)
+    if not targets:
+        raise ValueError("a gate needs at least one target qubit")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"repeated target qubit in {targets}")
+    for t in targets:
+        if not 0 <= t < num_qubits:
+            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
+    order = targets + tuple(a for a in range(ndim) if a not in targets)
+    if stacked:
+        order = order[-1:] + order[:-1]
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
+
+
 def _apply(
     tensor: np.ndarray, gate: np.ndarray, targets: Sequence[int], num_qubits: int
 ) -> np.ndarray:
     """Contract `gate` into the listed qubit axes of `tensor`, whose first
     num_qubits axes are qubits 0..n-1 (size 2 each) and whose remaining axes
     ride along. The first target binds the gate's most significant axis,
-    matching the big-endian basis ordering of the gate matrix itself."""
+    matching the big-endian basis ordering of the gate matrix itself. A gate
+    stack, shape (S, d, d), needs one axis of length S after the qubits: its
+    member s acts on index s of that axis."""
     g = np.asarray(gate, dtype=np.complex128)
-    targets = tuple(int(t) for t in targets)
-    k = len(targets)
-    if k == 0:
-        raise ValueError("a gate needs at least one target qubit")
-    if len(set(targets)) != k:
-        raise ValueError(f"repeated target qubit in {targets}")
-    for t in targets:
-        if not 0 <= t < num_qubits:
-            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
-    if g.shape != (2**k, 2**k):
+    stacked = g.ndim == 3
+    order, inverse = _axes(tuple(targets), num_qubits, tensor.ndim, stacked)
+    k, d = len(targets), 2 ** len(targets)
+    if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise ValueError(f"gate of shape {g.shape} cannot act on {k} target qubit(s)")
+    if stacked and tensor.shape[num_qubits:] != g.shape[:1]:
+        raise ValueError(f"a stack of {len(g)} gates cannot act on shape {tensor.shape}")
     # np.tensordot's contraction without its axis bookkeeping: target axes
-    # first, one matrix product, then every axis back in place
-    order = targets + tuple(a for a in range(tensor.ndim) if a not in targets)
+    # first, one matrix product (one per member of a gate stack, each as
+    # np.dot makes it), then every axis back in place
     moved = tensor.transpose(order)
-    out = np.dot(g, moved.reshape(2**k, moved.size // 2**k)).reshape(moved.shape)
-    return out.transpose(sorted(range(len(order)), key=order.__getitem__))
+    if stacked:
+        out = np.matmul(g, moved.reshape(len(g), d, 2**num_qubits // d))
+    else:
+        out = np.dot(g, moved.reshape(d, moved.size // d))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def apply_gate(
     state: StateVector, gate: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
-    """Apply `gate` to the listed qubits, identity elsewhere, in every member."""
+    """Apply `gate` to the listed qubits, identity elsewhere, in every member.
+
+    `gate` may also be a gate stack, shape (S, d, d), whose member s acts on
+    member s of an (S, 2**n) stack; one state meets a gate stack spread into
+    such a stack. Either way the result is a stack of S states."""
     n = state.num_qubits
-    amps = state.amplitudes.T  # qubit axes first, a stack riding along
+    amps = state.amplitudes
+    if amps.ndim == 1 and np.ndim(gate) == 3:
+        amps = np.broadcast_to(amps, (len(gate), amps.size))
+    amps = amps.T  # qubit axes first, a stack riding along
     out = _apply(amps.reshape((2,) * n + amps.shape[1:]), gate, targets, n)
     return StateVector(n, out.reshape(amps.shape).T)
 
@@ -189,7 +225,7 @@ class DensityMatrix:
             if abs(tr - 1.0) > ATOL:
                 raise ValueError(f"density matrix trace is {tr!r}, not 1")
         min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -EIG_ATOL:
+        if not min_eig >= -EIG_ATOL:  # NaN, from an infinite entry, fails too
             raise ValueError(f"density matrix has negative eigenvalue {min_eig!r}")
         object.__setattr__(self, "entries", _readonly(m.copy()))
 

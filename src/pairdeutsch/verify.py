@@ -1,6 +1,7 @@
 """Exhaustive build verification, wired for CI and the `verify` CLI command.
 
-Runs every promise pair through both pair-testing circuits, checks the
+Runs every promise pair through both pair-testing circuits, one walk per
+circuit for all eight pairs, and the four Deutsch oracles in a third; checks the
 decoded answers against the truth tables (query accounting needs no check
 here: a RunRecord exists only if its counts match the algorithm table), and
 checks the separability claims: the two-query circuit passes through an
@@ -9,7 +10,7 @@ entangled state, the three-query circuit never does.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +56,47 @@ def _require(condition: bool, message: str) -> None:
         raise VerificationError(message)
 
 
-def _run(algorithm: str, oracles) -> RunRecord | Exception:
+def _run_many(algorithm: str, oracle_list) -> list[RunRecord | Exception]:
     try:
-        return algorithms.run(algorithm, oracles)
-    except Exception as exc:  # fails every check that reads this run
-        return exc
+        return algorithms.run_many(algorithm, oracle_list)
+    except Exception as exc:  # fails every check that reads one of its members
+        return [exc] * len(oracle_list)
 
 
-def _check(name: str, record: RunRecord | Exception, fn, *args) -> CheckResult:
-    if isinstance(record, Exception):
-        return CheckResult(name, False, str(record))
+def _step_seconds(records: list) -> list:
+    """step_second_coefficients of every record, from one stack; an error
+    keeps its place, and a failed analysis is the error of every record."""
+    done = [r for r in records if not isinstance(r, Exception)]
     try:
-        detail = fn(record, *args)
+        seconds = iter(step_second_coefficients(done))
+    except Exception as exc:
+        return [r if isinstance(r, Exception) else exc for r in records]
+    return [r if isinstance(r, Exception) else next(seconds) for r in records]
+
+
+def _check(name: str, value, fn, *args) -> CheckResult:
+    """fn(value, *args) as a check; an error in place of the value fails it."""
+    if isinstance(value, Exception):
+        return CheckResult(name, False, str(value))
+    try:
+        detail = fn(value, *args)
     except Exception as exc:  # failures become report entries, not crashes
         return CheckResult(name, False, str(exc))
     return CheckResult(name, True, detail or "ok")
 
 
+def _answer_bits(answer) -> tuple:
+    return answer.balanced, answer.different
+
+
 def _pair_correctness(record: RunRecord, pair) -> str:
     truth = (is_balanced(pair.f), same_at_zero(pair))
-    decoded = astuple(record.decoded)
+    decoded = _answer_bits(record.decoded)
     _require(decoded == truth, f"decoded {decoded}, truth {truth}")
     correct_mass = sum(
         p
         for outcome, p in record.final_distribution.items()
-        if astuple(algorithms.decode(outcome)) == truth
+        if _answer_bits(algorithms.decode(outcome)) == truth
     )
     _require(
         abs(correct_mass - 1.0) <= CORRECT_MASS_TOL,
@@ -106,8 +123,7 @@ def _deutsch_correctness(record: RunRecord, fn) -> str:
     return f"answer bit {want} with probability 1"
 
 
-def _entangled_separability(record: RunRecord) -> str:
-    seconds = step_second_coefficients(record)
+def _entangled_separability(seconds: list[tuple[str, float]]) -> str:
     _require(
         any(second >= PRODUCT_TOL for _, second in seconds),
         "no entangled step found in the two-query run",
@@ -121,8 +137,7 @@ def _entangled_separability(record: RunRecord) -> str:
     return f"entangled at initialization (second coefficient {second:.6f})"
 
 
-def _product_separability(record: RunRecord) -> str:
-    seconds = step_second_coefficients(record)
+def _product_separability(seconds: list[tuple[str, float]]) -> str:
     for label, second in seconds:
         _require(
             second < PRODUCT_TOL,
@@ -133,22 +148,27 @@ def _product_separability(record: RunRecord) -> str:
 
 
 def verify_build() -> VerificationReport:
-    """Each circuit runs once per oracle choice; every check that reads the
-    run gets its record, or fails with the run's error."""
+    """One walk per circuit for all its oracle choices, and one Schmidt stack
+    for the steps of all pair records; every check gets its member's record
+    or step coefficients, or fails with the error that stopped them."""
+    pairs = all_promise_pairs()
+    entangled = _run_many(algorithms.ENTANGLED_PAIR, pairs)
+    product = _run_many(algorithms.PRODUCT_PAIR, pairs)
+    seconds = _step_seconds(entangled + product)
     checks: list[CheckResult] = []
-    for pair in all_promise_pairs():
+    for pair, ent, prod, ent_seconds, prod_seconds in zip(
+        pairs, entangled, product, seconds[: len(pairs)], seconds[len(pairs) :]
+    ):
         label = pair.label()
-        entangled = _run(algorithms.ENTANGLED_PAIR, pair)
-        product = _run(algorithms.PRODUCT_PAIR, pair)
-        for group, record, check, args in (
-            ("correctness-entangled", entangled, _pair_correctness, (pair,)),
-            ("correctness-product", product, _pair_correctness, (pair,)),
-            ("separability-entangled", entangled, _entangled_separability, ()),
-            ("separability-product", product, _product_separability, ()),
+        for group, value, check, args in (
+            ("correctness-entangled", ent, _pair_correctness, (pair,)),
+            ("correctness-product", prod, _pair_correctness, (pair,)),
+            ("separability-entangled", ent_seconds, _entangled_separability, ()),
+            ("separability-product", prod_seconds, _product_separability, ()),
         ):
-            checks.append(_check(f"{group}:{label}", record, check, *args))
-    for name, fn in NAMED_FUNCTIONS.items():
-        record = _run(algorithms.DEUTSCH, fn)
+            checks.append(_check(f"{group}:{label}", value, check, *args))
+    deutsch = _run_many(algorithms.DEUTSCH, list(NAMED_FUNCTIONS.values()))
+    for (name, fn), record in zip(NAMED_FUNCTIONS.items(), deutsch):
         checks.append(
             _check(f"correctness-deutsch:{name}", record, _deutsch_correctness, fn)
         )

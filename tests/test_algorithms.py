@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pairdeutsch.algorithms
+
 from pairdeutsch.algorithms import (
     DEUTSCH,
     ENTANGLED_PAIR,
@@ -11,6 +13,7 @@ from pairdeutsch.algorithms import (
     circuit_ops,
     decode,
     run_deutsch,
+    run_many,
     run_entangled_pair,
     run_product_pair,
 )
@@ -187,3 +190,33 @@ def test_circuit_ops_validates_inputs():
         circuit_ops(ENTANGLED_PAIR, B1)
     with pytest.raises(ValueError, match="unknown algorithm"):
         circuit_ops("grover", PromisePair(B1, B1))
+
+
+def test_run_many_shares_the_steps_before_the_first_differing_gate():
+    pairs = all_promise_pairs()
+    records = run_many(ENTANGLED_PAIR, pairs)
+    steps = [dict(r.step_states) for r in records]
+    # preparation is one state for every pair; from the first oracle gate,
+    # a distinct object for each pair, on, a row each
+    assert len({id(s["initialize"]) for s in steps}) == 1
+    assert len({id(s["query-f"]) for s in steps}) == len(pairs)
+    for s in steps:
+        for state in s.values():
+            assert state.amplitudes.shape == (8,)
+            assert not state.amplitudes.flags.writeable
+
+
+def test_run_many_rejects_no_choice_mixed_inputs_and_differing_circuits(monkeypatch):
+    with pytest.raises(ValueError, match="at least one"):
+        run_many(DEUTSCH, [])
+    with pytest.raises(ValueError, match="PromisePair"):
+        run_many(ENTANGLED_PAIR, [PromisePair(B1, B1), B1])
+    real = pairdeutsch.algorithms.entangled_pair_ops
+
+    def uneven(pair):  # one pair's circuit gains a gate
+        ops = real(pair)
+        return ops + [ops[-1]] if pair.f is C1 else ops
+
+    monkeypatch.setattr(pairdeutsch.algorithms, "entangled_pair_ops", uneven)
+    with pytest.raises(ValueError, match="differ"):
+        run_many(ENTANGLED_PAIR, all_promise_pairs())

@@ -266,10 +266,10 @@ def test_verify_fails_if_product_run_entangles(capsys, monkeypatch):
 
 
 def test_verify_fails_exactly_the_checks_that_read_a_failed_run(capsys, monkeypatch):
-    def broken_run(pair):
+    def broken_ops(pair):  # the product walk stops before its first gate
         raise RuntimeError("product circuit unavailable")
 
-    monkeypatch.setattr(pairdeutsch.algorithms, "run_product_pair", broken_run)
+    monkeypatch.setattr(pairdeutsch.algorithms, "product_pair_ops", broken_ops)
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == EXIT_CHECK_FAILED
     checks = json.loads(out)["checks"]
@@ -281,15 +281,23 @@ def test_verify_fails_exactly_the_checks_that_read_a_failed_run(capsys, monkeypa
 
 
 def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
-    calls = Counter()
-    for name in ("run_deutsch", "run_entangled_pair", "run_product_pair"):
-        def counted(oracles, name=name, run=getattr(pairdeutsch.algorithms, name)):
-            calls[name] += 1
-            return run(oracles)
-
-        monkeypatch.setattr(pairdeutsch.algorithms, name, counted)
+    walks, gates, built = [], [], Counter()
+    run_many = pairdeutsch.algorithms.run_many
+    apply_gate = pairdeutsch.algorithms.apply_gate
+    circuit_ops = pairdeutsch.algorithms.circuit_ops
+    monkeypatch.setattr(pairdeutsch.algorithms, "run_many",
+                        lambda alg, oracles: walks.append((alg, len(oracles)))
+                        or run_many(alg, oracles))
+    monkeypatch.setattr(pairdeutsch.algorithms, "apply_gate",
+                        lambda *a: gates.append(a) or apply_gate(*a))
+    monkeypatch.setattr(pairdeutsch.algorithms, "circuit_ops",
+                        lambda alg, oracles: built.update([alg])
+                        or circuit_ops(alg, oracles))
     assert verify_build().passed
-    assert calls == {"run_deutsch": 4, "run_entangled_pair": 8, "run_product_pair": 8}
+    # one walk per circuit, each member's gate list built once
+    assert sorted(walks) == [("deutsch", 4), ("entangled_pair", 8), ("product_pair", 8)]
+    assert built == {"deutsch": 4, "entangled_pair": 8, "product_pair": 8}
+    assert len(gates) == 5 + 7 + 9  # one per gate of each circuit (148 run by run)
 
 
 def test_each_run_is_analysed_once_per_cut(monkeypatch):
@@ -299,7 +307,8 @@ def test_each_run_is_analysed_once_per_cut(monkeypatch):
                         lambda state, left: stacks.append(len(state.amplitudes))
                         or real(state, left))
     assert verify_build().passed
-    assert len(stacks) == 48  # 16 pair records x 3 cuts (204 with one per step)
+    # the steps of all 16 pair records, 8 x 4 + 8 x 5, in one stack per cut
+    assert stacks == [8 * 4 + 8 * 5] * 3  # was 48 calls, one per record and cut
     for argv, qubits in (
         (["run", "--algorithm", "entangled", "--f", "B1", "--g", "B2"], 3),
         (["run", "--algorithm", "product", "--f", "C1", "--g", "C2"], 3),
@@ -565,6 +574,27 @@ def test_noise_config_must_cover_the_circuit(capsys, tmp_path):
     assert run_cli(capsys, ["run", *product, "--noise", str(no_pair_1_2)])[0] == EXIT_OK
     deutsch = ["run", "--algorithm", "deutsch", "--f", "B1", "--noise", str(two_qubits)]
     assert run_cli(capsys, deutsch)[0] == EXIT_OK
+
+
+def test_noisy_requests_check_coverage_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    check = NoiseModel.check_covers
+    monkeypatch.setattr(NoiseModel, "check_covers",
+                        lambda self, *a: calls.append(a) or check(self, *a))
+    no_pair = tmp_path / "no-pair.cfg"
+    no_pair.write_text(
+        NoiseModel.table2().to_config_text().replace("two_qubit_gate_error_q0_q1", "#")
+    )
+    pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B2"]
+    for command, models in (("run", 1), ("sweep-noise", 4)):  # 4 default scales
+        calls.clear()
+        assert run_cli(capsys, [command, *pair, "--noise", "table2"])[0] == EXIT_OK
+        assert len(calls) == models, command  # the walk's, one per model; none in cli
+        calls.clear()
+        code, out, err = run_cli(capsys, [command, *pair, "--noise", str(no_pair)])
+        assert (code, out, len(calls)) == (EXIT_USAGE, "", 1)
+        assert err.splitlines() == [f"error: --noise config {no_pair}: "
+                                    "no two-qubit error rate for pair (0, 1)"]
 
 
 def test_noise_config_may_not_give_a_rate_twice(capsys, tmp_path):

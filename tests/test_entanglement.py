@@ -122,6 +122,23 @@ def test_step_second_coefficients_match_the_per_state_reference():
         ]
 
 
+def test_many_record_form_matches_each_record_bit_for_bit(monkeypatch):
+    pairs = all_promise_pairs()
+    records = [run(p) for run in (run_entangled_pair, run_product_pair) for p in pairs]
+    one_by_one = [step_second_coefficients(record) for record in records]
+    checks = []
+    validate = StateVector.__post_init__
+    monkeypatch.setattr(StateVector, "__post_init__",
+                        lambda self: checks.append(len(self.amplitudes))
+                        or validate(self))
+    assert step_second_coefficients(records) == one_by_one  # float ==
+    assert checks == [8 * 4 + 8 * 5]  # every step of every record, one stack
+    assert step_second_coefficients(reversed(records)) == one_by_one[::-1]
+    assert step_second_coefficients([]) == []
+    with pytest.raises(ValueError):  # a two-qubit record cannot join the stack
+        step_second_coefficients([records[0], run_deutsch(C1)])
+
+
 def test_step_second_coefficients_examples():
     entangled_init = run_entangled_pair(PromisePair(B1, B1)).step_states[0][1]
     steps = SimpleNamespace(step_states=(("010", basis_state(3, 2)),

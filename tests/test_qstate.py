@@ -81,6 +81,14 @@ def test_state_vector_stack_fails_on_one_bad_member():
         StateVector(2, stack[:, :2])
 
 
+def test_state_vector_rejects_nan_in_one_state_or_a_stack():
+    bad = np.array([np.nan, 0.0])
+    for amps in (bad, np.stack([[1.0, 0.0], bad])):
+        with pytest.raises(ValueError) as exc:
+            StateVector(1, amps)
+        assert str(exc.value) == "state is not normalized: sum |a|^2 = nan"
+
+
 def test_state_vector_takes_one_state_or_a_stack_of_rows():
     # a 2-D array is a stack, one state per row, even when it would flatten
     # to one valid state; more than two axes are rejected, not flattened
@@ -113,6 +121,65 @@ def test_stacked_apply_gate_equals_each_member_bit_for_bit(num_qubits, gate, tar
     members = [apply_gate(StateVector(num_qubits, row), gate, targets) for row in stack]
     assert out.amplitudes.shape == stack.shape
     assert np.array_equal(out.amplitudes, [m.amplitudes for m in members])
+
+
+@st.composite
+def gate_stacks(draw):
+    """n in 1..4, 1..min(3, n) distinct targets in any order, and a stack of
+    S in 1..6 random unitaries on them, from a seed."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    targets = tuple(order[: draw(st.integers(1, min(3, n)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6))
+    gates = np.stack([random_unitary(2 ** len(targets), rng) for _ in range(size)])
+    return n, targets, gates, rng
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.int64)  # signed zeros and NaN payloads compare too
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_stacks())
+def test_gate_stack_equals_one_gate_per_member_bit_for_bit(case):
+    n, targets, gates, rng = case
+    stack = StateVector(n, [random_state(n, rng).amplitudes for _ in gates])
+    out = apply_gate(stack, gates, targets)
+    members = [apply_gate(StateVector(n, row), g, targets).amplitudes
+               for row, g in zip(stack.amplitudes, gates)]
+    assert out.amplitudes.shape == (len(gates), 2**n)
+    assert np.array_equal(_bits(out.amplitudes), _bits(np.array(members)))
+    for row, g, got in zip(stack.amplitudes, gates, out.amplitudes):
+        full = expand_gate_reference(g, targets, n)
+        assert np.abs(got - full @ row).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_stacks())
+def test_gate_stack_spreads_one_state_into_a_stack(case):
+    n, targets, gates, rng = case
+    state = random_state(n, rng)
+    out = apply_gate(state, gates, targets)
+    members = [apply_gate(state, g, targets).amplitudes for g in gates]
+    assert out.amplitudes.shape == (len(gates), 2**n)
+    assert np.array_equal(_bits(out.amplitudes), _bits(np.array(members)))
+    assert not out.amplitudes.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate_stacks())
+def test_gate_stack_rejects_a_length_mismatch_or_a_bad_shape(case):
+    n, targets, gates, rng = case
+    rows = [random_state(n, rng).amplitudes for _ in range(len(gates) + 1)]
+    stack = StateVector(n, rows)
+    with pytest.raises(ValueError, match=f"a stack of {len(gates)} gates"):
+        apply_gate(stack, gates, targets)
+    d = 2 ** len(targets)
+    for bad in (gates[:, :, :1], np.zeros((len(gates), 2 * d, 2 * d)),
+                gates[:, None]):
+        with pytest.raises(ValueError, match="cannot act on"):
+            apply_gate(random_state(n, rng), bad, targets)
 
 
 def test_tensor_rejects_a_stack():
@@ -321,6 +388,9 @@ NOT_HERMITIAN = "density matrix is not Hermitian"
         (_half_with({(0, 0): complex(0, np.inf)}), NOT_HERMITIAN),
         (_half_with({(0, 1): 2e-10}), NOT_HERMITIAN),
         (_half_with({(0, 1): 2e-10j, (1, 0): 2e-10j}), NOT_HERMITIAN),
+        # accepted until a NaN minimum eigenvalue, which eigvalsh gives here, failed
+        (_half_with({(0, 1): np.inf, (1, 0): np.inf}),
+         "density matrix has negative eigenvalue nan"),
     ],
 )
 def test_density_matrix_check_keeps_its_messages(entries, message):
