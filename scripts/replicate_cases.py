@@ -29,6 +29,7 @@ from pairdeutsch import (  # noqa: E402
 )
 from pairdeutsch.algorithms import ALGORITHMS, run  # noqa: E402
 from pairdeutsch.cli import MAX_SHOTS  # noqa: E402
+from pairdeutsch.noise import NotCovered  # noqa: E402
 
 CASES = [
     ("case-1", PromisePair(B1, B1)),
@@ -50,29 +51,40 @@ def shot_count(text: str) -> int:
     return shots
 
 
+def noise_model(text: str) -> NoiseModel:
+    """--noise value: table2 or a readable config file, or an argparse error."""
+    if text == "table2":
+        return NoiseModel.table2()
+    try:
+        return NoiseModel.load(text)
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, bad rates
+        raise argparse.ArgumentTypeError(f"config {text}: {exc}") from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shots", type=shot_count, default=8192)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--noise", default="table2", help="table2 | config path")
+    parser.add_argument("--noise", type=noise_model, default="table2",
+                        help="table2 | config path")
     parser.add_argument("--csv", type=Path, help="also write rows to this file")
     args = parser.parse_args()
 
-    model = (
-        NoiseModel.table2() if args.noise == "table2" else NoiseModel.load(args.noise)
-    )
     rows = []
-    print(f"{'case':8} {'algorithm':16} {'fidelity':>10} {'stderr':>9}  outcomes")
+    lines = [f"{'case':8} {'algorithm':16} {'fidelity':>10} {'stderr':>9}  outcomes"]
     for algorithm in PAIR_ALGORITHMS:
         for name, pair in CASES:
             ideal = run(algorithm, pair).final_distribution
-            noisy = run_noisy(algorithm, pair, model)
+            try:
+                noisy = run_noisy(algorithm, pair, args.noise)
+            except NotCovered as exc:  # before any line is printed
+                parser.error(f"argument --noise: {exc}")
             sample = sample_shots(noisy, args.shots, args.seed)
             counts = sample.counts
             report = statistical_fidelity(sample, ideal, seed=args.seed)
             top = sorted(counts, key=counts.get, reverse=True)[:2]
             summary = ", ".join(f"{k}:{counts[k]}" for k in top)
-            print(
+            lines.append(
                 f"{name:8} {algorithm:16} {report.fidelity:10.4f} "
                 f"{report.stderr:9.4f}  {summary}"
             )
@@ -86,6 +98,7 @@ def main() -> int:
                     "stderr": report.stderr,
                 }
             )
+    print("\n".join(lines))
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

@@ -23,7 +23,6 @@ from .qstate import (
     StateVector,
     X,
     apply_gate,
-    basis_state,
     bitstring_distribution,
 )
 
@@ -199,9 +198,9 @@ def run_many(
     algorithm: str, oracle_list: Sequence[BoolFn | PromisePair]
 ) -> list[RunRecord]:
     """Run the named algorithm for every oracle choice in one walk, one record
-    each in order. The walk keeps one state while every member's gate is the
-    same object; from the first gate where they differ it carries a stack,
-    one row per member, which a gate stack advances row by row."""
+    each in order. The walk carries a stack, one row per member: a gate that
+    every member shares (the same object) acts on every row, and gates that
+    differ form a gate stack, which advances each row by its own gate."""
     circuits = [circuit_ops(algorithm, oracles) for oracles in oracle_list]
     if not circuits:
         raise ValueError("run_many needs at least one oracle choice")
@@ -211,7 +210,8 @@ def run_many(
         tuple((op.step, op.targets, op.oracle) for op in ops) for ops in ops_list
     }) > 1:
         raise ValueError(f"{algorithm} circuits differ beyond their gates")
-    state = basis_state(num_qubits, 0)
+    start = np.eye(1, 2**num_qubits, dtype=np.complex128)  # |0...0>, one row
+    state = StateVector._trusted(num_qubits, start.repeat(len(ops_list), axis=0))
     steps: list[tuple[str, StateVector]] = []
     queries: dict[str, int] = {}
     for label, group in groupby(zip(*ops_list), key=lambda column: column[0].step):
@@ -226,13 +226,11 @@ def run_many(
     probs = np.abs(state.amplitudes) ** 2
     records = []
     for s, ops in enumerate(ops_list):
-        # a member's step is the state shared before the walk split, its row after
         member_steps = tuple(
-            (label, step if step.amplitudes.ndim == 1
-             else StateVector._trusted(num_qubits, step.amplitudes[s]))
+            (label, StateVector._trusted(num_qubits, step.amplitudes[s]))
             for label, step in steps
         )
-        dist = bitstring_distribution(probs[s] if probs.ndim == 2 else probs, num_qubits)
+        dist = bitstring_distribution(probs[s], num_qubits)
         answers = {decode_outcome(algorithm, o) for o in dist}
         if len(answers) != 1:
             raise RuntimeError(f"outcomes decode inconsistently: {sorted(dist)}")

@@ -209,25 +209,24 @@ def random_product_params(count: int, seed: int) -> np.ndarray:
 
 
 def step_second_coefficients(
-    record: RunRecord | Iterable[RunRecord],
-) -> list[tuple[str, float]] | list[list[tuple[str, float]]]:
+    records: Iterable[RunRecord],
+) -> list[list[tuple[str, float]]]:
     """Largest second Schmidt coefficient over the single-qubit cuts, for
-    every recorded step of a run: [(label, second), ...]. Given a sequence of
-    records of one width instead, one such list per record. All steps form
-    one stack, so each cut is one batched Schmidt test."""
-    one = hasattr(record, "step_states")
-    records = [record] if one else list(record)
+    every recorded step of each run of one width: [(label, second), ...] per
+    record. All steps form one stack, so each cut is one batched Schmidt test."""
+    records = list(records)
     if not records:
         return []
     labels, states = zip(*(step for r in records for step in r.step_states))
     n = states[0].num_qubits  # np.stack rejects a record of another width
-    stack = StateVector(n, np.stack([state.amplitudes for state in states]))
+    # every step was checked when its state was made
+    stack = StateVector._trusted(n, np.stack([state.amplitudes for state in states]))
     cuts = [schmidt_analyze(stack, [q]).schmidt_coefficients[:, 1] for q in range(n)]
     seconds = iter(zip(labels, np.max(cuts, axis=0).tolist()))
-    out = [list(islice(seconds, len(r.step_states))) for r in records]
-    return out[0] if one else out
+    return [list(islice(seconds, len(r.step_states))) for r in records]
 
 
 def trace_run_separability(record: RunRecord) -> list[tuple[str, bool]]:
     """Whether every single-qubit cut is product, for every recorded step of a run."""
-    return [(label, s < PRODUCT_TOL) for label, s in step_second_coefficients(record)]
+    seconds = step_second_coefficients([record])[0]
+    return [(label, s < PRODUCT_TOL) for label, s in seconds]

@@ -23,6 +23,7 @@ from .algorithms import GateOp, circuit_ops
 from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
+    _apply,
     _readonly,
     apply_gate_density,
     basis_state,
@@ -33,6 +34,7 @@ from .qstate import (
 TABLE2_SINGLE_QUBIT = (1.72e-3, 1.46e-3, 1.80e-3)
 TABLE2_READOUT = (4.20e-2, 7.00e-2, 1.40e-2)
 TABLE2_TWO_QUBIT = {(0, 1): 3.17e-2, (1, 2): 2.87e-2, (0, 2): 2.67e-2}
+BOOTSTRAP_RESAMPLES = 1000  # Poisson draws behind statistical_fidelity's stderr
 
 
 class NotCovered(ValueError):
@@ -80,12 +82,6 @@ class NoiseModel:
     @classmethod
     def table2(cls) -> NoiseModel:
         return cls(TABLE2_SINGLE_QUBIT, TABLE2_TWO_QUBIT, TABLE2_READOUT)
-
-    @classmethod
-    def zero(cls) -> NoiseModel:
-        return cls(
-            (0.0, 0.0, 0.0), {pair: 0.0 for pair in TABLE2_TWO_QUBIT}, (0.0, 0.0, 0.0)
-        )
 
     def scaled(self, factor: float) -> NoiseModel:
         """All rates multiplied by `factor`; fails if any leaves [0, 1]."""
@@ -229,10 +225,10 @@ def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
-    """Push probability vectors, shape (..., 2**n), through per-qubit
-    symmetric bit-flip confusion matrices [[1-e, e], [e, 1-e]], with one row
-    of per-qubit rates, shape (..., n), per vector; the leading axes of the
-    two broadcast."""
+    """Push a probability vector, shape (2**n,), through per-qubit symmetric
+    bit-flip confusion matrices [[1-e, e], [e, 1-e]] at its n rates, shape
+    (n,); or a stack of M vectors, shape (M, 2**n), each at its own row of
+    rates, shape (M, n)."""
     e = np.asarray(rates, dtype=float)
     n = e.shape[-1]
     if probs.shape[-1] != 2**n:
@@ -240,16 +236,10 @@ def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
             f"{n} readout rate(s) need {2**n} probabilities, got {probs.shape[-1]}"
         )
     confusion = np.stack([1.0 - e, e, e, 1.0 - e], axis=-1).reshape(e.shape + (2, 2))
-    b = max(probs.ndim, e.ndim) - 1
-    p = probs.reshape((1,) * (b + 1 - probs.ndim) + probs.shape[:-1] + (2,) * n)
-    for q in range(n):
-        # qstate._apply's transpose-and-dot, with one 2x2 matrix per vector
-        order = [*range(b), b + q, *(a for a in range(b, b + n) if a != b + q)]
-        moved = p.transpose(order)
-        out = confusion[..., q, :, :] @ moved.reshape(moved.shape[:b] + (2, -1))
-        back = sorted(range(b + n), key=order.__getitem__)
-        p = out.reshape(out.shape[:b] + moved.shape[b:]).transpose(back)
-    return p.reshape(p.shape[:b] + (2**n,))
+    p = probs.T.reshape((2,) * n + probs.shape[:-1])  # qubit axes first
+    for q in range(n):  # one 2x2 matrix, or one per vector, on qubit q
+        p = _apply(p, confusion[..., q, :, :], (q,), n)
+    return p.reshape(probs.shape[::-1]).T
 
 
 def run_noisy_models(
@@ -265,17 +255,15 @@ def run_noisy_models(
         model.check_covers(n, ops)
     if not models:
         return []
-    # one matrix, which the first channel with per-model rates spreads into
-    # a stack of len(models)
-    rho = DensityMatrix.from_state(basis_state(n, 0))
+    # the walk's check of its start, |0...0><0...0|, once for every model
+    start = DensityMatrix.from_state(basis_state(n, 0)).entries
+    rho = DensityMatrix._trusted(n, np.repeat(start[None], len(models), axis=0))
     rate_of = {1: NoiseModel.qubit_gate_rate, 2: NoiseModel.pair_gate_rate}
     for op in ops:
         rho = apply_gate_density(rho, op.matrix, op.targets)
         rates = [rate_of[len(op.targets)](model, *op.targets) for model in models]
         rho = depolarize(rho, op.targets, rates)
     rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
-    # one model, or no nonzero gate rate, leaves a single matrix, which the
-    # readout broadcasts against every model's rates
     probs = apply_readout_confusion(
         rho.probabilities(), [m.readout_error[:n] for m in models]
     )
@@ -371,13 +359,12 @@ def statistical_fidelity(
     p_th: Mapping[str, float],
     *,
     seed: int = 0,
-    resamples: int = 1000,
 ) -> FidelityReport:
     """Fidelity of the empirical count distribution against `p_th`.
 
     The standard error is a Poisson bootstrap: each count is resampled as
     Poisson(count), renormalized, and the fidelity recomputed; the standard
-    deviation over `resamples` seeded draws is reported.
+    deviation over BOOTSTRAP_RESAMPLES seeded draws is reported.
     """
     p_exp = {k: c / result.shots for k, c in result.counts.items()}
     fid = bhattacharyya(p_exp, p_th)
@@ -385,7 +372,7 @@ def statistical_fidelity(
     base = np.array([result.counts.get(k, 0) for k in keys], dtype=float)
     theory = np.array([p_th.get(k, 0.0) for k in keys], dtype=float)
     rng = np.random.default_rng(seed)
-    draws = rng.poisson(lam=base, size=(resamples, len(keys))).astype(float)
+    draws = rng.poisson(lam=base, size=(BOOTSTRAP_RESAMPLES, len(keys))).astype(float)
     totals = draws.sum(axis=1, keepdims=True)
     resampled = np.sqrt(draws / np.where(totals == 0, 1.0, totals) * theory).sum(axis=1)
     resampled[totals[:, 0] == 0] = 0.0

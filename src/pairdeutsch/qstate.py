@@ -46,24 +46,19 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim > 2:  # one state is 1-D; a stack holds one state per row
             raise ValueError(f"expected one state or a stack, got shape {amps.shape}")
-        if amps.ndim == 2:  # the first bad row fails the whole stack
-            norms = (np.abs(amps) ** 2).sum(axis=1)
-            bad = ~(np.abs(norms - 1.0) <= ATOL)  # a NaN norm is bad too
-            size = amps.shape[1]
-            norm2 = float(norms[bad.argmax()]) if bad.any() else 1.0
-        else:
-            amps = amps.reshape(-1)
-            size, norm2 = amps.size, float((np.abs(amps) ** 2).sum())
-        if size != 2**self.num_qubits:
+        if (size := (amps.shape or (1,))[-1]) != 2**self.num_qubits:  # 0-d: 1
             raise ValueError(f"expected {2**self.num_qubits} amplitudes, got {size}")
-        if not abs(norm2 - 1.0) <= ATOL:
+        norms = np.add.reduce(np.abs(amps) ** 2, axis=-1)  # one, or one per row
+        if not np.maximum.reduce(np.abs(norms - 1.0), initial=0.0) <= ATOL:
+            # the first bad row, a NaN norm too, fails the whole stack
+            norm2 = float(norms[~(np.abs(norms - 1.0) <= ATOL)][0])
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", _readonly(amps.copy()))
 
     @classmethod
     def _trusted(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
-        """Wrap amplitudes already checked, such as a row of a checked stack,
-        read-only and without a second check."""
+        """Wrap amplitudes known to be valid, such as a row of a checked stack
+        or a basis state built in place, read-only and without a check."""
         state = object.__new__(cls)  # frozen: set through its __dict__
         vars(state).update(num_qubits=num_qubits, amplitudes=_readonly(amplitudes))
         return state
@@ -132,8 +127,9 @@ CNOT = _readonly(controlled(X))
 @lru_cache(maxsize=256)
 def _axes(targets: tuple, num_qubits: int, ndim: int, stacked: bool) -> tuple:
     """Plan of `_apply` after its target checks: the axis order that puts the
-    targets first (after the stack axis, the last one, for a gate stack) and
-    the order that puts every axis back."""
+    targets first (after the stack axis, the last one, for a gate stack), the
+    moved tensor's matrix shape (-1 for a gate stack's length, which may be
+    0) and the order that puts every axis back."""
     targets = tuple(int(t) for t in targets)
     if not targets:
         raise ValueError("a gate needs at least one target qubit")
@@ -143,9 +139,11 @@ def _axes(targets: tuple, num_qubits: int, ndim: int, stacked: bool) -> tuple:
         if not 0 <= t < num_qubits:
             raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
     order = targets + tuple(a for a in range(ndim) if a not in targets)
+    d = 2 ** len(targets)
+    shape = (-1, d, 2**num_qubits // d) if stacked else (d, -1)
     if stacked:
         order = order[-1:] + order[:-1]
-    return order, tuple(sorted(range(ndim), key=order.__getitem__))
+    return order, shape, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
 def _apply(
@@ -157,22 +155,20 @@ def _apply(
     matching the big-endian basis ordering of the gate matrix itself. A gate
     stack, shape (S, d, d), needs one axis of length S after the qubits: its
     member s acts on index s of that axis."""
-    g = np.asarray(gate, dtype=np.complex128)
-    stacked = g.ndim == 3
-    order, inverse = _axes(tuple(targets), num_qubits, tensor.ndim, stacked)
+    stacked = gate.ndim == 3
+    order, shape, inverse = _axes(tuple(targets), num_qubits, tensor.ndim, stacked)
     k, d = len(targets), 2 ** len(targets)
-    if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
-        raise ValueError(f"gate of shape {g.shape} cannot act on {k} target qubit(s)")
-    if stacked and tensor.shape[num_qubits:] != g.shape[:1]:
-        raise ValueError(f"a stack of {len(g)} gates cannot act on shape {tensor.shape}")
+    if gate.ndim not in (2, 3) or gate.shape[-2:] != (d, d):
+        raise ValueError(
+            f"gate of shape {gate.shape} cannot act on {k} target qubit(s)")
+    if stacked and tensor.shape[num_qubits:] != gate.shape[:1]:
+        raise ValueError(
+            f"a stack of {len(gate)} gates cannot act on shape {tensor.shape}")
     # np.tensordot's contraction without its axis bookkeeping: target axes
-    # first, one matrix product (one per member of a gate stack, each as
-    # np.dot makes it), then every axis back in place
+    # first (after the stack axis of a gate stack), one matrix product, then
+    # every axis back in place
     moved = tensor.transpose(order)
-    if stacked:
-        out = np.matmul(g, moved.reshape(len(g), d, 2**num_qubits // d))
-    else:
-        out = np.dot(g, moved.reshape(d, moved.size // d))
+    out = np.matmul(gate, moved.reshape(shape))
     return out.reshape(moved.shape).transpose(inverse)
 
 
@@ -182,13 +178,10 @@ def apply_gate(
     """Apply `gate` to the listed qubits, identity elsewhere, in every member.
 
     `gate` may also be a gate stack, shape (S, d, d), whose member s acts on
-    member s of an (S, 2**n) stack; one state meets a gate stack spread into
-    such a stack. Either way the result is a stack of S states."""
+    member s of an (S, 2**n) stack."""
     n = state.num_qubits
-    amps = state.amplitudes
-    if amps.ndim == 1 and np.ndim(gate) == 3:
-        amps = np.broadcast_to(amps, (len(gate), amps.size))
-    amps = amps.T  # qubit axes first, a stack riding along
+    amps = state.amplitudes.T  # qubit axes first, a stack riding along
+    gate = np.asarray(gate, dtype=np.complex128)
     out = _apply(amps.reshape((2,) * n + amps.shape[1:]), gate, targets, n)
     return StateVector(n, out.reshape(amps.shape).T)
 

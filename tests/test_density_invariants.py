@@ -137,7 +137,7 @@ NOISELESS_CASES = [
     ids=[f"{alg}-{oracles.label()}" for alg, oracles in NOISELESS_CASES],
 )
 def test_noiseless_density_walk_matches_pure_walk(algorithm, oracles):
-    density = run_noisy(algorithm, oracles, NoiseModel.zero())
+    density = run_noisy(algorithm, oracles, NoiseModel.table2().scaled(0.0))
     pure = algorithms.run(algorithm, oracles).final_distribution
     assert density.keys() == pure.keys()
     for outcome, p in pure.items():

@@ -110,7 +110,14 @@ def test_equal_noise_models_hash_equal(tmp_path):
     for same in (NoiseModel.table2(), loaded, reordered):
         assert same == model
         assert hash(same) == hash(model)
-    assert len({model, loaded, reordered, NoiseModel.zero()}) == 2
+    assert len({model, loaded, reordered, NoiseModel.table2().scaled(0.0)}) == 2
+
+
+def test_table2_scaled_by_zero_has_every_rate_zero():
+    model = NoiseModel.table2().scaled(0.0)
+    rates = [*model.single_qubit_gate_error, *model.two_qubit_gate_error.values(),
+             *model.readout_error]
+    assert rates == [0.0] * 9
 
 
 def test_config_parse_errors():
@@ -210,6 +217,15 @@ def test_readout_confusion_needs_one_rate_per_qubit(num_rates):
     probs = np.full(8, 1 / 8)
     with pytest.raises(ValueError, match="got 8"):
         apply_readout_confusion(probs, (0.1,) * num_rates)
+
+
+def test_readout_confusion_pairs_a_stack_with_one_rate_row_per_vector():
+    probs = np.full((4, 8), 1 / 8)
+    for vectors, rates in ((probs, np.full((3, 3), 0.1)),  # 4 vectors, 3 rows
+                           (probs[0], np.full((4, 3), 0.1))):  # one vector, 4 rows
+        with pytest.raises(ValueError, match=f"a stack of {len(rates)} gates"):
+            apply_readout_confusion(vectors, rates)
+    assert apply_readout_confusion(probs[:0], np.zeros((0, 3))).shape == (0, 8)
 
 
 @pytest.mark.parametrize("seed", range(5))

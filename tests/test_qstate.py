@@ -101,6 +101,12 @@ def test_state_vector_takes_one_state_or_a_stack_of_rows():
     assert StateVector(2, np.zeros((0, 4))).amplitudes.shape == (0, 4)
 
 
+def test_an_empty_stack_takes_one_gate_or_an_empty_gate_stack():
+    empty = StateVector(2, np.zeros((0, 4)))
+    for gate in (CNOT, np.zeros((0, 4, 4))):
+        assert apply_gate(empty, gate, (0, 1)).amplitudes.shape == (0, 4)
+
+
 def test_state_vector_stack_is_read_only():
     source = random_stack(3, 4, seed=2)
     s = StateVector(3, source)
@@ -157,14 +163,18 @@ def test_gate_stack_equals_one_gate_per_member_bit_for_bit(case):
 
 @settings(max_examples=60, deadline=None)
 @given(gate_stacks())
-def test_gate_stack_spreads_one_state_into_a_stack(case):
+def test_gate_stack_needs_a_stack_of_states(case):
     n, targets, gates, rng = case
     state = random_state(n, rng)
-    out = apply_gate(state, gates, targets)
+    copies = StateVector(n, np.tile(state.amplitudes, (len(gates), 1)))
+    out = apply_gate(copies, gates, targets)
     members = [apply_gate(state, g, targets).amplitudes for g in gates]
     assert out.amplitudes.shape == (len(gates), 2**n)
     assert np.array_equal(_bits(out.amplitudes), _bits(np.array(members)))
     assert not out.amplitudes.flags.writeable
+    # a gate stack needs a stack of states, not one state
+    with pytest.raises(ValueError, match=f"a stack of {len(gates)} gates cannot act"):
+        apply_gate(state, gates, targets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,3 +31,16 @@ def test_replicate_cases_rejects_a_bad_shot_count():
         errors = [line for line in proc.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--shots" in errors[0], proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_replicate_cases_rejects_a_bad_noise_model(tmp_path):
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("garbage\n")
+    one_qubit = tmp_path / "one_qubit.cfg"  # the pair circuits use 3 qubits
+    one_qubit.write_text("single_qubit_gate_error_q0 = 0.01\nreadout_error_q0 = 0.02\n")
+    for noise in (str(tmp_path / "missing.cfg"), str(malformed), str(one_qubit)):
+        proc = replicate("--shots", "16", "--noise", noise)
+        assert (proc.returncode, proc.stdout) == (2, ""), noise
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--noise" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
