@@ -3,9 +3,10 @@ and the Bhattacharyya statistical fidelity between outcome distributions.
 
 The bundled "table2" model carries the calibration of a three-qubit
 superconducting device: a single-qubit gate error and a readout error per
-qubit, and a two-qubit gate error per directed (control, target) pair.
-Noisy runs are exact density-matrix evolutions; shot noise enters only
-through the seeded multinomial sampler.
+qubit, and a two-qubit gate error per unordered pair of qubits: either
+order names the pair, and a rate given in both orders is rejected. Noisy
+runs are exact density-matrix evolutions; shot noise enters only through
+the seeded multinomial sampler.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class NoiseModel:
             tuple(r * factor for r in self.readout_error),
         )
 
-    def qubit_gate_rate(self, qubit: int) -> float:
-        return self.single_qubit_gate_error[qubit]
-
     def pair_gate_rate(self, a: int, b: int) -> float:
         if (a, b) in self.two_qubit_gate_error:
             return self.two_qubit_gate_error[(a, b)]
@@ -103,20 +101,20 @@ class NoiseModel:
             return self.two_qubit_gate_error[(b, a)]
         raise KeyError(f"no two-qubit error rate for pair ({a}, {b})")
 
-    def check_covers(self, num_qubits: int, ops: Sequence[GateOp]) -> None:
-        """Raise NotCovered unless qubits 0..num_qubits-1 and the pair of every
-        two-qubit gate in `ops` have error rates."""
+    def gate_rates(self, num_qubits: int, ops: Sequence[GateOp]) -> list[float]:
+        """The depolarizing rate after each op: its qubit's gate error, or its
+        pair's in either direction. NotCovered unless qubits 0..num_qubits-1
+        and the pair of every two-qubit gate in `ops` have error rates."""
         covered = len(self.single_qubit_gate_error)
         if covered < num_qubits:
             raise NotCovered(
                 f"rates cover {covered} qubit(s), the circuit uses {num_qubits}"
             )
-        for op in ops:
-            if len(op.targets) == 2:
-                try:
-                    self.pair_gate_rate(*op.targets)
-                except KeyError as exc:
-                    raise NotCovered(exc.args[0]) from None
+        try:
+            return [self.single_qubit_gate_error[op.targets[0]] if len(op.targets) == 1
+                    else self.pair_gate_rate(*op.targets) for op in ops]
+        except KeyError as exc:
+            raise NotCovered(exc.args[0]) from None
 
     def to_config_text(self) -> str:
         """key = value lines; values use repr so round-trips are bit-exact."""
@@ -202,26 +200,18 @@ def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
 def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
     """(1-p) * rho + p * (maximally mixed on `qubits`, reduced state elsewhere),
     with one rate p for every member of the stack or a sequence of one per
-    member; a member whose rate is 0 is returned unchanged."""
-    try:
-        values = [float(r) for r in p]
-    except TypeError:  # one rate, not a sequence
-        values = [float(p)]
-    for r in values:
+    member."""
+    rates = np.asarray(p, float)
+    for r in rates.ravel().tolist():
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"depolarizing probability {r!r} outside [0, 1]")
     n = rho.num_qubits
     kept, gather, mixed = _mixing_plan(n, tuple(sorted(set(map(int, qubits)))))
-    if not any(values):
-        return rho
     if kept:  # with every qubit a target the trace is 1: no reduction taken
         reduced = partial_trace(rho, kept).entries
         mixed = reduced.reshape(reduced.shape[:-2] + (-1,)).take(gather, -1) * mixed
-    coef = values[0] if len(values) == 1 else np.array(values)[:, None, None]
-    entries = (1.0 - coef) * rho.entries + coef * mixed
-    if not all(values):
-        entries = np.where(coef > 0.0, entries, rho.entries)
-    return DensityMatrix._trusted(n, entries)
+    coef = rates[..., None, None]
+    return DensityMatrix._trusted(n, (1.0 - coef) * rho.entries + coef * mixed)
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
@@ -235,6 +225,8 @@ def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
         raise ValueError(
             f"{n} readout rate(s) need {2**n} probabilities, got {probs.shape[-1]}"
         )
+    if e.ndim < probs.ndim:
+        raise ValueError(f"a stack of {len(probs)} vectors needs one row of rates each")
     confusion = np.stack([1.0 - e, e, e, 1.0 - e], axis=-1).reshape(e.shape + (2, 2))
     p = probs.T.reshape((2,) * n + probs.shape[:-1])  # qubit axes first
     for q in range(n):  # one 2x2 matrix, or one per vector, on qubit q
@@ -251,18 +243,15 @@ def run_noisy_models(
     distribution. Returns bitstring -> probability per model, each equal to
     that model's walk alone. NotCovered unless every model covers the circuit."""
     ops, n = circuit_ops(algorithm, oracles)
-    for model in models:
-        model.check_covers(n, ops)
+    rates = [model.gate_rates(n, ops) for model in models]
     if not models:
         return []
     # the walk's check of its start, |0...0><0...0|, once for every model
     start = DensityMatrix.from_state(basis_state(n, 0)).entries
     rho = DensityMatrix._trusted(n, np.repeat(start[None], len(models), axis=0))
-    rate_of = {1: NoiseModel.qubit_gate_rate, 2: NoiseModel.pair_gate_rate}
-    for op in ops:
+    for op, op_rates in zip(ops, zip(*rates)):
         rho = apply_gate_density(rho, op.matrix, op.targets)
-        rates = [rate_of[len(op.targets)](model, *op.targets) for model in models]
-        rho = depolarize(rho, op.targets, rates)
+        rho = depolarize(rho, op.targets, op_rates)
     rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
     probs = apply_readout_confusion(
         rho.probabilities(), [m.readout_error[:n] for m in models]

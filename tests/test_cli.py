@@ -578,9 +578,9 @@ def test_noise_config_must_cover_the_circuit(capsys, tmp_path):
 
 def test_noisy_requests_check_coverage_once(capsys, monkeypatch, tmp_path):
     calls = []
-    check = NoiseModel.check_covers
-    monkeypatch.setattr(NoiseModel, "check_covers",
-                        lambda self, *a: calls.append(a) or check(self, *a))
+    rates = NoiseModel.gate_rates
+    monkeypatch.setattr(NoiseModel, "gate_rates",
+                        lambda self, *a: calls.append(a) or rates(self, *a))
     no_pair = tmp_path / "no-pair.cfg"
     no_pair.write_text(
         NoiseModel.table2().to_config_text().replace("two_qubit_gate_error_q0_q1", "#")

@@ -9,12 +9,14 @@ from pairdeutsch.algorithms import (
     DEUTSCH,
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
+    circuit_ops,
     decode,
     run_entangled_pair,
 )
 from pairdeutsch.noise import (
     FidelityReport,
     NoiseModel,
+    NotCovered,
     ShotResult,
     TABLE2_READOUT,
     TABLE2_SINGLE_QUBIT,
@@ -79,6 +81,33 @@ def test_pair_rate_lookup():
     assert model.pair_gate_rate(1, 0) == 3.17e-2  # reversed pair falls back
     with pytest.raises(KeyError):
         NoiseModel((0.0,), {}, (0.0,)).pair_gate_rate(0, 1)
+
+
+def test_gate_rates_follow_the_ops():
+    reversed_pair = NoiseModel.from_config_text(
+        NoiseModel.table2().to_config_text().replace(
+            "two_qubit_gate_error_q1_q2 = 0.0287", "two_qubit_gate_error_q2_q1 = 0.5"
+        )
+    )
+    for model, pairs in ((NoiseModel.table2(), TABLE2_TWO_QUBIT),
+                         (reversed_pair, {**TABLE2_TWO_QUBIT, (1, 2): 0.5})):
+        pair_rate = {frozenset(pair): rate for pair, rate in pairs.items()}
+        for algorithm, oracles in SWEEP_CIRCUITS:
+            ops, n = circuit_ops(algorithm, oracles)
+            want = [TABLE2_SINGLE_QUBIT[op.targets[0]] if len(op.targets) == 1
+                    else pair_rate[frozenset(op.targets)] for op in ops]
+            assert model.gate_rates(n, ops) == want, (algorithm, oracles)
+    # the qubit count is checked before any pair, whatever the ops
+    ops, n = circuit_ops(ENTANGLED_PAIR, all_promise_pairs()[0])
+    for model, message in (
+        (NoiseModel(TABLE2_SINGLE_QUBIT[:2], {}, TABLE2_READOUT[:2]),
+         "rates cover 2 qubit(s), the circuit uses 3"),
+        (NoiseModel(TABLE2_SINGLE_QUBIT, {(1, 0): 0.1, (0, 2): 0.1}, TABLE2_READOUT),
+         "no two-qubit error rate for pair (1, 2)"),
+    ):
+        with pytest.raises(NotCovered) as info:
+            model.gate_rates(n, ops)
+        assert str(info.value) == message
 
 
 def test_config_round_trip_is_bit_exact(tmp_path):
@@ -226,6 +255,11 @@ def test_readout_confusion_pairs_a_stack_with_one_rate_row_per_vector():
         with pytest.raises(ValueError, match=f"a stack of {len(rates)} gates"):
             apply_readout_confusion(vectors, rates)
     assert apply_readout_confusion(probs[:0], np.zeros((0, 3))).shape == (0, 8)
+
+
+def test_readout_confusion_rejects_a_stack_with_one_rate_row():
+    with pytest.raises(ValueError, match="^a stack of 4 vectors needs one row of rates"):
+        apply_readout_confusion(np.full((4, 8), 1 / 8), np.full(3, 0.1))
 
 
 @pytest.mark.parametrize("seed", range(5))
