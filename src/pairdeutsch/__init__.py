@@ -67,14 +67,11 @@ from .oracles import (
 from .qstate import (
     CNOT,
     H,
-    I2,
     X,
-    Z,
     DensityMatrix,
     StateVector,
     apply_gate,
     basis_state,
-    controlled,
     is_unitary,
     partial_trace,
     purity,
@@ -93,9 +90,7 @@ __all__ = [
     "C2",
     "CNOT",
     "H",
-    "I2",
     "X",
-    "Z",
     "BoolFn",
     "DecodedAnswer",
     "DensityMatrix",
@@ -118,7 +113,6 @@ __all__ = [
     "bloch_grid_params",
     "circuit_ops",
     "cnot_product_condition",
-    "controlled",
     "decode",
     "depolarize",
     "is_balanced",

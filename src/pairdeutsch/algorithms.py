@@ -198,9 +198,10 @@ def run_many(
     algorithm: str, oracle_list: Sequence[BoolFn | PromisePair]
 ) -> list[RunRecord]:
     """Run the named algorithm for every oracle choice in one walk, one record
-    each in order. The walk carries a stack, one row per member: a gate that
-    every member shares (the same object) acts on every row, and gates that
-    differ form a gate stack, which advances each row by its own gate."""
+    each in order. The walk carries a stack, one row per member. A walk of one
+    member applies each gate as it is; a walk of more applies each column of
+    gates as a gate stack, which advances each row by its own gate, so a
+    member's bits never depend on which other members share its walk."""
     circuits = [circuit_ops(algorithm, oracles) for oracles in oracle_list]
     if not circuits:
         raise ValueError("run_many needs at least one oracle choice")
@@ -216,9 +217,7 @@ def run_many(
     queries: dict[str, int] = {}
     for label, group in groupby(zip(*ops_list), key=lambda column: column[0].step):
         for op, *rest in group:
-            gate = op.matrix
-            if rest and any(other.matrix is not gate for other in rest):
-                gate = np.stack([gate] + [other.matrix for other in rest])
+            gate = np.array([o.matrix for o in (op, *rest)]) if rest else op.matrix
             state = apply_gate(state, gate, op.targets)
             if op.oracle is not None:
                 queries[op.oracle] = queries.get(op.oracle, 0) + 1
@@ -239,25 +238,21 @@ def run_many(
     return records
 
 
-def _run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:
-    return run_many(algorithm, [oracles])[0]
-
-
 def run_deutsch(fn: BoolFn) -> RunRecord:
     """One query to a single function; decoded.balanced == f(0)^f(1)."""
-    return _run(DEUTSCH, fn)
+    return run_many(DEUTSCH, [fn])[0]
 
 
 def run_entangled_pair(pair: PromisePair) -> RunRecord:
     """One query to each function with entangled work qubits; two equally
     likely outcomes, both decoding to the same (balanced, different) answer."""
-    return _run(ENTANGLED_PAIR, pair)
+    return run_many(ENTANGLED_PAIR, [pair])[0]
 
 
 def run_product_pair(pair: PromisePair) -> RunRecord:
     """Three queries (two to f, one to g) with no entanglement anywhere;
     a single deterministic outcome decoding per the same table."""
-    return _run(PRODUCT_PAIR, pair)
+    return run_many(PRODUCT_PAIR, [pair])[0]
 
 
 def run(algorithm: str, oracles: BoolFn | PromisePair) -> RunRecord:

@@ -357,7 +357,7 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
         entry = {name: repr(complex(v)) for name, v in zip(names, samples[i].tolist())}
         verdicts = {"predicted": bool(predicted[i]), "actual": bool(actual[i])}
         disagreements.append({**entry, **verdicts})
-    grid = bloch_grid_params(request.grid, request.grid + 1)
+    grid = bloch_grid_params(request.grid)
     families = []
     for family in FAMILIES:
         report = audit_family_distinguishability(family, grid)

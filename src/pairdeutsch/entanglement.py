@@ -178,17 +178,17 @@ def audit_family_distinguishability(
     return FamilyAuditReport(family=family, samples=decided, decidable=union)
 
 
-def bloch_grid_params(theta_points: int = 51, phi_points: int = 52) -> np.ndarray:
-    """Deterministic single-qubit grid, polar x azimuthal, as (theta * phi, 4)
-    rows (a, b, a, b): the same factor for both wires, theta-major; families
-    pick out whichever factor they need.
+def bloch_grid_params(theta_points: int = 51) -> np.ndarray:
+    """Deterministic single-qubit grid, theta_points polar x theta_points + 1
+    azimuthal angles, as (theta * phi, 4) rows (a, b, a, b): the same factor
+    for both wires, theta-major; families pick out whichever factor they need.
 
-    Point counts are chosen so the grid hits the special angles exactly:
-    theta = pi/2 (equal magnitudes, only for an odd theta count) and phi in
-    {0, pi/2, pi, 3pi/2}.
+    The grid hits theta = pi/2 (equal magnitudes) only for an odd theta count,
+    and phi in {0, pi/2, pi, 3pi/2} only when theta_points + 1 is a multiple
+    of 4, as at the default 51; phi = 0 is always on it.
     """
     half = np.linspace(0.0, np.pi, theta_points)[:, None] / 2
-    phi = np.linspace(0.0, 2 * np.pi, phi_points, endpoint=False)
+    phi = np.linspace(0.0, 2 * np.pi, theta_points + 1, endpoint=False)
     b = np.sin(half) * np.exp(1j * phi)
     a = np.broadcast_to(np.cos(half), b.shape)
     return np.stack([a, b, a, b], axis=-1).reshape(-1, 4)

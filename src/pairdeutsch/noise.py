@@ -200,11 +200,15 @@ def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
 def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
     """(1-p) * rho + p * (maximally mixed on `qubits`, reduced state elsewhere),
     with one rate p for every member of the stack or a sequence of one per
-    member."""
+    member: rates of shape () or the stack's shape, rho.entries.shape[:-2]."""
     rates = np.asarray(p, float)
     for r in rates.ravel().tolist():
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"depolarizing probability {r!r} outside [0, 1]")
+    if rates.ndim and rates.shape != rho.entries.shape[:-2]:
+        raise ValueError(
+            f"depolarizing rates of shape {rates.shape} do not fit density matrices"
+            f" of shape {rho.entries.shape}: give one rate, or one per member")
     n = rho.num_qubits
     kept, gather, mixed = _mixing_plan(n, tuple(sorted(set(map(int, qubits)))))
     if kept:  # with every qubit a target the trace is 1: no reduction taken

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qstate import _const
+
 
 @dataclass(frozen=True)
 class BoolFn:
@@ -73,13 +75,17 @@ def same_at_zero(pair: PromisePair) -> int:
     return pair.f.f0 ^ pair.g.f0
 
 
+# (f0, f1) -> identity rows: row x y of U_f reads input x (y ^ f(x))
+_ORACLE_UNITARIES = {
+    (f0, f1): _const(np.eye(4)[[f0, 1 - f0, 2 + f1, 3 - f1]])
+    for f0 in (0, 1) for f1 in (0, 1)
+}
+
+
 def oracle_unitary(fn: BoolFn) -> np.ndarray:
-    """4x4 permutation |x>|y> -> |x>|y ^ fn(x)>, input wire first."""
-    u = np.zeros((4, 4), dtype=np.complex128)
-    for x in (0, 1):
-        for y in (0, 1):
-            u[(x << 1) | (y ^ fn(x)), (x << 1) | y] = 1.0
-    return u
+    """4x4 permutation |x>|y> -> |x>|y ^ fn(x)>, input wire first: one shared
+    read-only constant per truth table."""
+    return _ORACLE_UNITARIES[fn.f0, fn.f1]
 
 
 def all_promise_pairs() -> list[PromisePair]:

@@ -63,15 +63,6 @@ class StateVector:
         vars(state).update(num_qubits=num_qubits, amplitudes=_readonly(amplitudes))
         return state
 
-    def tensor(self, other: StateVector) -> StateVector:
-        """Tensor product of single states, self's qubits first (more significant)."""
-        if self.amplitudes.ndim != 1 or other.amplitudes.ndim != 1:
-            raise ValueError("tensor takes one state on each side, not a stack")
-        return StateVector(
-            self.num_qubits + other.num_qubits,
-            np.multiply.outer(self.amplitudes, other.amplitudes).reshape(-1),
-        )
-
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> under the big-endian convention."""
@@ -89,10 +80,9 @@ def _const(entries) -> np.ndarray:
     return _readonly(np.array(entries, dtype=np.complex128))
 
 
-I2 = _const([[1, 0], [0, 1]])
 X = _const([[0, 1], [1, 0]])
-Z = _const([[1, 0], [0, -1]])
 H = _const(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
+CNOT = _const(np.eye(4)[[0, 1, 3, 2]])  # X on qubit 1 while qubit 0 is set
 
 
 @lru_cache(maxsize=16)
@@ -106,22 +96,6 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool((abs(m.conj().T @ m - _identity(len(m))) <= tol).all())
-
-
-def controlled(gate: np.ndarray) -> np.ndarray:
-    """4x4 block unitary: identity while the control (most significant
-    qubit) is 0, `gate` on the target while it is 1."""
-    g = np.asarray(gate, dtype=np.complex128)
-    if g.shape != (2, 2):
-        raise ValueError(f"controlled() expects a 2x2 gate, got shape {g.shape}")
-    if not is_unitary(g):
-        raise ValueError("controlled() expects a unitary gate")
-    out = np.eye(4, dtype=np.complex128)
-    out[2:, 2:] = g
-    return out
-
-
-CNOT = _readonly(controlled(X))
 
 
 @lru_cache(maxsize=256)

@@ -146,7 +146,7 @@ def test_criterion_4_theorem_audit():
     predicted, actual = cnot_product_condition(family_reps)
     assert predicted.tolist() == actual.tolist() == [True] * len(family_reps)
     # (b) one-query information audit over a dense grid, 51x52 per family
-    grid = bloch_grid_params(51, 52)
+    grid = bloch_grid_params(51)
     for family in FAMILIES:
         report = audit_family_distinguishability(family, grid)
         assert report.at_most_one_decidable, family

@@ -22,12 +22,14 @@ from pairdeutsch.oracles import (
     B2,
     C1,
     C2,
+    BoolFn,
     PromisePair,
     all_promise_pairs,
     is_balanced,
+    oracle_unitary,
     same_at_zero,
 )
-from pairdeutsch.qstate import basis_state
+from pairdeutsch.qstate import CNOT, H, X, basis_state, is_unitary
 from reference_impls import expand_gate_reference
 
 
@@ -192,12 +194,28 @@ def test_circuit_ops_validates_inputs():
         circuit_ops("grover", PromisePair(B1, B1))
 
 
-def test_run_many_shares_the_steps_before_the_first_differing_gate():
+def test_every_gate_is_a_shared_read_only_unitary_constant():
+    oracles = [oracle_unitary(fn) for fn in (C1, C2, B1, B2)]
+    constants = [H, X, CNOT, *oracles]
+    for m in constants:
+        assert not m.flags.writeable and is_unitary(m)
+    circuits = [circuit_ops(DEUTSCH, fn)[0] for fn in (C1, C2, B1, B2)]
+    circuits += [circuit_ops(algorithm, pair)[0]
+                 for algorithm in (ENTANGLED_PAIR, PRODUCT_PAIR)
+                 for pair in all_promise_pairs()]
+    assert len(circuits) == 20
+    for ops in circuits:
+        for op in ops:  # every gate is one of the constants, not a copy
+            assert any(op.matrix is m for m in constants), op.name
+    assert oracle_unitary(BoolFn(0, 1)) is oracle_unitary(B1)
+
+
+def test_run_many_prepares_every_member_alike():
     pairs = all_promise_pairs()
     records = run_many(ENTANGLED_PAIR, pairs)
     steps = [dict(r.step_states) for r in records]
-    # every pair's preparation is the same row, bit for bit: the shared
-    # gates act on every row alike
+    # every pair's preparation is the same row, bit for bit: each row gets
+    # the same gates before the first query
     first = steps[0]["initialize"].amplitudes
     assert all(np.array_equal(s["initialize"].amplitudes, first) for s in steps)
     for s in steps:

@@ -62,7 +62,8 @@ def test_schmidt_bell_state():
 
 def test_schmidt_product_state():
     plus = StateVector(1, np.array([SQ2, SQ2]))
-    verdict = schmidt_analyze(plus.tensor(basis_state(1, 0)), [0])
+    state = StateVector(2, np.kron(plus.amplitudes, basis_state(1, 0).amplitudes))
+    verdict = schmidt_analyze(state, [0])
     assert verdict.schmidt_coefficients == pytest.approx((1.0, 0.0), abs=1e-12)
     assert verdict.is_product
 
@@ -243,7 +244,7 @@ def test_cnot_condition_agrees_on_the_four_surviving_families():
     "rows",
     [
         *(random_product_params(5000, seed) for seed in (0, 1, 7, 20240917)),
-        bloch_grid_params(51, 52),
+        bloch_grid_params(51),
         [  # the four family representatives of the acceptance audit
             (1.0, 0.0, 0.6, 0.8j),
             (0.0, 1.0, 0.28, 0.96),
@@ -286,7 +287,9 @@ def _two_qubit_states(rng) -> tuple[list[StateVector], list[float | None]]:
     1e-9 behind random local unitaries: the states and those coefficients."""
     states = [bell_minus(), StateVector(2, np.array([SQ2, 0, 0, SQ2]))]
     states += [basis_state(2, k) for k in range(4)]
-    states += [random_state(1, rng).tensor(random_state(1, rng)) for _ in range(30)]
+    states += [StateVector(2, np.kron(random_state(1, rng).amplitudes,
+                                      random_state(1, rng).amplitudes))
+               for _ in range(30)]
     states += [random_state(2, rng) for _ in range(60)]
     seconds = [None] * len(states)
     for second in 1e-9 * np.geomspace(0.1, 10, 30):
@@ -366,7 +369,7 @@ def test_ket0_family_decides_only_f0_at_basis_target():
 
 
 def test_grid_audit_never_decides_two_quantities():
-    grid = bloch_grid_params(51, 52)
+    grid = bloch_grid_params(51)
     assert grid.shape == (51 * 52, 4)
     expected_unions = {
         KET0_FAMILY: ("f0",),
@@ -383,14 +386,14 @@ def test_grid_audit_never_decides_two_quantities():
 
 
 def test_family_audit_samples_are_read_only():
-    report = audit_family_distinguishability(KET0_FAMILY, bloch_grid_params(3, 4))
+    report = audit_family_distinguishability(KET0_FAMILY, bloch_grid_params(3))
     with pytest.raises(ValueError, match="read-only"):
         report.samples[0, 0] = not report.samples[0, 0]
 
 
 @pytest.mark.parametrize("t", [2, 3, 9, 10, 11, 51, 203, 256])
 def test_bloch_grid_matches_the_per_point_loop(t):
-    got = bloch_grid_params(t, t + 1)
+    got = bloch_grid_params(t)
     want = np.array(bloch_grid_params_reference(t, t + 1), dtype=np.complex128)
     assert got.shape == want.shape == (t * (t + 1), 4)
     # float-hex identity: every real and imaginary part, sign of zero included
@@ -399,14 +402,14 @@ def test_bloch_grid_matches_the_per_point_loop(t):
 
 def test_only_odd_grids_put_theta_half_pi_on_the_grid():
     for t, hits in ((9, True), (10, False), (11, True)):
-        grid = bloch_grid_params(t, t + 1)
+        grid = bloch_grid_params(t)
         report = audit_family_distinguishability(MINUS_FAMILY, grid)
         assert report.decidable == (("f0_xor_f1",) if hits else ()), t
 
 
 def test_overlaps_and_verdicts_match_the_loop_reference():
     params = np.concatenate(
-        [bloch_grid_params(51, 52), random_product_params(500, seed=77)]
+        [bloch_grid_params(51), random_product_params(500, seed=77)]
     )
     for family in FAMILIES:
         overlaps = oracle_output_overlaps(family, params)
@@ -423,7 +426,7 @@ def test_overlaps_and_verdicts_match_the_loop_reference():
 
 
 def test_grid_audit_of_four_families_is_fast():
-    grid = bloch_grid_params(51, 52)
+    grid = bloch_grid_params(51)
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()

@@ -287,6 +287,23 @@ def test_depolarize_takes_one_rate_per_member():
         depolarize(DensityMatrix(3, stack), [0], [0.1, float("nan"), 0.2])
 
 
+def test_depolarize_takes_one_rate_or_exactly_one_per_member():
+    rng = np.random.default_rng(9)
+    one = DensityMatrix(3, random_density_matrix(3, rng))
+    stack = DensityMatrix(3, np.stack([random_density_matrix(3, rng) for _ in range(3)]))
+    bad = ((one, [0.1]), (one, [[0.1]]), (stack, [[0.1]] * 3), (stack, [0.1]),
+           (stack, [0.1, 0.2]), (stack, [0.1] * 4))
+    for rho, rates in bad:
+        with pytest.raises(ValueError) as exc:
+            depolarize(rho, [0], rates)
+        assert str(exc.value) == (
+            f"depolarizing rates of shape {np.shape(rates)} do not fit density "
+            f"matrices of shape {rho.entries.shape}: give one rate, or one per member")
+    assert depolarize(one, [0], np.float64(0.1)).entries.shape == (8, 8)
+    assert depolarize(stack, [0], 0.1).entries.shape == (3, 8, 8)
+    assert depolarize(stack, [0], (0.1, 0.2, 0.3)).entries.shape == (3, 8, 8)
+
+
 SWEEP_CIRCUITS = [
     *((alg, pair) for alg in (ENTANGLED_PAIR, PRODUCT_PAIR)
       for pair in all_promise_pairs()),

@@ -14,7 +14,7 @@ from pairdeutsch.oracles import (
     parse_oracle,
     same_at_zero,
 )
-from pairdeutsch.qstate import CNOT, I2, X, apply_gate, basis_state
+from pairdeutsch.qstate import CNOT, X, apply_gate, basis_state
 from reference_impls import oracle_gate_sequence
 
 ALL_FNS = (C1, C2, B1, B2)
@@ -58,11 +58,11 @@ def test_promise_pair_rejects_mismatch():
 def test_oracle_matrices():
     assert np.array_equal(oracle_unitary(C1), np.eye(4))
     assert np.array_equal(oracle_unitary(B1), CNOT)
-    assert np.array_equal(oracle_unitary(C2), np.kron(I2, X))
+    assert np.array_equal(oracle_unitary(C2), np.kron(np.eye(2), X))
 
 
 def test_b2_oracle_equals_x_after_cnot():
-    assert np.allclose(oracle_unitary(B2), np.kron(I2, X) @ CNOT, atol=1e-12)
+    assert np.allclose(oracle_unitary(B2), np.kron(np.eye(2), X) @ CNOT, atol=1e-12)
 
 
 @pytest.mark.parametrize("fn", ALL_FNS, ids=lambda f: f.name)
@@ -85,7 +85,7 @@ def test_oracle_reproduces_truth_table(fn, x, y):
 def test_gate_sequence_composes_to_oracle(fn):
     composed = np.eye(4, dtype=complex)
     for _, gate, targets in oracle_gate_sequence(fn):
-        full = gate if targets == (0, 1) else np.kron(I2, gate)
+        full = gate if targets == (0, 1) else np.kron(np.eye(2), gate)
         composed = full @ composed
     assert np.allclose(composed, oracle_unitary(fn), atol=1e-12)
 

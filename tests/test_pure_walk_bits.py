@@ -11,6 +11,7 @@ Re-record (only on purpose) with `python tests/test_pure_walk_bits.py`.
 """
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,16 @@ def test_stacked_walk_in_case_order_is_bit_identical(algorithm):
     names, oracles = zip(*BY_ALGORITHM[algorithm])
     records = algorithms.run_many(algorithm, list(oracles))
     assert [record_hex(r) for r in records] == [RECORDED[n] for n in names]
+
+
+@pytest.mark.parametrize("algorithm", sorted(BY_ALGORITHM))
+def test_every_two_member_walk_is_bit_identical(algorithm):
+    wrong = []
+    for (a, oracles_a), (b, oracles_b) in product(BY_ALGORITHM[algorithm], repeat=2):
+        records = algorithms.run_many(algorithm, [oracles_a, oracles_b])
+        if [record_hex(r) for r in records] != [RECORDED[a], RECORDED[b]]:
+            wrong.append((a, b))
+    assert wrong == []
 
 
 @settings(max_examples=30, deadline=None)
