@@ -25,7 +25,6 @@ from typing import Callable
 from . import __version__, algorithms
 from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR
 from .entanglement import (
-    FAMILIES,
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
@@ -357,18 +356,15 @@ def _payload_audit(request: RunRequest) -> tuple[dict, int]:
         entry = {name: repr(complex(v)) for name, v in zip(names, samples[i].tolist())}
         verdicts = {"predicted": bool(predicted[i]), "actual": bool(actual[i])}
         disagreements.append({**entry, **verdicts})
-    grid = bloch_grid_params(request.grid)
-    families = []
-    for family in FAMILIES:
-        report = audit_family_distinguishability(family, grid)
-        families.append(
-            {
-                "family": family,
-                "samples": len(report.samples),
-                "decidable": list(report.decidable),
-                "at_most_one_decidable": report.at_most_one_decidable,
-            }
-        )
+    families = [
+        {
+            "family": report.family,
+            "samples": len(report.samples),
+            "decidable": list(report.decidable),
+            "at_most_one_decidable": report.at_most_one_decidable,
+        }
+        for report in audit_family_distinguishability(bloch_grid_params(request.grid))
+    ]
     passed = not disagreements and all(f["at_most_one_decidable"] for f in families)
     payload = {
         "passed": passed,
@@ -518,7 +514,8 @@ def emit(envelope: ResultEnvelope, fmt: str) -> str:
         out.write("scale,fidelity,argmax_correct\n")
         for row in envelope.payload["sweep"]:
             out.write(
-                f"{row['scale']:g},{_format_probability(row['fidelity'])},"
+                f"{repr(row['scale']).removesuffix('.0')},"
+                f"{_format_probability(row['fidelity'])},"
                 f"{str(row['argmax_correct']).lower()}\n"
             )
         return out.getvalue()

@@ -11,7 +11,7 @@ shown to make at most one of f(0), f(1), f(0)^f(1) perfectly decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterable
 
 import numpy as np
@@ -104,7 +104,7 @@ def _checked_rows(params: np.ndarray) -> np.ndarray:
         raise ValueError(f"params must have shape (S, 4), got {params.shape}")
     squares = np.abs(params) ** 2
     norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
-    bad = np.argwhere(np.abs(norms - 1.0) > ATOL)
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
     if bad.size:
         sample, pair = bad[0]
         label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
@@ -129,27 +129,27 @@ def cnot_product_condition(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return predicted, actual.is_product
 
 
-def oracle_output_overlaps(family: str, params: np.ndarray) -> np.ndarray:
-    """(S, 3) array of |<in|U_h|in>| for h = C2, B1, B2: the overlap of the
-    one-query outputs of any two of C1, C2, B1, B2 that differ by h. The
-    family fixes one tensor factor of the input state in, and each of the
+def oracle_output_overlaps(params: np.ndarray) -> np.ndarray:
+    """(4, S, 3) |<in|U_h|in>| for h = C2, B1, B2: the overlap of the one-query
+    outputs of any two of C1, C2, B1, B2 that differ by h. In block k, family
+    FAMILIES[k] fixes one tensor factor of the input state in, and each of the
     (S, 4) rows (alpha, beta, gamma, delta) of params gives the other."""
-    if family not in _FAMILY_FACTORS:
-        raise ValueError(f'unknown family "{family}" (known: {", ".join(FAMILIES)})')
     params = _checked_rows(params)
-    fixed, wire = _FAMILY_FACTORS[family]
-    free = params[:, 2:] if wire == 0 else params[:, :2]
-    ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
-    inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
     # each U_h is a permutation matrix: amplitude perm[i] of in moves to row i
     perms = [np.argmax(oracle_unitary(h), axis=1) for h in _DIFFERENCES]
-    outs = inputs[:, perms]  # (S, 3, 4): U_h|in> for every row and h
-    return np.abs(np.einsum("si,shi->sh", inputs.conj(), outs))
+    overlaps = np.empty((len(FAMILIES), len(params), len(perms)))
+    for (fixed, wire), block in zip(_FAMILY_FACTORS.values(), overlaps):
+        free = params[:, 2:] if wire == 0 else params[:, :2]
+        ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
+        inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
+        outs = inputs[:, perms]  # (S, 3, 4): U_h|in> for every row and h
+        np.abs(np.einsum("si,shi->sh", inputs.conj(), outs), out=block)
+    return overlaps
 
 
 def _decidable_quantities(overlaps: np.ndarray) -> np.ndarray:
-    """(S, 3) bool: a quantity is decidable in one shot when every difference
-    that flips it leaves orthogonal outputs."""
+    """(..., 3) bool: a quantity is decidable in one shot when every
+    difference that flips it leaves orthogonal outputs."""
     return ~(~(overlaps < PRODUCT_TOL) @ _FLIPS)  # no flipping difference overlaps
 
 
@@ -167,15 +167,17 @@ class FamilyAuditReport:
 
 
 def audit_family_distinguishability(
-    family: str, params: np.ndarray
-) -> FamilyAuditReport:
-    """For every (alpha, beta, gamma, delta) row in the family, query all four
-    functions and report which of f(0), f(1), f(0)^f(1) is perfectly
-    decidable."""
-    decided = _decidable_quantities(oracle_output_overlaps(family, params))
-    decided.flags.writeable = False
-    union = tuple(q for q, seen in zip(QUANTITIES, decided.any(axis=0)) if seen)
-    return FamilyAuditReport(family=family, samples=decided, decidable=union)
+    params: np.ndarray,
+) -> tuple[FamilyAuditReport, ...]:
+    """For every (alpha, beta, gamma, delta) row in each family, query all
+    four functions and report which of f(0), f(1), f(0)^f(1) is perfectly
+    decidable: one report per family, in FAMILIES order."""
+    decided = _decidable_quantities(oracle_output_overlaps(params))
+    decided.flags.writeable = False  # each report's samples is a view of it
+    return tuple(
+        FamilyAuditReport(family, samples, tuple(compress(QUANTITIES, seen)))
+        for family, samples, seen in zip(FAMILIES, decided, decided.any(axis=1))
+    )
 
 
 def bloch_grid_params(theta_points: int = 51) -> np.ndarray:

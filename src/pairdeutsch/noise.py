@@ -49,8 +49,8 @@ _READOUT_KEY = re.compile(r"^readout_error_q(\d+)$")
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-qubit gate/readout error rates and per-pair two-qubit gate rates.
-    The pair rates are stored as a read-only mapping."""
+    """Per-qubit gate/readout error rates, stored as tuples, and per-pair
+    two-qubit gate rates, stored as a read-only mapping."""
 
     single_qubit_gate_error: tuple[float, ...]
     two_qubit_gate_error: Mapping[tuple[int, int], float]
@@ -59,14 +59,14 @@ class NoiseModel:
     def __post_init__(self) -> None:
         pair_rates = MappingProxyType(dict(self.two_qubit_gate_error))
         object.__setattr__(self, "two_qubit_gate_error", pair_rates)
+        # copies, so a caller's list cannot change the model after its checks
+        for name in ("single_qubit_gate_error", "readout_error"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for a, b in pair_rates:  # a pair has one rate, whichever direction names it
             if a != b and (b, a) in pair_rates:
                 raise ValueError(f"pair ({a}, {b}) has a rate in both directions")
-        rates = (
-            list(self.single_qubit_gate_error)
-            + list(self.two_qubit_gate_error.values())
-            + list(self.readout_error)
-        )
+        rates = (*self.single_qubit_gate_error, *pair_rates.values(),
+                 *self.readout_error)
         for r in rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"error rate {r!r} outside [0, 1]")
@@ -75,9 +75,9 @@ class NoiseModel:
 
     def __hash__(self) -> int:  # agrees with ==, which ignores pair order
         return hash((
-            tuple(self.single_qubit_gate_error),
+            self.single_qubit_gate_error,
             tuple(sorted(self.two_qubit_gate_error.items())),
-            tuple(self.readout_error),
+            self.readout_error,
         ))
 
     @classmethod
@@ -312,12 +312,13 @@ def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> ShotResult
 
 def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Sum over outcomes of sqrt(p_k * q_k): 1 iff the distributions are
-    equal, 0 iff their supports are disjoint. Symmetric in its arguments.
-    Raises ValueError unless both are probability distributions."""
+    equal, 0 iff their supports are disjoint. Symmetric in its arguments;
+    the sum runs in sorted outcome order, so it does not depend on the hash
+    seed. Raises ValueError unless both are probability distributions."""
     _checked_probabilities(list(p.values()))
     _checked_probabilities(list(q.values()))
     total = 0.0
-    for k in set(p) & set(q):
+    for k in sorted(set(p) & set(q)):
         pk, qk = p[k], q[k]
         if pk > 0.0 and qk > 0.0:
             total += float(np.sqrt(pk * qk))

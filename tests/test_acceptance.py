@@ -147,10 +147,11 @@ def test_criterion_4_theorem_audit():
     assert predicted.tolist() == actual.tolist() == [True] * len(family_reps)
     # (b) one-query information audit over a dense grid, 51x52 per family
     grid = bloch_grid_params(51)
-    for family in FAMILIES:
-        report = audit_family_distinguishability(family, grid)
-        assert report.at_most_one_decidable, family
-        assert len(report.decidable) <= 1, family
+    reports = audit_family_distinguishability(grid)
+    assert tuple(report.family for report in reports) == FAMILIES
+    for report in reports:
+        assert report.at_most_one_decidable, report.family
+        assert len(report.decidable) <= 1, report.family
     assert time.perf_counter() - start < 10.0
 
 

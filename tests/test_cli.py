@@ -397,6 +397,29 @@ def test_audit_theorem_makes_one_stacked_check_whatever_its_sample_count(
     ]
 
 
+@pytest.mark.parametrize("grid", [3, 51])
+def test_audit_theorem_audits_all_families_in_one_call(grid, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+        counted = lambda *a: calls.update([name]) or real(*a)  # noqa: E731
+        monkeypatch.setattr(module, name, counted)
+
+    counting(pairdeutsch.cli, "audit_family_distinguishability")
+    counting(pairdeutsch.entanglement, "_checked_rows")
+    for module in (pairdeutsch.oracles, pairdeutsch.algorithms,
+                   pairdeutsch.entanglement):  # every binding: no call goes uncounted
+        counting(module, "oracle_unitary")
+    envelope, code = execute(parse_request(["audit-theorem", "--grid", str(grid)]))
+    assert code == EXIT_OK
+    families = envelope.payload["families"]
+    assert [f["samples"] for f in families] == [grid * (grid + 1)] * 4
+    assert calls == {  # the samples and the grid are each checked once
+        "audit_family_distinguishability": 1, "_checked_rows": 2, "oracle_unitary": 3
+    }
+
+
 def test_fidelity_subcommand(capsys, tmp_path):
     ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
     counts = sample_shots(ideal, 8192, seed=5).counts
@@ -495,6 +518,17 @@ def test_sweep_noise_csv_header(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "scale,fidelity,argmax_correct"
     assert len(lines) == 3
+
+
+def test_sweep_noise_csv_scale_keeps_every_digit(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep-noise", "--algorithm", "entangled", "--f", "B1", "--g", "B1",
+         "--scales", "0,0.5,1,2,1.0000001,1.0000002,1e-05", "--output", "csv"],
+    )
+    assert code == EXIT_OK
+    scales = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+    assert scales == ["0", "0.5", "1", "2", "1.0000001", "1.0000002", "1e-05"]
 
 
 @pytest.mark.parametrize("count", [1, 4, 16])

@@ -43,6 +43,16 @@ SQ2 = 1 / np.sqrt(2)
 OVERLAP_INDEX = {"C2": 0, "B1": 1, "B2": 2}  # columns of oracle_output_overlaps
 
 
+def family_report(family, params):
+    """The report of one family from the four-family audit of params."""
+    return audit_family_distinguishability(params)[FAMILIES.index(family)]
+
+
+def family_overlaps(family, params):
+    """One family's (S, 3) block of the four-family overlaps of params."""
+    return oracle_output_overlaps(params)[FAMILIES.index(family)]
+
+
 def verdict_pairs(rows) -> list[tuple[bool, bool]]:
     """cnot_product_condition's two arrays as one (predicted, actual) per row."""
     predicted, actual = cnot_product_condition(rows)
@@ -154,25 +164,30 @@ def test_step_second_coefficients_examples():
 
 
 def test_product_state_params_validation():
+    nan = float("nan")
     for row, label in (
         ((1.0, 1.0, 1.0, 0.0), "alpha/beta"),
         ((1.0, 0.0, 0.5, 0.5), "gamma/delta"),
+        ((nan, 0.0, 1.0, 0.0), "alpha/beta"),  # a NaN norm is not within 1e-10 of 1
+        ((1.0, 0.0, nan, nan), "gamma/delta"),
     ):
         with pytest.raises(ValueError, match=f"{label} amplitudes not normalized"):
             cnot_product_condition([row])
         per_row = str(pytest.raises(ValueError, cnot_product_condition, [row]).value)
+        if np.isnan(row).any():
+            assert per_row.endswith("sum of squares nan")
         rows = np.array([(1.0, 0.0, 1.0, 0.0), row])  # the bad row second
         err = pytest.raises(ValueError, cnot_product_condition, rows)
         assert str(err.value) == per_row
-        for family in FAMILIES:  # every pair is checked, not only the free one
-            err = pytest.raises(ValueError, oracle_output_overlaps, family, rows)
-            assert str(err.value) == per_row
+        # every pair is checked, also the one a family fixes
+        for audit in (oracle_output_overlaps, audit_family_distinguishability):
+            assert str(pytest.raises(ValueError, audit, rows).value) == per_row
 
 
 def test_oracle_output_overlaps_rejects_non_row_shapes():
     for shape in ((4,), (2, 3), (1, 8), (1, 2, 4)):
         with pytest.raises(ValueError, match="shape"):
-            oracle_output_overlaps(KET0_FAMILY, np.zeros(shape))
+            oracle_output_overlaps(np.zeros(shape))
         with pytest.raises(ValueError, match="shape"):  # no one-row variant
             cnot_product_condition(np.zeros(shape))
 
@@ -335,19 +350,11 @@ def _family_params(family: str, params) -> tuple:
     return (alpha, beta, SQ2, -SQ2)
 
 
-def test_family_input_state_rejects_unknown_family():
-    params = np.array([(1.0, 0.0, 1.0, 0.0)])
-    with pytest.raises(ValueError, match="unknown family"):
-        oracle_output_overlaps("any-tensor-ghz", [params])
-    with pytest.raises(ValueError, match="unknown family"):
-        audit_family_distinguishability("nope", [params])
-
-
 def test_minus_family_decides_only_xor_at_equal_weights():
     params = np.array([(SQ2, SQ2, 1.0, 0.0)])
-    report = audit_family_distinguishability(MINUS_FAMILY, params)
+    report = family_report(MINUS_FAMILY, params)
     assert report.decidable == ("f0_xor_f1",)
-    overlaps = oracle_output_overlaps(MINUS_FAMILY, params)[0]
+    overlaps = family_overlaps(MINUS_FAMILY, params)[0]
     # C1 and C2 differ by C2; a constant and a balanced function by B1 or B2
     assert overlaps[OVERLAP_INDEX["C2"]] == pytest.approx(1.0, abs=1e-12)
     for h in ("B1", "B2"):
@@ -356,15 +363,15 @@ def test_minus_family_decides_only_xor_at_equal_weights():
 
 def test_plus_family_decides_nothing():
     params = np.array([(0.6, 0.8, 1.0, 0.0)])
-    report = audit_family_distinguishability(PLUS_FAMILY, params)
+    report = family_report(PLUS_FAMILY, params)
     assert report.decidable == ()
-    overlaps = oracle_output_overlaps(PLUS_FAMILY, params)[0]
+    overlaps = family_overlaps(PLUS_FAMILY, params)[0]
     assert overlaps == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)  # every difference
 
 
 def test_ket0_family_decides_only_f0_at_basis_target():
     params = np.array([(1.0, 0.0, 1.0, 0.0)])
-    report = audit_family_distinguishability(KET0_FAMILY, params)
+    report = family_report(KET0_FAMILY, params)
     assert report.decidable == ("f0",)
 
 
@@ -377,8 +384,9 @@ def test_grid_audit_never_decides_two_quantities():
         PLUS_FAMILY: (),
         MINUS_FAMILY: ("f0_xor_f1",),
     }
-    for family in FAMILIES:
-        report = audit_family_distinguishability(family, grid)
+    reports = audit_family_distinguishability(grid)
+    assert tuple(report.family for report in reports) == FAMILIES
+    for family, report in zip(FAMILIES, reports):
         assert report.at_most_one_decidable
         assert report.samples.shape == (len(grid), len(QUANTITIES))
         assert np.all(report.samples.sum(axis=1) <= 1)
@@ -386,9 +394,15 @@ def test_grid_audit_never_decides_two_quantities():
 
 
 def test_family_audit_samples_are_read_only():
-    report = audit_family_distinguishability(KET0_FAMILY, bloch_grid_params(3))
+    reports = audit_family_distinguishability(bloch_grid_params(3))
+    base = reports[0].samples.base
+    assert base is not None and base.shape == (len(FAMILIES), 12, len(QUANTITIES))
+    for report in reports:  # one (4, S, 3) array, one read-only view per family
+        assert report.samples.base is base
+        with pytest.raises(ValueError, match="read-only"):
+            report.samples[0, 0] = not report.samples[0, 0]
     with pytest.raises(ValueError, match="read-only"):
-        report.samples[0, 0] = not report.samples[0, 0]
+        base[0, 0, 0] = not base[0, 0, 0]
 
 
 @pytest.mark.parametrize("t", [2, 3, 9, 10, 11, 51, 203, 256])
@@ -403,7 +417,7 @@ def test_bloch_grid_matches_the_per_point_loop(t):
 def test_only_odd_grids_put_theta_half_pi_on_the_grid():
     for t, hits in ((9, True), (10, False), (11, True)):
         grid = bloch_grid_params(t)
-        report = audit_family_distinguishability(MINUS_FAMILY, grid)
+        report = family_report(MINUS_FAMILY, grid)
         assert report.decidable == (("f0_xor_f1",) if hits else ()), t
 
 
@@ -411,13 +425,14 @@ def test_overlaps_and_verdicts_match_the_loop_reference():
     params = np.concatenate(
         [bloch_grid_params(51), random_product_params(500, seed=77)]
     )
-    for family in FAMILIES:
-        overlaps = oracle_output_overlaps(family, params)
+    all_overlaps = oracle_output_overlaps(params)
+    reports = audit_family_distinguishability(params)
+    assert all_overlaps.shape == (len(FAMILIES), len(params), 3)
+    for family, overlaps, report in zip(FAMILIES, all_overlaps, reports):
         want = oracle_output_gram_reference(family, params)
-        assert overlaps.shape == (len(params), 3)
         # C1 is the identity, so its Gram row holds the overlaps with C2, B1, B2
         assert np.max(np.abs(overlaps - want[:, 0, 1:])) <= 1e-12, family
-        report = audit_family_distinguishability(family, params)
+        assert report.family == family
         assert [
             tuple(q for q, d in zip(QUANTITIES, row) if d) for row in report.samples
         ] == [
@@ -430,8 +445,7 @@ def test_grid_audit_of_four_families_is_fast():
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        for family in FAMILIES:
-            audit_family_distinguishability(family, grid)
+        audit_family_distinguishability(grid)
         best = min(best, time.perf_counter() - start)
     assert best < 0.5, f"four family audits took {best:.3f} s"
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +129,18 @@ def test_noise_model_pair_rates_are_read_only():
         model.two_qubit_gate_error[(0, 1)] = 0.9
     rates[(0, 1)] = 0.9  # the caller's dict is copied, not shared
     assert model.pair_gate_rate(0, 1) == TABLE2_TWO_QUBIT[(0, 1)]
+
+
+def test_noise_model_per_qubit_rates_are_tuples():
+    single, readout = list(TABLE2_SINGLE_QUBIT), list(TABLE2_READOUT)
+    model = NoiseModel(single, TABLE2_TWO_QUBIT, readout)
+    for rates in (model.single_qubit_gate_error, model.readout_error):
+        assert type(rates) is tuple
+        with pytest.raises(TypeError):
+            rates[0] = 1.5
+    single[0] = readout[0] = 1.5  # the caller's lists are copied, not shared
+    assert model.readout_error == tuple(TABLE2_READOUT)
+    assert model == NoiseModel.table2() and hash(model) == hash(NoiseModel.table2())
 
 
 def test_equal_noise_models_hash_equal(tmp_path):
@@ -462,6 +477,28 @@ def test_bhattacharyya_rejects_non_distributions():
             bhattacharyya(fair, bad)
     # within the 1e-9 tolerance sample_shots also uses
     assert bhattacharyya({"0": 1.0 + 5e-10}, {"0": 1.0}) == 1.0
+
+
+BHATTACHARYYA_OF_TWO_RUNS = """
+from pairdeutsch.algorithms import ENTANGLED_PAIR, PRODUCT_PAIR
+from pairdeutsch.noise import NoiseModel, bhattacharyya, run_noisy
+from pairdeutsch.oracles import B1, PromisePair
+pair = PromisePair(B1, B1)
+p = run_noisy(ENTANGLED_PAIR, pair, NoiseModel.table2())
+q = run_noisy(PRODUCT_PAIR, pair, NoiseModel.table2().scaled(3))
+print(bhattacharyya(p, q).hex())
+"""
+
+
+def test_bhattacharyya_does_not_depend_on_the_hash_seed():
+    # eight shared outcomes: a sum in set order rounds differently per seed
+    values = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-c", BHATTACHARYYA_OF_TWO_RUNS],
+                              capture_output=True, text=True, env=env, check=True)
+        values.add(proc.stdout.strip())
+    assert len(values) == 1, values
 
 
 @settings(max_examples=100, deadline=None)
