@@ -198,10 +198,10 @@ def run_many(
     algorithm: str, oracle_list: Sequence[BoolFn | PromisePair]
 ) -> list[RunRecord]:
     """Run the named algorithm for every oracle choice in one walk, one record
-    each in order. The walk carries a stack, one row per member. A walk of one
-    member applies each gate as it is; a walk of more applies each column of
-    gates as a gate stack, which advances each row by its own gate, so a
-    member's bits never depend on which other members share its walk."""
+    each in order. The walk carries a stack, one row per member, and applies
+    each column of gates as a gate stack, which advances each row by its own
+    gate, so a member's bits never depend on which other members share its
+    walk."""
     circuits = [circuit_ops(algorithm, oracles) for oracles in oracle_list]
     if not circuits:
         raise ValueError("run_many needs at least one oracle choice")
@@ -217,8 +217,8 @@ def run_many(
     queries: dict[str, int] = {}
     for label, group in groupby(zip(*ops_list), key=lambda column: column[0].step):
         for op, *rest in group:
-            gate = np.array([o.matrix for o in (op, *rest)]) if rest else op.matrix
-            state = apply_gate(state, gate, op.targets)
+            gates = np.array([o.matrix for o in (op, *rest)])
+            state = apply_gate(state, gates, op.targets)
             if op.oracle is not None:
                 queries[op.oracle] = queries.get(op.oracle, 0) + 1
         steps.append((label, state))

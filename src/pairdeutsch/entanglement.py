@@ -46,11 +46,11 @@ _DIFFERENCES = (C2, B1, B2)
 _FLIPS = np.array([(h.f0, h.f1, h.f0 ^ h.f1) for h in _DIFFERENCES], dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no single-bool ==
 class SeparabilityVerdict:
     bipartition: tuple[tuple[int, ...], tuple[int, ...]]
-    schmidt_coefficients: tuple[float, ...] | np.ndarray  # stack: read-only (S, k)
-    is_product: bool | np.ndarray  # stack: read-only (S,) bool array
+    schmidt_coefficients: np.ndarray  # read-only (k,), or (S, k) for a stack
+    is_product: np.ndarray  # read-only bool of shape (), or (S,) for a stack
 
 
 def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerdict:
@@ -74,11 +74,9 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
     # k >= 2: each side has a qubit; two qubits take the closed form
     coeffs = (_singular_values_2x2(mat) if mat.shape[-2:] == (2, 2)
               else np.linalg.svd(mat, compute_uv=False))
-    if lead:
-        product = coeffs[:, 1] < PRODUCT_TOL
-        coeffs.flags.writeable = product.flags.writeable = False
-    else:
-        coeffs, product = tuple(map(float, coeffs)), float(coeffs[1]) < PRODUCT_TOL
+    # asarray: a numpy bool scalar, one state's verdict, cannot be read-only
+    product = np.asarray(coeffs[..., 1] < PRODUCT_TOL)
+    coeffs.flags.writeable = product.flags.writeable = False
     return SeparabilityVerdict((tuple(left_qubits), tuple(right)), coeffs, product)
 
 

@@ -50,21 +50,29 @@ _READOUT_KEY = re.compile(r"^readout_error_q(\d+)$")
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-qubit gate/readout error rates, stored as tuples, and per-pair
-    two-qubit gate rates, stored as a read-only mapping."""
+    two-qubit gate rates, stored as a read-only mapping of ascending pairs."""
 
     single_qubit_gate_error: tuple[float, ...]
     two_qubit_gate_error: Mapping[tuple[int, int], float]
     readout_error: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pair_rates = MappingProxyType(dict(self.two_qubit_gate_error))
-        object.__setattr__(self, "two_qubit_gate_error", pair_rates)
         # copies, so a caller's list cannot change the model after its checks
         for name in ("single_qubit_gate_error", "readout_error"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for a, b in pair_rates:  # a pair has one rate, whichever direction names it
-            if a != b and (b, a) in pair_rates:
-                raise ValueError(f"pair ({a}, {b}) has a rate in both directions")
+        qubits = range(len(self.single_qubit_gate_error))
+        pair_rates: dict[tuple[int, int], float] = {}
+        for (a, b), rate in dict(self.two_qubit_gate_error).items():
+            if a == b or a not in qubits or b not in qubits:
+                raise ValueError(
+                    f"pair ({a}, {b}) must name two different qubits below {len(qubits)}")
+            pair = (min(a, b), max(a, b))  # either direction names it
+            if pair in pair_rates:  # named first as (b, a)
+                raise ValueError(f"pair ({b}, {a}) has a rate in both directions")
+            pair_rates[pair] = rate
+        # stored in ascending order, so equal models hash equal
+        pair_rates = MappingProxyType(dict(sorted(pair_rates.items())))
+        object.__setattr__(self, "two_qubit_gate_error", pair_rates)
         rates = (*self.single_qubit_gate_error, *pair_rates.values(),
                  *self.readout_error)
         for r in rates:
@@ -73,10 +81,10 @@ class NoiseModel:
         if len(self.single_qubit_gate_error) != len(self.readout_error):
             raise ValueError("gate and readout rate lists must cover the same qubits")
 
-    def __hash__(self) -> int:  # agrees with ==, which ignores pair order
+    def __hash__(self) -> int:  # agrees with ==: pairs are stored in one order
         return hash((
             self.single_qubit_gate_error,
-            tuple(sorted(self.two_qubit_gate_error.items())),
+            tuple(self.two_qubit_gate_error.items()),
             self.readout_error,
         ))
 
@@ -95,11 +103,10 @@ class NoiseModel:
         )
 
     def pair_gate_rate(self, a: int, b: int) -> float:
-        if (a, b) in self.two_qubit_gate_error:
-            return self.two_qubit_gate_error[(a, b)]
-        if (b, a) in self.two_qubit_gate_error:
-            return self.two_qubit_gate_error[(b, a)]
-        raise KeyError(f"no two-qubit error rate for pair ({a}, {b})")
+        try:
+            return self.two_qubit_gate_error[min(a, b), max(a, b)]
+        except KeyError:
+            raise KeyError(f"no two-qubit error rate for pair ({a}, {b})") from None
 
     def gate_rates(self, num_qubits: int, ops: Sequence[GateOp]) -> list[float]:
         """The depolarizing rate after each op: its qubit's gate error, or its
@@ -123,7 +130,7 @@ class NoiseModel:
             lines.append(f"single_qubit_gate_error_q{q} = {v!r}")
         for q, v in enumerate(self.readout_error):
             lines.append(f"readout_error_q{q} = {v!r}")
-        for (a, b), v in sorted(self.two_qubit_gate_error.items()):
+        for (a, b), v in self.two_qubit_gate_error.items():
             lines.append(f"two_qubit_gate_error_q{a}_q{b} = {v!r}")
         return "\n".join(lines) + "\n"
 
@@ -250,8 +257,8 @@ def run_noisy_models(
     rates = [model.gate_rates(n, ops) for model in models]
     if not models:
         return []
-    # the walk's check of its start, |0...0><0...0|, once for every model
-    start = DensityMatrix.from_state(basis_state(n, 0)).entries
+    a = basis_state(n, 0).amplitudes  # |0...0>, whose projector starts each model
+    start = np.outer(a, a.conj())  # unchecked, as run_many's start is
     rho = DensityMatrix._trusted(n, np.repeat(start[None], len(models), axis=0))
     for op, op_rates in zip(ops, zip(*rates)):
         rho = apply_gate_density(rho, op.matrix, op.targets)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,15 @@ class BoolFn:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        for label, bit in (("f0", self.f0), ("f1", self.f1)):
-            if bit not in (0, 1):
+        for label in ("f0", "f1"):  # what operator.index takes, stored as int
+            bit = getattr(self, label)
+            try:
+                value = operator.index(bit)
+            except TypeError:
+                value = None  # 1.0 is not a bit, though it equals one
+            if value not in (0, 1):
                 raise ValueError(f"{label} must be 0 or 1, got {bit!r}")
+            object.__setattr__(self, label, value)
 
     def __call__(self, x: int) -> int:
         if x not in (0, 1):

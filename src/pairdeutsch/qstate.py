@@ -205,10 +205,9 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, state: StateVector) -> DensityMatrix:
+        """|a><a| of one state, or of each member of a stack, checked as one stack."""
         a = state.amplitudes
-        if a.ndim != 1:
-            raise ValueError("from_state takes one state, not a stack")
-        return cls(state.num_qubits, np.outer(a, a.conj()))
+        return cls(state.num_qubits, a[..., :, None] * a.conj()[..., None, :])
 
     def probabilities(self) -> np.ndarray:
         """Diagonal as a real probability vector, one row per stack member;
@@ -279,8 +278,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix._trusted(k, reduced.reshape(stack + (2**k, 2**k)))
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2) of one matrix: 1 for pure states, 1/dim for maximally mixed."""
-    if rho.entries.ndim != 2:
-        raise ValueError("purity takes one density matrix, not a stack")
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
+def purity(rho: DensityMatrix) -> float | np.ndarray:
+    """Tr(rho^2), one value or one per member: 1 if pure, 1/dim if maximally mixed."""
+    return np.real(np.trace(rho.entries @ rho.entries, axis1=-2, axis2=-1))

@@ -546,7 +546,7 @@ def test_sweep_noise_makes_one_walk_whatever_its_scale_count(count, monkeypatch)
                              "--g", "B2", "--scales", scales])
     envelope, code = execute(request)
     assert code == EXIT_OK and len(envelope.payload["sweep"]) == count
-    assert (len(checks), len(walks)) == (2, 2)  # the ideal run and one walk
+    assert (len(checks), len(walks)) == (1, 2)  # the ideal run and one walk
 
 
 def test_sweep_noise_scale_cap_is_inclusive(capsys):
@@ -642,6 +642,19 @@ def test_noise_config_may_not_give_a_rate_twice(capsys, tmp_path):
             assert (code, out) == (EXIT_USAGE, "")
             assert err.startswith("error: --noise config") and err.count("\n") == 1
             assert f'line 10: "{extra.split()[0]}" repeats a rate' in err
+
+
+def test_noise_config_may_not_rate_a_pair_no_gate_can_use(capsys, tmp_path):
+    table2 = NoiseModel.table2().to_config_text()  # 3 qubits
+    pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
+    for extra, named in (("two_qubit_gate_error_q1_q1 = 0.5", "(1, 1)"),
+                         ("two_qubit_gate_error_q0_q7 = 0.5", "(0, 7)")):
+        path = tmp_path / "unused.cfg"
+        path.write_text(table2 + extra + "\n")
+        code, out, err = run_cli(capsys, ["run", *pair, "--noise", str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: --noise config {path}: pair {named} must name "
+                       "two different qubits below 3\n")
 
 
 def test_run_rejects_missing_noise_config(capsys):

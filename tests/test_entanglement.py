@@ -296,6 +296,20 @@ def test_schmidt_analyze_on_a_stack_matches_each_member():
         assert not verdict.is_product.flags.writeable
 
 
+def test_schmidt_analyze_of_one_state_is_a_read_only_stack_row():
+    rng = np.random.default_rng(13)
+    for state, left in ((bell_minus(), [0]), (random_state(3, rng), [1]),
+                        (basis_state(3, 5), [0, 2])):
+        single = schmidt_analyze(state, left)
+        row = schmidt_analyze(StateVector(state.num_qubits, state.amplitudes[None]), left)
+        assert single.schmidt_coefficients.shape == row.schmidt_coefficients.shape[1:]
+        assert np.array_equal(single.schmidt_coefficients, row.schmidt_coefficients[0])
+        assert single.is_product.shape == () and single.is_product.dtype == bool
+        assert single.is_product == row.is_product[0]
+        for field in (single.schmidt_coefficients, single.is_product):
+            assert not field.flags.writeable
+
+
 def _two_qubit_states(rng) -> tuple[list[StateVector], list[float | None]]:
     """Bell states (equal coefficients, so the closed form's root is 0), basis,
     product and Haar states, then states of known second coefficient near
@@ -324,7 +338,7 @@ def test_two_qubit_closed_form_matches_the_references():
         assert verdict.schmidt_coefficients.shape == (len(states), 2)
         for state, second, row in zip(states, seconds, verdict.schmidt_coefficients):
             single = schmidt_analyze(state, left).schmidt_coefficients
-            assert single == tuple(row)  # one state takes its stack row's arithmetic
+            assert np.array_equal(single, row)  # one state takes its row's arithmetic
             want = two_qubit_schmidt_reference(state)
             assert np.max(np.abs(row - want)) <= 1e-12
             if second is not None:  # the reference is as accurate near 0

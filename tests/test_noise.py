@@ -74,14 +74,30 @@ def test_noise_model_rejects_a_pair_rate_in_both_directions():
     for rates in ({(0, 1): 0.1, (1, 0): 0.2}, {(1, 2): 0.1, (2, 1): 0.1}):
         with pytest.raises(ValueError, match="both directions"):
             NoiseModel((0.0, 0.0, 0.0), rates, (0.0, 0.0, 0.0))
-    model = NoiseModel((0.0, 0.0), {(0, 1): 0.1, (0, 0): 0.2}, (0.0, 0.0))
-    assert NoiseModel.from_config_text(model.to_config_text()) == model
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (2, 2), (0, 3), (7, 1), (-1, 0)],
+                         ids=lambda pair: "q{}_q{}".format(*pair))
+def test_noise_model_rejects_a_pair_no_gate_can_use(pair):
+    with pytest.raises(ValueError) as info:
+        NoiseModel((0.0, 0.0, 0.0), {(0, 1): 0.1, pair: 0.2}, (0.0, 0.0, 0.0))
+    assert str(info.value) == f"pair {pair} must name two different qubits below 3"
+
+
+def test_noise_model_stores_each_pair_in_ascending_order():
+    flipped = {(b, a): rate for (a, b), rate in reversed(TABLE2_TWO_QUBIT.items())}
+    model = NoiseModel(TABLE2_SINGLE_QUBIT, flipped, TABLE2_READOUT)
+    assert list(model.two_qubit_gate_error) == [(0, 1), (0, 2), (1, 2)]
+    assert model == NoiseModel.table2() and hash(model) == hash(NoiseModel.table2())
+    assert model.to_config_text() == NoiseModel.table2().to_config_text()
+    text = NoiseModel.table2().to_config_text().replace("q1_q2", "q2_q1")
+    assert "q1_q2" in NoiseModel.from_config_text(text).to_config_text()
 
 
 def test_pair_rate_lookup():
     model = NoiseModel.table2()
     assert model.pair_gate_rate(0, 1) == 3.17e-2
-    assert model.pair_gate_rate(1, 0) == 3.17e-2  # reversed pair falls back
+    assert model.pair_gate_rate(1, 0) == 3.17e-2  # either order names the pair
     with pytest.raises(KeyError):
         NoiseModel((0.0,), {}, (0.0,)).pair_gate_rate(0, 1)
 

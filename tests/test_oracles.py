@@ -34,6 +34,18 @@ def test_boolfn_rejects_non_bits():
         BoolFn(-1, 0)
 
 
+def test_boolfn_stores_integer_bits_as_int_and_rejects_other_bits():
+    for f0, f1 in ((True, False), (np.int64(1), np.uint8(0))):
+        fn = BoolFn(f0, f1)
+        assert (type(fn.f0), type(fn.f1)) == (int, int)
+        assert (fn.table_text(), is_balanced(fn)) == ("0:1,1:0", 1)
+        assert fn == BoolFn(1, 0) and hash(fn) == hash(BoolFn(1, 0))
+    for bit in (1.0, 0.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError) as info:
+            BoolFn(0, bit)
+        assert str(info.value) == f"f1 must be 0 or 1, got {bit!r}"
+
+
 def test_is_balanced():
     assert is_balanced(B1) == 1
     assert is_balanced(B2) == 1

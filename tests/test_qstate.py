@@ -322,21 +322,25 @@ def test_purity_values():
     assert purity(DensityMatrix(2, np.eye(4) / 4)) == pytest.approx(0.25)
 
 
-def test_from_state_rejects_a_stack():
-    # a stack of one used to flatten into one matrix, a larger stack to fail
-    # with a misleading shape message
-    one = basis_state(1, 0)
-    for size in (1, 2):
-        stack = StateVector(1, np.tile(one.amplitudes, (size, 1)))
-        with pytest.raises(ValueError, match="from_state takes one state"):
-            DensityMatrix.from_state(stack)
-
-
-def test_purity_rejects_a_stack():
+def test_from_state_takes_a_stack():
+    rng = np.random.default_rng(14)
     for size in (1, 3):
-        stack = DensityMatrix(1, np.tile(np.eye(2) / 2, (size, 1, 1)))
-        with pytest.raises(ValueError, match="not a stack"):
-            purity(stack)
+        members = [random_state(2, rng) for _ in range(size)]
+        rho = DensityMatrix.from_state(
+            StateVector(2, np.stack([m.amplitudes for m in members])))
+        assert rho.entries.shape == (size, 4, 4)  # a stack of one stays a stack
+        for entries, member in zip(rho.entries, members, strict=True):
+            assert np.array_equal(entries, DensityMatrix.from_state(member).entries)
+
+
+def test_purity_takes_a_stack():
+    rng = np.random.default_rng(15)
+    for size in (1, 3):
+        stack = DensityMatrix(2, np.stack([random_density_matrix(2, rng)
+                                           for _ in range(size)]))
+        values = purity(stack)
+        assert values.shape == (size,)  # a stack of one stays a stack
+        assert values.tolist() == [purity(DensityMatrix(2, m)) for m in stack.entries]
 
 
 def test_density_matrix_validation():
