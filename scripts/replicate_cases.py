@@ -79,9 +79,8 @@ def main() -> int:
                 noisy = run_noisy(algorithm, pair, args.noise)
             except NotCovered as exc:  # before any line is printed
                 parser.error(f"argument --noise: {exc}")
-            sample = sample_shots(noisy, args.shots, args.seed)
-            counts = sample.counts
-            report = statistical_fidelity(sample, ideal, seed=args.seed)
+            counts = sample_shots(noisy, args.shots, args.seed)
+            report = statistical_fidelity(counts, ideal, seed=args.seed)
             top = sorted(counts, key=counts.get, reverse=True)[:2]
             summary = ", ".join(f"{k}:{counts[k]}" for k in top)
             lines.append(

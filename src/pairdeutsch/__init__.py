@@ -43,7 +43,6 @@ from .entanglement import (
 from .noise import (
     FidelityReport,
     NoiseModel,
-    ShotResult,
     bhattacharyya,
     depolarize,
     run_noisy,
@@ -102,7 +101,6 @@ __all__ = [
     "PromisePair",
     "RunRecord",
     "SeparabilityVerdict",
-    "ShotResult",
     "StateVector",
     "VerificationReport",
     "all_promise_pairs",

@@ -34,7 +34,6 @@ from .entanglement import (
 from .noise import (
     NoiseModel,
     NotCovered,
-    ShotResult,
     bhattacharyya,
     run_noisy,
     run_noisy_models,
@@ -324,8 +323,8 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
         "probabilities": {k: probabilities[k] for k in sorted(probabilities)},
     }
     if request.shots != "exact":
-        result = sample_shots(probabilities, request.shots, request.seed)
-        payload["counts"] = {k: result.counts[k] for k in sorted(result.counts)}
+        counts = sample_shots(probabilities, request.shots, request.seed)
+        payload["counts"] = {k: counts[k] for k in sorted(counts)}
     payload["decoded"] = _decode_outcome(request.algorithm, _argmax(probabilities))
     payload["separability"] = [
         {"step": label, "product": product}
@@ -409,12 +408,11 @@ def _load_counts(path: str, width: int) -> dict[str, int]:
 def _payload_fidelity(request: RunRequest) -> tuple[dict, int]:
     counts = _load_counts(request.counts, algorithms.spec(request.algorithm).num_qubits)
     record = algorithms.run(request.algorithm, request.oracles)
-    result = ShotResult(sum(counts.values()), counts)
     report = statistical_fidelity(
-        result, record.final_distribution, seed=request.seed
+        counts, record.final_distribution, seed=request.seed
     )
     payload = {
-        "shots": result.shots,
+        "shots": sum(counts.values()),
         "fidelity": {"value": report.fidelity, "stderr": report.stderr},
         "p_exp": {k: report.p_exp[k] for k in sorted(report.p_exp)},
         "p_th": {k: report.p_th[k] for k in sorted(report.p_th)},

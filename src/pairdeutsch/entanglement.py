@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithms import RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
-from .qstate import ATOL, CNOT, StateVector, apply_gate
+from .qstate import ATOL, CNOT, StateVector, _readonly, apply_gate
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
 
@@ -30,10 +30,10 @@ MINUS_FAMILY = "any-tensor-minus"
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # family -> (the single-qubit factor it fixes, the wire it fixes: 0 input, 1 target)
 _FAMILY_FACTORS = {
-    KET0_FAMILY: (np.array([1.0, 0.0]), 0),
-    KET1_FAMILY: (np.array([0.0, 1.0]), 0),
-    PLUS_FAMILY: (np.array([_SQRT_HALF, _SQRT_HALF]), 1),
-    MINUS_FAMILY: (np.array([_SQRT_HALF, -_SQRT_HALF]), 1),
+    KET0_FAMILY: (_readonly(np.array([1.0, 0.0])), 0),
+    KET1_FAMILY: (_readonly(np.array([0.0, 1.0])), 0),
+    PLUS_FAMILY: (_readonly(np.array([_SQRT_HALF, _SQRT_HALF])), 1),
+    MINUS_FAMILY: (_readonly(np.array([_SQRT_HALF, -_SQRT_HALF])), 1),
 }
 FAMILIES = tuple(_FAMILY_FACTORS)
 
@@ -43,7 +43,8 @@ QUANTITIES = ("f0", "f1", "f0_xor_f1")
 # _DIFFERENCES for f != g. _FLIPS[h, q]: functions that differ by
 # _DIFFERENCES[h] disagree on QUANTITIES[q], as h gives q the value 1.
 _DIFFERENCES = (C2, B1, B2)
-_FLIPS = np.array([(h.f0, h.f1, h.f0 ^ h.f1) for h in _DIFFERENCES], dtype=bool)
+_FLIPS = _readonly(
+    np.array([(h.f0, h.f1, h.f0 ^ h.f1) for h in _DIFFERENCES], dtype=bool))
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no single-bool ==

@@ -11,8 +11,9 @@ the seeded multinomial sampler.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
@@ -34,7 +35,7 @@ from .qstate import (
 
 TABLE2_SINGLE_QUBIT = (1.72e-3, 1.46e-3, 1.80e-3)
 TABLE2_READOUT = (4.20e-2, 7.00e-2, 1.40e-2)
-TABLE2_TWO_QUBIT = {(0, 1): 3.17e-2, (1, 2): 2.87e-2, (0, 2): 2.67e-2}
+TABLE2_TWO_QUBIT = MappingProxyType({(0, 1): 3.17e-2, (1, 2): 2.87e-2, (0, 2): 2.67e-2})
 BOOTSTRAP_RESAMPLES = 1000  # Poisson draws behind statistical_fidelity's stderr
 
 
@@ -277,28 +278,11 @@ def run_noisy(
     return run_noisy_models(algorithm, oracles, [model])[0]
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    """Finite-shot counts over outcome bitstrings."""
-
-    shots: int
-    counts: dict[str, int]
-
-    def __post_init__(self) -> None:
-        if self.shots <= 0:
-            raise ValueError(f"shots must be positive, got {self.shots}")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("counts must be nonnegative")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-
-
 def _checked_probabilities(values) -> np.ndarray:
     """values as a float array; ValueError unless they are nonnegative and
     sum to 1 within 1e-9."""
     p = np.array(values, dtype=float)
-    if p.size == 0 or np.any(p < 0):
+    if p.size == 0 or not np.all(p >= 0):  # NaN is not nonnegative either
         raise ValueError("distribution must have nonnegative entries")
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
@@ -306,15 +290,15 @@ def _checked_probabilities(values) -> np.ndarray:
     return p
 
 
-def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> ShotResult:
-    """Seeded multinomial draw; identical seeds give identical counts."""
-    if shots <= 0:
+def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> dict[str, int]:
+    """Seeded multinomial draw as outcome -> count; same seed, same counts."""
+    if operator.index(shots) <= 0:  # 5.5 is no shot count: numpy would draw 5
         raise ValueError(f"shots must be positive, got {shots}")
     keys = sorted(dist)
     p = _checked_probabilities([dist[k] for k in keys])
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, p / p.sum())
-    return ShotResult(shots, {k: int(c) for k, c in zip(keys, draws) if c})
+    return {k: int(c) for k, c in zip(keys, draws) if c}
 
 
 def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
@@ -335,51 +319,50 @@ def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
 @dataclass(frozen=True)
 class FidelityReport:
     """Statistical fidelity between an observed and a reference distribution,
-    with a Poisson-bootstrap standard error."""
+    with a Poisson-bootstrap standard error. The fidelity is computed from
+    the two distributions when the report is built, never passed in."""
 
-    fidelity: float
     stderr: float
-    p_exp: dict[str, float]
-    p_th: dict[str, float]
+    p_exp: Mapping[str, float]
+    p_th: Mapping[str, float]
+    fidelity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
         if self.stderr < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr!r}")
-        recomputed = bhattacharyya(self.p_exp, self.p_th)
-        if abs(recomputed - self.fidelity) > 1e-12:
-            raise ValueError(
-                f"fidelity {self.fidelity!r} does not match its distributions "
-                f"(recomputed {recomputed!r})"
-            )
+        for name in ("p_exp", "p_th"):  # read-only copies: the fidelity stays theirs
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "fidelity", bhattacharyya(self.p_exp, self.p_th))
 
 
 def statistical_fidelity(
-    result: ShotResult,
+    counts: Mapping[str, int],
     p_th: Mapping[str, float],
     *,
     seed: int = 0,
 ) -> FidelityReport:
-    """Fidelity of the empirical count distribution against `p_th`.
+    """Fidelity of the empirical distribution of `counts` against `p_th`.
 
     The standard error is a Poisson bootstrap: each count is resampled as
     Poisson(count), renormalized, and the fidelity recomputed; the standard
     deviation over BOOTSTRAP_RESAMPLES seeded draws is reported.
     """
-    p_exp = {k: c / result.shots for k, c in result.counts.items()}
-    fid = bhattacharyya(p_exp, p_th)
-    keys = sorted(set(result.counts) | set(p_th))
-    base = np.array([result.counts.get(k, 0) for k in keys], dtype=float)
-    theory = np.array([p_th.get(k, 0.0) for k in keys], dtype=float)
+    shots = sum(counts.values())
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    if any(c < 0 for c in counts.values()):
+        raise ValueError("counts must be nonnegative")
+    p_exp = {k: c / shots for k, c in counts.items()}
+    keys = sorted(set(counts) | set(p_th))
+    base = np.array([counts.get(k, 0) for k in keys], dtype=float)
+    theory = _checked_probabilities([p_th.get(k, 0.0) for k in keys])  # before any draw
     rng = np.random.default_rng(seed)
     draws = rng.poisson(lam=base, size=(BOOTSTRAP_RESAMPLES, len(keys))).astype(float)
     totals = draws.sum(axis=1, keepdims=True)
     resampled = np.sqrt(draws / np.where(totals == 0, 1.0, totals) * theory).sum(axis=1)
     resampled[totals[:, 0] == 0] = 0.0
     return FidelityReport(
-        fidelity=fid,
         stderr=float(np.std(resampled)),
         p_exp=p_exp,
-        p_th=dict(p_th),
+        p_th=p_th,
     )

@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .qstate import _const
+
+
+def _bit(value, label: str) -> int:
+    """`value` as the int 0 or 1, taken through operator.index."""
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        bit = None  # 1.0 is not a bit, though it equals one
+    if bit not in (0, 1):
+        raise ValueError(f"{label} must be 0 or 1, got {value!r}")
+    return bit
 
 
 @dataclass(frozen=True)
@@ -19,20 +31,11 @@ class BoolFn:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        for label in ("f0", "f1"):  # what operator.index takes, stored as int
-            bit = getattr(self, label)
-            try:
-                value = operator.index(bit)
-            except TypeError:
-                value = None  # 1.0 is not a bit, though it equals one
-            if value not in (0, 1):
-                raise ValueError(f"{label} must be 0 or 1, got {bit!r}")
-            object.__setattr__(self, label, value)
+        for label in ("f0", "f1"):  # stored as int
+            object.__setattr__(self, label, _bit(getattr(self, label), label))
 
     def __call__(self, x: int) -> int:
-        if x not in (0, 1):
-            raise ValueError(f"input must be 0 or 1, got {x!r}")
-        return self.f1 if x else self.f0
+        return self.f1 if _bit(x, "input") else self.f0
 
     def table_text(self) -> str:
         """Canonical truth-table syntax, e.g. "0:0,1:1"."""
@@ -46,7 +49,7 @@ B1 = BoolFn(0, 1, "B1")  # balanced: identity mapping
 B2 = BoolFn(1, 0, "B2")  # balanced: negation
 C1 = BoolFn(0, 0, "C1")  # constant 0
 C2 = BoolFn(1, 1, "C2")  # constant 1
-NAMED_FUNCTIONS: dict[str, BoolFn] = {fn.name: fn for fn in (B1, B2, C1, C2)}
+NAMED_FUNCTIONS = MappingProxyType({fn.name: fn for fn in (B1, B2, C1, C2)})
 
 
 def is_balanced(fn: BoolFn) -> int:

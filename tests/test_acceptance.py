@@ -229,8 +229,8 @@ def test_criterion_7_statistical_machinery():
     ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
     a = sample_shots(ideal, 8192, seed=11)
     b = sample_shots(ideal, 8192, seed=11)
-    assert json.dumps(a.counts, sort_keys=True).encode() == json.dumps(
-        b.counts, sort_keys=True
+    assert json.dumps(a, sort_keys=True).encode() == json.dumps(
+        b, sort_keys=True
     ).encode()
     report = statistical_fidelity(a, ideal, seed=0)
     assert 0.0 < report.stderr < 0.02

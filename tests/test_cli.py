@@ -191,6 +191,18 @@ def test_json_round_trip():
     assert json.loads(emit(envelope, "json")) == envelope.as_dict()
 
 
+def test_emit_rejects_what_no_subcommand_can_ask_for():
+    verify_envelope, _ = execute(parse_request(["verify"]))
+    with pytest.raises(UsageError) as info:
+        emit(verify_envelope, "csv")
+    assert str(info.value) == "csv output is only available for run and sweep-noise"
+    envelope, _ = execute(
+        parse_request(["run", "--algorithm", "entangled", "--f", "B1", "--g", "B1"]))
+    with pytest.raises(UsageError) as info:
+        emit(envelope, "xml")
+    assert str(info.value) == "unknown output format 'xml'"
+
+
 def test_csv_output(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -422,7 +434,7 @@ def test_audit_theorem_audits_all_families_in_one_call(grid, monkeypatch):
 
 def test_fidelity_subcommand(capsys, tmp_path):
     ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
-    counts = sample_shots(ideal, 8192, seed=5).counts
+    counts = sample_shots(ideal, 8192, seed=5)
     path = tmp_path / "counts.json"
     path.write_text(json.dumps(counts))
     code, out, _ = run_cli(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairdeutsch.noise
 from pairdeutsch.algorithms import (
     DEUTSCH,
     ENTANGLED_PAIR,
@@ -20,7 +21,6 @@ from pairdeutsch.noise import (
     FidelityReport,
     NoiseModel,
     NotCovered,
-    ShotResult,
     TABLE2_READOUT,
     TABLE2_SINGLE_QUBIT,
     TABLE2_TWO_QUBIT,
@@ -429,17 +429,18 @@ def test_fidelity_degrades_monotonically_with_noise_scale():
 
 
 def test_sample_shots_point_mass():
-    result = sample_shots({"111": 1.0}, 100, seed=1)
-    assert result.counts == {"111": 100}
-    assert result.shots == 100
+    counts = sample_shots({"111": 1.0}, 100, seed=1)
+    assert counts == {"111": 100}
+    assert type(counts["111"]) is int
 
 
 def test_sample_shots_binomial_bound():
     # 6-sigma band around 4096: sigma = sqrt(8192 * 0.25) = 45.25
-    result = sample_shots({"100": 0.5, "111": 0.5}, 8192, seed=42)
+    counts = sample_shots({"100": 0.5, "111": 0.5}, 8192, seed=42)
     sigma = np.sqrt(8192 * 0.25)
     for key in ("100", "111"):
-        assert abs(result.counts[key] - 4096) <= 6 * sigma
+        assert abs(counts[key] - 4096) <= 6 * sigma
+    assert sum(counts.values()) == 8192
 
 
 def test_sample_shots_is_reproducible():
@@ -447,9 +448,8 @@ def test_sample_shots_is_reproducible():
     a = sample_shots(dist, 8192, seed=7)
     b = sample_shots(dist, 8192, seed=7)
     assert a == b
-    assert json.dumps(a.counts, sort_keys=True) == json.dumps(
-        b.counts, sort_keys=True
-    )
+    assert json.dumps(a) == json.dumps(b)  # the same keys in the same order
+    assert list(a) == sorted(a)
     c = sample_shots(dist, 8192, seed=8)
     assert c != a  # different seed, different draw (overwhelmingly)
 
@@ -459,15 +459,32 @@ def test_sample_shots_validation():
         sample_shots({"0": 0.7, "1": 0.7}, 10, seed=0)
     with pytest.raises(ValueError, match="positive"):
         sample_shots({"0": 1.0}, 0, seed=0)
+    for shots in (5.5, 5.0, "5"):  # a shot count is what operator.index takes
+        with pytest.raises(TypeError):
+            sample_shots({"0": 1.0}, shots, seed=0)
+    assert sample_shots({"0": 1.0}, np.int64(5), seed=0) == {"0": 5}
 
 
-def test_shot_result_validation():
-    with pytest.raises(ValueError, match="sum"):
-        ShotResult(10, {"0": 5})
-    with pytest.raises(ValueError, match="positive"):
-        ShotResult(0, {})
-    with pytest.raises(ValueError, match="nonnegative"):
-        ShotResult(1, {"0": -1, "1": 2})
+def test_statistical_fidelity_checks_its_counts():
+    fair = {"0": 0.5, "1": 0.5}
+    for counts, message in (
+        ({}, "shots must be positive, got 0"),
+        ({"0": 0, "1": 0}, "shots must be positive, got 0"),
+        ({"0": -3, "1": 2}, "shots must be positive, got -1"),  # the total first
+        ({"0": -1, "1": 2}, "counts must be nonnegative"),
+    ):
+        with pytest.raises(ValueError) as info:
+            statistical_fidelity(counts, fair)
+        assert str(info.value) == message
+
+
+def test_statistical_fidelity_checks_the_reference_before_its_draws():
+    # a negative or NaN entry would reach the bootstrap's sqrt as a warning
+    for p_th in ({"0": 1.5, "1": -0.5}, {"0": float("nan"), "1": 1.0}):
+        with pytest.raises(ValueError, match="nonnegative entries"):
+            statistical_fidelity({"0": 3, "1": 1}, p_th)
+    with pytest.raises(ValueError, match="sums to"):
+        statistical_fidelity({"0": 3, "1": 1}, {"0": 0.7, "1": 0.7})
 
 
 def test_bhattacharyya_identical():
@@ -486,7 +503,8 @@ def test_bhattacharyya_half_overlap():
 
 def test_bhattacharyya_rejects_non_distributions():
     fair = {"0": 0.5, "1": 0.5}
-    for bad in ({"0": 4}, {"0": 0.5}, {"0": 1.5, "1": -0.5}, {}):
+    for bad in ({"0": 4}, {"0": 0.5}, {"0": 1.5, "1": -0.5}, {},
+                {"0": float("nan")}, {"0": float("nan"), "1": 1.0}):
         with pytest.raises(ValueError, match="sums to|nonnegative"):
             bhattacharyya(bad, fair)
         with pytest.raises(ValueError, match="sums to|nonnegative"):
@@ -536,34 +554,56 @@ def test_bhattacharyya_symmetric_and_bounded(seed):
 
 
 def test_statistical_fidelity_exact_match():
-    result = ShotResult(100, {"100": 50, "111": 50})
-    report = statistical_fidelity(result, {"100": 0.5, "111": 0.5})
+    report = statistical_fidelity({"100": 50, "111": 50}, {"100": 0.5, "111": 0.5})
     assert report.fidelity == pytest.approx(1.0, abs=1e-12)
     assert report.p_exp == {"100": 0.5, "111": 0.5}
 
 
 def test_statistical_fidelity_disjoint():
-    result = ShotResult(100, {"000": 100})
-    report = statistical_fidelity(result, {"111": 1.0})
+    report = statistical_fidelity({"000": 100}, {"111": 1.0})
     assert report.fidelity == 0.0
 
 
 def test_statistical_fidelity_bootstrap_band_and_determinism():
     ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
-    result = sample_shots(ideal, 8192, seed=11)
-    a = statistical_fidelity(result, ideal, seed=3)
-    b = statistical_fidelity(result, ideal, seed=3)
+    counts = sample_shots(ideal, 8192, seed=11)
+    a = statistical_fidelity(counts, ideal, seed=3)
+    b = statistical_fidelity(counts, ideal, seed=3)
     assert a == b
     assert 0.0 < a.stderr < 0.02
 
 
-def test_fidelity_report_rejects_inconsistent_value():
-    with pytest.raises(ValueError, match="does not match"):
-        FidelityReport(
-            fidelity=0.5,
-            stderr=0.0,
-            p_exp={"0": 1.0},
-            p_th={"0": 1.0},
-        )
-    with pytest.raises(ValueError, match="outside"):
-        FidelityReport(fidelity=1.5, stderr=0.0, p_exp={}, p_th={})
+def test_fidelity_report_computes_its_fidelity_from_its_distributions():
+    p_exp, p_th = {"000": 0.25, "111": 0.75}, {"000": 0.5, "011": 0.2, "111": 0.3}
+    report = FidelityReport(stderr=0.0, p_exp=p_exp, p_th=p_th)
+    assert report.fidelity.hex() == bhattacharyya(p_exp, p_th).hex()
+    with pytest.raises(TypeError):
+        FidelityReport(fidelity=0.5, stderr=0.0, p_exp=p_exp, p_th=p_th)
+    for bad in ({}, {"0": 0.5}, {"0": 1.5, "1": -0.5}):
+        with pytest.raises(ValueError, match="sums to|nonnegative"):
+            FidelityReport(stderr=0.0, p_exp=bad, p_th=p_th)
+        with pytest.raises(ValueError, match="sums to|nonnegative"):
+            FidelityReport(stderr=0.0, p_exp=p_exp, p_th=bad)
+    with pytest.raises(ValueError, match="stderr must be nonnegative"):
+        FidelityReport(stderr=-0.1, p_exp=p_exp, p_th=p_th)
+    # the report keeps read-only copies, so its fidelity stays that of its own
+    p_exp["000"], p_exp["111"] = 1.0, 0.0
+    assert report.p_exp == {"000": 0.25, "111": 0.75}
+    with pytest.raises(TypeError):
+        report.p_th["000"] = 1.0
+    assert report.fidelity == bhattacharyya(report.p_exp, report.p_th)
+
+
+def test_statistical_fidelity_makes_one_bhattacharyya_call(monkeypatch):
+    calls = []
+    original = pairdeutsch.noise.bhattacharyya
+
+    def counting(p, q):
+        calls.append(1)
+        return original(p, q)
+
+    monkeypatch.setattr(pairdeutsch.noise, "bhattacharyya", counting)
+    ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
+    report = statistical_fidelity(sample_shots(ideal, 512, seed=1), ideal, seed=2)
+    assert len(calls) == 1
+    assert report.fidelity == original(report.p_exp, report.p_th)

@@ -46,6 +46,16 @@ def test_boolfn_stores_integer_bits_as_int_and_rejects_other_bits():
         assert str(info.value) == f"f1 must be 0 or 1, got {bit!r}"
 
 
+def test_boolfn_call_takes_integer_bits_only():
+    inputs = (0, 1, False, True, np.int64(1), np.uint8(0))
+    assert [B1(x) for x in inputs] == [0, 1, 0, 1, 1, 0]
+    assert [B2(x) for x in inputs] == [1, 0, 1, 0, 0, 1]
+    for x in (1.0, 0.0, np.float64(1.0), "1", None, 2, -1):
+        with pytest.raises(ValueError) as info:
+            B1(x)
+        assert str(info.value) == f"input must be 0 or 1, got {x!r}"
+
+
 def test_is_balanced():
     assert is_balanced(B1) == 1
     assert is_balanced(B2) == 1
