@@ -28,8 +28,7 @@ from pairdeutsch import (  # noqa: E402
     statistical_fidelity,
 )
 from pairdeutsch.algorithms import ALGORITHMS, run  # noqa: E402
-from pairdeutsch.cli import MAX_SHOTS  # noqa: E402
-from pairdeutsch.noise import NotCovered  # noqa: E402
+from pairdeutsch.noise import MAX_SHOTS, NotCovered  # noqa: E402
 
 CASES = [
     ("case-1", PromisePair(B1, B1)),

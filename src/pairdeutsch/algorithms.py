@@ -33,12 +33,14 @@ PRODUCT_PAIR = "product_pair"
 
 @dataclass(frozen=True)
 class Algorithm:
-    """Width and exact query counts of one circuit. A circuit that queries g
-    takes a PromisePair and decodes both answer bits; one that queries only f
-    takes a single BoolFn and decodes the answer qubit alone."""
+    """Width, exact query counts and gates of one circuit. A circuit that
+    queries g takes a PromisePair and decodes both answer bits; one that
+    queries only f takes a single BoolFn and decodes the answer qubit alone.
+    Its gates are (name, targets, step) rows in circuit order."""
 
     num_qubits: int
     queries: Mapping[str, int]
+    gates: tuple[tuple[str, tuple[int, ...], str], ...]
 
     @property
     def takes_pair(self) -> bool:
@@ -46,10 +48,52 @@ class Algorithm:
 
 
 ALGORITHMS = MappingProxyType({
-    DEUTSCH: Algorithm(2, MappingProxyType({"f": 1})),
-    ENTANGLED_PAIR: Algorithm(3, MappingProxyType({"f": 1, "g": 1})),
-    PRODUCT_PAIR: Algorithm(3, MappingProxyType({"f": 2, "g": 1})),
+    # Single-query circuit: |0>|1>, H on both wires, one oracle call, H on
+    # the answer qubit. The answer qubit then reads f(0)^f(1) with certainty.
+    DEUTSCH: Algorithm(2, MappingProxyType({"f": 1}), (
+        ("X", (1,), "initialize"),
+        ("H", (0,), "initialize"),
+        ("H", (1,), "initialize"),
+        ("f", (0, 1), "query-f"),
+        ("H", (0,), "interfere"),
+    )),
+    # Two-query circuit sharing one entangled work-qubit pair. Preparation
+    # puts the answer qubit in (|0>+|1>)/sqrt(2) and the work qubits in
+    # (|00>-|11>)/sqrt(2). Each oracle then couples the answer qubit to its
+    # own work qubit, and the final H turns the accumulated relative phase
+    # into a deterministic answer bit, while the work-qubit parity records
+    # whether the functions agree.
+    ENTANGLED_PAIR: Algorithm(3, MappingProxyType({"f": 1, "g": 1}), (
+        ("H", (0,), "initialize"),
+        ("X", (1,), "initialize"),
+        ("H", (1,), "initialize"),
+        ("CNOT", (1, 2), "initialize"),
+        ("f", (0, 1), "query-f"),
+        ("g", (0, 2), "query-g"),
+        ("H", (0,), "interfere"),
+    )),
+    # Three-query circuit that stays separable at every step. The first
+    # query kicks the phase of f against a |-> work qubit, loading
+    # b = f(0)^f(1) into the answer qubit; H then collapses the answer qubit
+    # to the basis state |b> (unitarily, no measurement) and H,X return the
+    # work qubit to |0>. The remaining two queries write f(b) and g(b) into
+    # the work qubits; under the promise their parity equals f(0)^g(0). The
+    # answer qubit sits in a basis state during those writes, so no step
+    # ever creates entanglement.
+    PRODUCT_PAIR: Algorithm(3, MappingProxyType({"f": 2, "g": 1}), (
+        ("H", (0,), "initialize"),
+        ("X", (1,), "initialize"),
+        ("H", (1,), "initialize"),
+        ("f", (0, 1), "query-f-kickback"),
+        ("H", (0,), "uncompute"),
+        ("H", (1,), "uncompute"),
+        ("X", (1,), "uncompute"),
+        ("f", (0, 1), "query-f-write"),
+        ("g", (0, 2), "query-g-write"),
+    )),
 })
+# gate name -> the constant it applies; "f" and "g" query that function instead
+_CONSTANTS = MappingProxyType({"X": X, "H": H, "CNOT": CNOT})
 
 
 def spec(algorithm: str) -> Algorithm:
@@ -116,82 +160,22 @@ def decode_outcome(algorithm: str, bitstring: str) -> DecodedAnswer:
     return DecodedAnswer(balanced=int(bitstring[0]))
 
 
-def deutsch_ops(fn: BoolFn) -> list[GateOp]:
-    """Single-query circuit: |0>|1>, H on both wires, one oracle call, H on
-    the answer qubit. The answer qubit then reads f(0)^f(1) with certainty."""
-    return [
-        GateOp("X", X, (1,), "initialize"),
-        GateOp("H", H, (0,), "initialize"),
-        GateOp("H", H, (1,), "initialize"),
-        GateOp(f"U[{fn.label()}]", oracle_unitary(fn), (0, 1), "query-f", "f"),
-        GateOp("H", H, (0,), "interfere"),
-    ]
-
-
-def entangled_pair_ops(pair: PromisePair) -> list[GateOp]:
-    """Two-query circuit sharing one entangled work-qubit pair.
-
-    Preparation puts the answer qubit in (|0>+|1>)/sqrt(2) and the work
-    qubits in (|00>-|11>)/sqrt(2). Each oracle then couples the answer qubit
-    to its own work qubit, and the final H turns the accumulated relative
-    phase into a deterministic answer bit, while the work-qubit parity
-    records whether the functions agree.
-    """
-    uf = oracle_unitary(pair.f)
-    ug = oracle_unitary(pair.g)
-    return [
-        GateOp("H", H, (0,), "initialize"),
-        GateOp("X", X, (1,), "initialize"),
-        GateOp("H", H, (1,), "initialize"),
-        GateOp("CNOT", CNOT, (1, 2), "initialize"),
-        GateOp(f"U[{pair.f.label()}]", uf, (0, 1), "query-f", "f"),
-        GateOp(f"U[{pair.g.label()}]", ug, (0, 2), "query-g", "g"),
-        GateOp("H", H, (0,), "interfere"),
-    ]
-
-
-def product_pair_ops(pair: PromisePair) -> list[GateOp]:
-    """Three-query circuit that stays separable at every step.
-
-    The first query kicks the phase of f against a |-> work qubit, loading
-    b = f(0)^f(1) into the answer qubit; H then collapses the answer qubit
-    to the basis state |b> (unitarily, no measurement) and H,X return the
-    work qubit to |0>. The remaining two queries write f(b) and g(b) into
-    the work qubits; under the promise their parity equals f(0)^g(0).
-    The answer qubit sits in a basis state during those writes, so no step
-    ever creates entanglement.
-    """
-    uf = oracle_unitary(pair.f)
-    ug = oracle_unitary(pair.g)
-    return [
-        GateOp("H", H, (0,), "initialize"),
-        GateOp("X", X, (1,), "initialize"),
-        GateOp("H", H, (1,), "initialize"),
-        GateOp(f"U[{pair.f.label()}]", uf, (0, 1), "query-f-kickback", "f"),
-        GateOp("H", H, (0,), "uncompute"),
-        GateOp("H", H, (1,), "uncompute"),
-        GateOp("X", X, (1,), "uncompute"),
-        GateOp(f"U[{pair.f.label()}]", uf, (0, 1), "query-f-write", "f"),
-        GateOp(f"U[{pair.g.label()}]", ug, (0, 2), "query-g-write", "g"),
-    ]
-
-
 def circuit_ops(
     algorithm: str, oracles: BoolFn | PromisePair
 ) -> tuple[list[GateOp], int]:
-    """Gate list and qubit count for the named algorithm."""
+    """Gate list and qubit count of the named algorithm, built from its row."""
     entry = spec(algorithm)
     if entry.takes_pair and not isinstance(oracles, PromisePair):
         raise ValueError(f"{algorithm} takes a PromisePair")
     if not entry.takes_pair and not isinstance(oracles, BoolFn):
         raise ValueError(f"{algorithm} takes a single BoolFn")
-    # Looked up at call time, so a patched builder takes effect.
-    builders = {
-        DEUTSCH: deutsch_ops,
-        ENTANGLED_PAIR: entangled_pair_ops,
-        PRODUCT_PAIR: product_pair_ops,
-    }
-    return builders[algorithm](oracles), entry.num_qubits
+    functions = {"f": oracles.f, "g": oracles.g} if entry.takes_pair else {"f": oracles}
+    queries = {name: (f"U[{fn.label()}]", oracle_unitary(fn))
+               for name, fn in functions.items()}
+    ops = [GateOp(*queries[gate], targets, step, gate) if gate in queries
+           else GateOp(gate, _CONSTANTS[gate], targets, step)
+           for gate, targets, step in entry.gates]
+    return ops, entry.num_qubits
 
 
 def run_many(
@@ -202,15 +186,10 @@ def run_many(
     each column of gates as a gate stack, which advances each row by its own
     gate, so a member's bits never depend on which other members share its
     walk."""
-    circuits = [circuit_ops(algorithm, oracles) for oracles in oracle_list]
-    if not circuits:
+    ops_list = [circuit_ops(algorithm, oracles)[0] for oracles in oracle_list]
+    if not ops_list:
         raise ValueError("run_many needs at least one oracle choice")
-    ops_list = [ops for ops, _ in circuits]
-    num_qubits = circuits[0][1]
-    if len(ops_list) > 1 and len({
-        tuple((op.step, op.targets, op.oracle) for op in ops) for ops in ops_list
-    }) > 1:
-        raise ValueError(f"{algorithm} circuits differ beyond their gates")
+    num_qubits = spec(algorithm).num_qubits
     start = np.eye(1, 2**num_qubits, dtype=np.complex128)  # |0...0>, one row
     state = StateVector._trusted(num_qubits, start.repeat(len(ops_list), axis=0))
     steps: list[tuple[str, StateVector]] = []

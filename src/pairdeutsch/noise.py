@@ -37,6 +37,9 @@ TABLE2_SINGLE_QUBIT = (1.72e-3, 1.46e-3, 1.80e-3)
 TABLE2_READOUT = (4.20e-2, 7.00e-2, 1.40e-2)
 TABLE2_TWO_QUBIT = MappingProxyType({(0, 1): 3.17e-2, (1, 2): 2.87e-2, (0, 2): 2.67e-2})
 BOOTSTRAP_RESAMPLES = 1000  # Poisson draws behind statistical_fidelity's stderr
+# Largest shot count and counts total: numpy's multinomial draw and its
+# Poisson bootstrap both accept every count up to this bound.
+MAX_SHOTS = 2**62
 
 
 class NotCovered(ValueError):
@@ -46,6 +49,16 @@ class NotCovered(ValueError):
 _PAIR_KEY = re.compile(r"^two_qubit_gate_error_q(\d+)_q(\d+)$")
 _SINGLE_KEY = re.compile(r"^single_qubit_gate_error_q(\d+)$")
 _READOUT_KEY = re.compile(r"^readout_error_q(\d+)$")
+
+
+def _rate(r) -> float:
+    """One error rate as a Python float in [0, 1]; a bool or a string is none."""
+    if isinstance(r, (bool, np.bool_, str, bytes)):
+        raise ValueError(f"error rate {r!r} is not a number")
+    rate = float(r)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"error rate {rate!r} outside [0, 1]")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -59,9 +72,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         # copies, so a caller's list cannot change the model after its checks
-        for name in ("single_qubit_gate_error", "readout_error"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        qubits = range(len(self.single_qubit_gate_error))
+        singles, readouts = tuple(self.single_qubit_gate_error), tuple(self.readout_error)
+        qubits = range(len(singles))
         pair_rates: dict[tuple[int, int], float] = {}
         for (a, b), rate in dict(self.two_qubit_gate_error).items():
             if a == b or a not in qubits or b not in qubits:
@@ -71,15 +83,13 @@ class NoiseModel:
             if pair in pair_rates:  # named first as (b, a)
                 raise ValueError(f"pair ({b}, {a}) has a rate in both directions")
             pair_rates[pair] = rate
-        # stored in ascending order, so equal models hash equal
-        pair_rates = MappingProxyType(dict(sorted(pair_rates.items())))
-        object.__setattr__(self, "two_qubit_gate_error", pair_rates)
-        rates = (*self.single_qubit_gate_error, *pair_rates.values(),
-                 *self.readout_error)
-        for r in rates:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"error rate {r!r} outside [0, 1]")
-        if len(self.single_qubit_gate_error) != len(self.readout_error):
+        # Python floats, so a saved model loads back equal, and pairs stored
+        # in ascending order, so equal models hash equal
+        object.__setattr__(self, "single_qubit_gate_error", tuple(map(_rate, singles)))
+        object.__setattr__(self, "two_qubit_gate_error", MappingProxyType(
+            {pair: _rate(r) for pair, r in sorted(pair_rates.items())}))
+        object.__setattr__(self, "readout_error", tuple(map(_rate, readouts)))
+        if len(singles) != len(readouts):
             raise ValueError("gate and readout rate lists must cover the same qubits")
 
     def __hash__(self) -> int:  # agrees with ==: pairs are stored in one order
@@ -232,6 +242,9 @@ def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
     (n,); or a stack of M vectors, shape (M, 2**n), each at its own row of
     rates, shape (M, n)."""
     e = np.asarray(rates, dtype=float)
+    for r in e.ravel().tolist():  # NaN is outside too
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"readout error rate {r!r} outside [0, 1]")
     n = e.shape[-1]
     if probs.shape[-1] != 2**n:
         raise ValueError(
@@ -292,8 +305,9 @@ def _checked_probabilities(values) -> np.ndarray:
 
 def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> dict[str, int]:
     """Seeded multinomial draw as outcome -> count; same seed, same counts."""
-    if operator.index(shots) <= 0:  # 5.5 is no shot count: numpy would draw 5
-        raise ValueError(f"shots must be positive, got {shots}")
+    # 5.5 is no shot count (numpy would draw 5), and numpy overflows at 2**63
+    if not 0 < operator.index(shots) <= MAX_SHOTS:
+        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     keys = sorted(dist)
     p = _checked_probabilities([dist[k] for k in keys])
     rng = np.random.default_rng(seed)
@@ -342,20 +356,28 @@ def statistical_fidelity(
     seed: int = 0,
 ) -> FidelityReport:
     """Fidelity of the empirical distribution of `counts` against `p_th`.
+    ValueError unless `p_th` is a distribution and `counts` maps outcomes as
+    wide as its keys to nonnegative integers totalling 1..MAX_SHOTS.
 
     The standard error is a Poisson bootstrap: each count is resampled as
     Poisson(count), renormalized, and the fidelity recomputed; the standard
     deviation over BOOTSTRAP_RESAMPLES seeded draws is reported.
     """
-    shots = sum(counts.values())
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if any(c < 0 for c in counts.values()):
-        raise ValueError("counts must be nonnegative")
-    p_exp = {k: c / shots for k, c in counts.items()}
+    _checked_probabilities(list(p_th.values()))  # before any draw
+    width = len(next(iter(p_th)))
+    for key, count in counts.items():
+        if not isinstance(key, str) or len(key) != width or set(key) - {"0", "1"}:
+            raise ValueError(f"count key {key!r} is not a {width}-bit outcome")
+        # a bool is an int to isinstance, but no count
+        if type(count) is bool or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"count {count!r} of {key!r} is not a nonnegative integer")
+    shots = sum(map(int, counts.values()))
+    if not 0 < shots <= MAX_SHOTS:
+        raise ValueError(f"counts total {shots}, not in 1..{MAX_SHOTS}")
+    p_exp = {k: int(c) / shots for k, c in counts.items()}
     keys = sorted(set(counts) | set(p_th))
     base = np.array([counts.get(k, 0) for k in keys], dtype=float)
-    theory = _checked_probabilities([p_th.get(k, 0.0) for k in keys])  # before any draw
+    theory = np.array([p_th.get(k, 0.0) for k in keys], dtype=float)
     rng = np.random.default_rng(seed)
     draws = rng.poisson(lam=base, size=(BOOTSTRAP_RESAMPLES, len(keys))).astype(float)
     totals = draws.sum(axis=1, keepdims=True)

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-import pairdeutsch.algorithms
-
 from pairdeutsch.algorithms import (
+    ALGORITHMS,
     DEUTSCH,
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
@@ -224,17 +223,22 @@ def test_run_many_prepares_every_member_alike():
             assert not state.amplitudes.flags.writeable
 
 
-def test_run_many_rejects_no_choice_mixed_inputs_and_differing_circuits(monkeypatch):
+def test_run_many_rejects_no_choice_and_mixed_inputs():
     with pytest.raises(ValueError, match="at least one"):
         run_many(DEUTSCH, [])
     with pytest.raises(ValueError, match="PromisePair"):
         run_many(ENTANGLED_PAIR, [PromisePair(B1, B1), B1])
-    real = pairdeutsch.algorithms.entangled_pair_ops
 
-    def uneven(pair):  # one pair's circuit gains a gate
-        ops = real(pair)
-        return ops + [ops[-1]] if pair.f is C1 else ops
 
-    monkeypatch.setattr(pairdeutsch.algorithms, "entangled_pair_ops", uneven)
-    with pytest.raises(ValueError, match="differ"):
-        run_many(ENTANGLED_PAIR, all_promise_pairs())
+def test_every_row_states_its_gates_within_its_width_and_query_budget():
+    arity = {"X": 1, "H": 1, "CNOT": 2, "f": 2, "g": 2}
+    for name, entry in ALGORITHMS.items():
+        for gate, targets, step in entry.gates:
+            assert gate in arity and len(targets) == arity[gate], (name, gate)
+            assert len(set(targets)) == len(targets), (name, gate, targets)
+            assert all(0 <= q < entry.num_qubits for q in targets), (name, targets)
+            assert isinstance(step, str) and step, (name, step)
+        names = [gate for gate, _, _ in entry.gates]
+        # the budget is the paper's, stated apart from the gates: they must agree
+        assert {fn: names.count(fn) for fn in ("f", "g") if fn in names} == dict(
+            entry.queries), name

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import re
 from collections import Counter
 import subprocess
 import sys
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ import pairdeutsch.entanglement
 import pairdeutsch.noise
 import pairdeutsch.oracles
 import pairdeutsch.qstate
-from pairdeutsch.algorithms import DecodedAnswer, ENTANGLED_PAIR, run_entangled_pair
+from pairdeutsch.algorithms import (
+    ENTANGLED_PAIR,
+    PRODUCT_PAIR,
+    DecodedAnswer,
+    run_entangled_pair,
+)
 from pairdeutsch.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -260,16 +267,14 @@ def test_verify_fails_with_broken_decode(capsys, monkeypatch):
 
 
 def test_verify_fails_if_product_run_entangles(capsys, monkeypatch):
-    # Swap in the entangled circuit plus a padding query: query totals stay
-    # at three, but the run now passes through entangled steps.
-    def entangling_ops(pair):
-        ops = pairdeutsch.algorithms.entangled_pair_ops(pair)
-        extra = pairdeutsch.algorithms.GateOp(
-            "U", pairdeutsch.oracles.oracle_unitary(pair.f), (0, 1), "extra", "f"
-        )
-        return ops + [extra]
-
-    monkeypatch.setattr(pairdeutsch.algorithms, "product_pair_ops", entangling_ops)
+    # The product row gets the entangled circuit plus a padding query: its
+    # query budget stays f: 2, g: 1, but the run now passes through entangled
+    # steps.
+    table = pairdeutsch.algorithms.ALGORITHMS
+    gates = table[ENTANGLED_PAIR].gates + (("f", (0, 1), "extra"),)
+    product = dataclasses.replace(table[PRODUCT_PAIR], gates=gates)
+    monkeypatch.setattr(pairdeutsch.algorithms, "ALGORITHMS",
+                        MappingProxyType({**table, PRODUCT_PAIR: product}))
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == EXIT_CHECK_FAILED
     report = json.loads(out)
@@ -278,10 +283,14 @@ def test_verify_fails_if_product_run_entangles(capsys, monkeypatch):
 
 
 def test_verify_fails_exactly_the_checks_that_read_a_failed_run(capsys, monkeypatch):
-    def broken_ops(pair):  # the product walk stops before its first gate
-        raise RuntimeError("product circuit unavailable")
+    circuit_ops = pairdeutsch.algorithms.circuit_ops
 
-    monkeypatch.setattr(pairdeutsch.algorithms, "product_pair_ops", broken_ops)
+    def broken_ops(algorithm, oracles):  # the product walk stops before its first gate
+        if algorithm == PRODUCT_PAIR:
+            raise RuntimeError("product circuit unavailable")
+        return circuit_ops(algorithm, oracles)
+
+    monkeypatch.setattr(pairdeutsch.algorithms, "circuit_ops", broken_ops)
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == EXIT_CHECK_FAILED
     checks = json.loads(out)["checks"]
@@ -504,6 +513,36 @@ def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: --counts") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--algorithm", "deutsch", "--f", "B1", "--shots", "many"],
+     '--shots must be a positive integer or "exact", got "many"'),
+    (["sweep-noise", "--algorithm", "deutsch", "--f", "B1", "--scales", "0,x"],
+     '--scales: "x" is not a number'),
+    (["fidelity", "--counts", "counts.json", "--theory", "foo:B1"],
+     '--theory: unknown algorithm "foo"'),
+], ids=["shots", "scales", "theory"])
+def test_usage_errors_name_the_flag_and_the_value(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_fidelity_rejects_a_counts_file_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text('{"111": 5,')
+    code, out, err = run_cli(
+        capsys, ["fidelity", "--counts", str(path), "--theory", "entangled:B1,B1"]
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: --counts: {path} is not valid JSON (")
+    assert err.endswith(")\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_OK and out.startswith("usage: pairdeutsch") and err == ""
 
 
 def test_sweep_noise_json(capsys):

@@ -18,6 +18,7 @@ from pairdeutsch.algorithms import (
     run_entangled_pair,
 )
 from pairdeutsch.noise import (
+    MAX_SHOTS,
     FidelityReport,
     NoiseModel,
     NotCovered,
@@ -68,6 +69,26 @@ def test_noise_model_validation():
         NoiseModel.table2().scaled(100.0)
     with pytest.raises(ValueError, match="nonnegative"):
         NoiseModel.table2().scaled(-1.0)
+    with pytest.raises(ValueError,
+                       match="^gate and readout rate lists must cover the same qubits$"):
+        NoiseModel((0.1,), {}, ())
+
+
+def test_noise_model_stores_every_rate_as_a_python_float():
+    # numpy scalars would be written as "np.float64(...)", which no config reads
+    model = NoiseModel.table2().scaled(np.float64(2.0))
+    mixed = NoiseModel((np.float32(0.25), 1), {(1, 0): np.float64(0.5)}, (0, np.int64(1)))
+    for m in (model, mixed):
+        rates = [*m.single_qubit_gate_error, *m.two_qubit_gate_error.values(),
+                 *m.readout_error]
+        assert all(type(r) is float for r in rates)
+        assert NoiseModel.from_config_text(m.to_config_text()) == m
+    assert mixed == NoiseModel((0.25, 1.0), {(0, 1): 0.5}, (0.0, 1.0))
+    for bad in (True, np.True_, "0.1", b"0.1"):
+        for model_args in (((bad,), {}, (0.0,)), ((0.0,), {}, (bad,)),
+                           ((0.0, 0.0), {(0, 1): bad}, (0.0, 0.0))):
+            with pytest.raises(ValueError, match="^error rate .* is not a number$"):
+                NoiseModel(*model_args)
 
 
 def test_noise_model_rejects_a_pair_rate_in_both_directions():
@@ -288,6 +309,15 @@ def test_readout_confusion_pairs_a_stack_with_one_rate_row_per_vector():
     assert apply_readout_confusion(probs[:0], np.zeros((0, 3))).shape == (0, 8)
 
 
+def test_readout_confusion_rejects_rates_outside_the_unit_interval():
+    for rate in (2.0, -0.1, float("nan")):  # as depolarize rejects them
+        for probs, rates in ((np.array([1.0, 0.0]), [rate]),
+                             (np.full((2, 4), 0.25), [[0.1, 0.1], [0.1, rate]])):
+            with pytest.raises(ValueError) as info:
+                apply_readout_confusion(probs, rates)
+            assert str(info.value) == f"readout error rate {rate!r} outside [0, 1]"
+
+
 def test_readout_confusion_rejects_a_stack_with_one_rate_row():
     with pytest.raises(ValueError, match="^a stack of 4 vectors needs one row of rates"):
         apply_readout_confusion(np.full((4, 8), 1 / 8), np.full(3, 0.1))
@@ -457,8 +487,10 @@ def test_sample_shots_is_reproducible():
 def test_sample_shots_validation():
     with pytest.raises(ValueError, match="sums to"):
         sample_shots({"0": 0.7, "1": 0.7}, 10, seed=0)
-    with pytest.raises(ValueError, match="positive"):
-        sample_shots({"0": 1.0}, 0, seed=0)
+    for shots in (0, -1, MAX_SHOTS + 1, 2**63):  # numpy overflows at 2**63
+        with pytest.raises(ValueError) as info:
+            sample_shots({"0": 1.0}, shots, seed=0)
+        assert str(info.value) == f"shots must be in 1..{MAX_SHOTS}, got {shots}"
     for shots in (5.5, 5.0, "5"):  # a shot count is what operator.index takes
         with pytest.raises(TypeError):
             sample_shots({"0": 1.0}, shots, seed=0)
@@ -467,15 +499,33 @@ def test_sample_shots_validation():
 
 def test_statistical_fidelity_checks_its_counts():
     fair = {"0": 0.5, "1": 0.5}
+    total = f"not in 1..{MAX_SHOTS}"
     for counts, message in (
-        ({}, "shots must be positive, got 0"),
-        ({"0": 0, "1": 0}, "shots must be positive, got 0"),
-        ({"0": -3, "1": 2}, "shots must be positive, got -1"),  # the total first
-        ({"0": -1, "1": 2}, "counts must be nonnegative"),
+        ({}, f"counts total 0, {total}"),
+        ({"0": 0, "1": 0}, f"counts total 0, {total}"),
+        ({"0": 10**30}, f"counts total {10**30}, {total}"),  # numpy: lam too large
+        ({"0": MAX_SHOTS, "1": 1}, f"counts total {MAX_SHOTS + 1}, {total}"),
+        ({"0": -3, "1": 2}, "count -3 of '0' is not a nonnegative integer"),
+        ({"0": 2.5, "1": 1.5}, "count 2.5 of '0' is not a nonnegative integer"),
+        ({"0": 3.0}, "count 3.0 of '0' is not a nonnegative integer"),
+        ({"0": True}, "count True of '0' is not a nonnegative integer"),
+        ({"0": float("nan")}, "count nan of '0' is not a nonnegative integer"),
+        ({"1": 2, "01": 5}, "count key '01' is not a 1-bit outcome"),
+        ({"2": 1}, "count key '2' is not a 1-bit outcome"),
+        ({0: 1}, "count key 0 is not a 1-bit outcome"),
     ):
         with pytest.raises(ValueError) as info:
             statistical_fidelity(counts, fair)
         assert str(info.value) == message
+    # keys as wide as the reference's: a 1-bit count is no 3-bit outcome
+    with pytest.raises(ValueError, match="count key '0' is not a 3-bit outcome"):
+        statistical_fidelity({"0": 3}, {"000": 1.0})
+    with pytest.raises(ValueError, match="sums to"):  # the reference first
+        statistical_fidelity({"0": -1}, {"0": 0.7, "1": 0.7})
+    # numpy integers are counts, and give the same report as Python ints
+    report = statistical_fidelity({"0": np.int64(3), "1": np.uint8(1)}, fair)
+    assert report == statistical_fidelity({"0": 3, "1": 1}, fair)
+    assert all(type(p) is float for p in report.p_exp.values())
 
 
 def test_statistical_fidelity_checks_the_reference_before_its_draws():
