@@ -16,14 +16,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from io import StringIO
 from types import MappingProxyType
 from typing import Callable
 
 from . import __version__, algorithms
-from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR
+from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR, DecodedAnswer
 from .entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
@@ -298,23 +298,28 @@ def _noisy(source: str, walk, *args):
         raise UsageError(f"--noise config {source}: {exc}") from None
 
 
-def _decode_outcome(algorithm: str, bitstring: str) -> dict:
-    answer = algorithms.decode_outcome(algorithm, bitstring)
-    return {k: v for k, v in asdict(answer).items() if v is not None}
+def _answer(answer: DecodedAnswer) -> dict:
+    """The decoded bits as the envelope prints them; `different` only for a pair."""
+    if answer.different is None:
+        return {"balanced": answer.balanced}
+    return {"balanced": answer.balanced, "different": answer.different}
 
 
-def _argmax(dist: dict[str, float]) -> str:
-    return max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
+def _decode_argmax(algorithm: str, dist: dict[str, float]) -> DecodedAnswer:
+    """The answer of the most likely outcome, ties to the larger bitstring."""
+    argmax = max(dist.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    return algorithms.decode_outcome(algorithm, argmax)
 
 
 def _payload_run(request: RunRequest) -> tuple[dict, int]:
     record = algorithms.run(request.algorithm, request.oracles)
-    if request.noise == "off":
-        probabilities = record.final_distribution
+    if request.noise == "off":  # every exact outcome decodes to record.decoded
+        probabilities, decoded = record.final_distribution, record.decoded
     else:
         model = _load_noise(request.noise)
         probabilities = _noisy(request.noise, run_noisy, request.algorithm,
                                request.oracles, model)
+        decoded = _decode_argmax(request.algorithm, probabilities)
     payload: dict = {
         "queries": dict(sorted(record.query_counts.items())),
         "gate_count": len(record.ops),  # informational, never asserted on
@@ -323,7 +328,7 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
     if request.shots != "exact":
         counts = sample_shots(probabilities, request.shots, request.seed)
         payload["counts"] = {k: counts[k] for k in sorted(counts)}
-    payload["decoded"] = _decode_outcome(request.algorithm, _argmax(probabilities))
+    payload["decoded"] = _answer(decoded)
     payload["separability"] = [
         {"step": label, "product": product}
         for label, product in trace_run_separability(record)
@@ -413,7 +418,6 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
     record = algorithms.run(request.algorithm, request.oracles)
     base = _load_noise(request.noise)
     ideal = record.final_distribution
-    ideal_decoded = _decode_outcome(request.algorithm, _argmax(ideal))
     try:
         models = [base.scaled(scale) for scale in request.scales]
     except ValueError as exc:
@@ -425,8 +429,8 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
         {
             "scale": scale,
             "fidelity": bhattacharyya(noisy, ideal),
-            "argmax_correct": _decode_outcome(request.algorithm, _argmax(noisy))
-            == ideal_decoded,
+            "argmax_correct": _decode_argmax(request.algorithm, noisy)
+            == record.decoded,
         }
         for scale, noisy in zip(request.scales, noisy_runs)
     ]
@@ -461,7 +465,8 @@ SUBCOMMANDS = MappingProxyType({
 
 
 @functools.cache  # built on first use, then shared by every request
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, MappingProxyType]:
+    """The top-level parser and its read-only subcommand -> subparser map."""
     parser = _Parser(prog="pairdeutsch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in SUBCOMMANDS.items():
@@ -470,11 +475,18 @@ def _build_parser() -> _Parser:
         if row.seeded:
             command.add_argument("--seed", type=int, default=None)
         command.add_argument("--output", default="json", choices=row.outputs)
-    return parser
+    return parser, MappingProxyType(sub.choices)
 
 
 def parse_request(argv: list[str]) -> RunRequest:
-    ns = _build_parser().parse_args(argv)
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        # the subparser that the top-level parser would hand the rest to,
+        # called directly: one argparse pass, not two, with the same outcome
+        ns = argparse.Namespace(command=argv[0])
+        subparsers[argv[0]].parse_args(argv[1:], ns)
+    else:  # --help, a typo, "--" or no argv: the top-level parser's outcome
+        ns = parser.parse_args(argv)
     row = SUBCOMMANDS[ns.command]
     seed = _seed(ns.seed) if row.seeded else 0  # an unseeded command draws nothing
     return RunRequest(ns.command, seed, ns.output, **row.fields(ns))

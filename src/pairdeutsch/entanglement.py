@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
-from .algorithms import RunRecord
+from .algorithms import ALGORITHMS, RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
 from .qstate import ATOL, CNOT, StateVector, _readonly, apply_gate
 
@@ -36,6 +37,9 @@ _FAMILY_FACTORS = {
     MINUS_FAMILY: (_readonly(np.array([_SQRT_HALF, -_SQRT_HALF])), 1),
 }
 FAMILIES = tuple(_FAMILY_FACTORS)
+# the table as one indexed assignment: each family's wire, and its factor as a row
+_FIXED_WIRES = tuple(wire for _, wire in _FAMILY_FACTORS.values())
+_FIXED_FACTORS = _readonly(np.stack([fixed for fixed, _ in _FAMILY_FACTORS.values()]))
 
 QUANTITIES = ("f0", "f1", "f0_xor_f1")
 
@@ -94,16 +98,21 @@ def _singular_values_2x2(mat: np.ndarray) -> np.ndarray:
 
 _PAIR_LABELS = ("alpha/beta", "gamma/delta")
 _NOT_NORMALIZED = "{} amplitudes not normalized: sum of squares {!r}"
+# two pairs this close to norm 1 make a product state within ATOL of it, with
+# room for rounding, so the StateVector that cnot_product_condition builds
+# from a row accepts every row that this check accepts
+_PAIR_ATOL = ATOL / 4
 
 
 def _checked_rows(params: np.ndarray) -> np.ndarray:
-    """params as (S, 4) rows (alpha, beta, gamma, delta), each pair normalized."""
+    """params as (S, 4) rows (alpha, beta, gamma, delta), each pair's sum of
+    squares within ATOL/4 of 1: the one input rule of both audits."""
     params = np.asarray(params, dtype=np.complex128)
     if params.ndim != 2 or params.shape[1] != 4:
         raise ValueError(f"params must have shape (S, 4), got {params.shape}")
     squares = np.abs(params) ** 2
     norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
-    bad = np.argwhere(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
+    bad = np.argwhere(~(np.abs(norms - 1.0) <= _PAIR_ATOL))  # NaN fails too
     if bad.size:
         sample, pair = bad[0]
         label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
@@ -132,18 +141,18 @@ def oracle_output_overlaps(params: np.ndarray) -> np.ndarray:
     """(4, S, 3) |<in|U_h|in>| for h = C2, B1, B2: the overlap of the one-query
     outputs of any two of C1, C2, B1, B2 that differ by h. In block k, family
     FAMILIES[k] fixes one tensor factor of the input state in, and each of the
-    (S, 4) rows (alpha, beta, gamma, delta) of params gives the other."""
+    (S, 4) rows (alpha, beta, gamma, delta) of params gives the other. All
+    four families' inputs form one (4, S, 4) array, queried in one pass."""
     params = _checked_rows(params)
     # each U_h is a permutation matrix: amplitude perm[i] of in moves to row i
     perms = [np.argmax(oracle_unitary(h), axis=1) for h in _DIFFERENCES]
-    overlaps = np.empty((len(FAMILIES), len(params), len(perms)))
-    for (fixed, wire), block in zip(_FAMILY_FACTORS.values(), overlaps):
-        free = params[:, 2:] if wire == 0 else params[:, :2]
-        ctrl, tgt = (fixed[None], free) if wire == 0 else (free, fixed[None])
-        inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
-        outs = inputs[:, perms]  # (S, 3, 4): U_h|in> for every row and h
-        np.abs(np.einsum("si,shi->sh", inputs.conj(), outs), out=block)
-    return overlaps
+    # [family, row, wire, amplitude]: each row's factors, then the fixed one
+    factors = np.repeat(params.reshape(1, -1, 2, 2), len(FAMILIES), axis=0)
+    factors[range(len(FAMILIES)), :, _FIXED_WIRES] = _FIXED_FACTORS[:, None]
+    inputs = (factors[:, :, 0, :, None] * factors[:, :, 1, None, :]).reshape(
+        len(FAMILIES), -1, 4)
+    outs = inputs[..., perms]  # (4, S, 3, 4): U_h|in> for every family, row and h
+    return np.abs(np.einsum("fsi,fshi->fsh", inputs.conj(), outs))
 
 
 def _decidable_quantities(overlaps: np.ndarray) -> np.ndarray:
@@ -209,21 +218,38 @@ def random_product_params(count: int, seed: int) -> np.ndarray:
     return factors.reshape(count, 4)
 
 
+def _cut_order(n: int) -> np.ndarray:
+    """(n, 2**n) gather: row q lists the basis indices of an n-qubit state in
+    the order that moves qubit q first, the others after it in order."""
+    index = np.arange(2**n).reshape((2,) * n)
+    return _readonly(np.stack([np.moveaxis(index, q, 0).ravel() for q in range(n)]))
+
+
+# the gather of each circuit width in the table, built once
+_CUT_ORDERS = MappingProxyType(
+    {row.num_qubits: _cut_order(row.num_qubits) for row in ALGORITHMS.values()})
+
+
 def step_second_coefficients(
     records: Iterable[RunRecord],
 ) -> list[list[tuple[str, float]]]:
     """Largest second Schmidt coefficient over the single-qubit cuts, for
     every recorded step of each run of one width: [(label, second), ...] per
-    record. All steps form one stack, so each cut is one batched Schmidt test."""
+    record. One gather stacks every step n times, block q with qubit q moved
+    first, so the n cuts of all steps are one batched Schmidt test of qubit 0
+    against the rest: the same 2 x 2**(n-1) matrices as a test per cut."""
     records = list(records)
     if not records:
         return []
     labels, states = zip(*(step for r in records for step in r.step_states))
     n = states[0].num_qubits  # np.stack rejects a record of another width
-    # every step was checked when its state was made
-    stack = StateVector._trusted(n, np.stack([state.amplitudes for state in states]))
-    cuts = [schmidt_analyze(stack, [q]).schmidt_coefficients[:, 1] for q in range(n)]
-    seconds = iter(zip(labels, np.max(cuts, axis=0).tolist()))
+    amps = np.stack([state.amplitudes for state in states])
+    order = _CUT_ORDERS[n] if n in _CUT_ORDERS else _cut_order(n)
+    # (n, S, 2**n), one block per cut; every step was checked when it was made
+    cuts = amps[np.arange(len(amps))[:, None], order[:, None]]
+    stack = StateVector._trusted(n, cuts.reshape(-1, 2**n))
+    seconds = schmidt_analyze(stack, [0]).schmidt_coefficients[:, 1]
+    seconds = iter(zip(labels, seconds.reshape(n, -1).max(axis=0).tolist()))
     return [list(islice(seconds, len(r.step_states))) for r in records]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -315,13 +315,28 @@ def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> dict[str, 
     return {k: int(c) for k, c in zip(keys, draws) if c}
 
 
+def _outcome_width(label: str, keys: Iterable, width: int | None = None):
+    """The one outcome-key rule: ValueError, naming `label`, unless each of
+    `keys` is a string of 0s and 1s as long as `width`, or as the first key.
+    Returns the width, None for no keys."""
+    for key in keys:
+        if width is None and isinstance(key, str):
+            width = len(key)
+        if not (isinstance(key, str) and 0 < len(key) == width) or key.strip("01"):
+            outcome = f"a {width}-bit outcome" if width else "an outcome bitstring"
+            raise ValueError(f"{label} key {key!r} is not {outcome}")
+    return width
+
+
 def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Sum over outcomes of sqrt(p_k * q_k): 1 iff the distributions are
     equal, 0 iff their supports are disjoint. Symmetric in its arguments;
     the sum runs in sorted outcome order, so it does not depend on the hash
-    seed. Raises ValueError unless both are probability distributions."""
+    seed. Raises ValueError unless both are probability distributions over
+    outcomes of one width."""
     _checked_probabilities(list(p.values()))
     _checked_probabilities(list(q.values()))
+    _outcome_width("q", q, _outcome_width("p", p))
     total = 0.0
     for k in sorted(set(p) & set(q)):
         pk, qk = p[k], q[k]
@@ -356,18 +371,17 @@ def statistical_fidelity(
     seed: int = 0,
 ) -> FidelityReport:
     """Fidelity of the empirical distribution of `counts` against `p_th`.
-    ValueError unless `p_th` is a distribution and `counts` maps outcomes as
-    wide as its keys to nonnegative integers totalling 1..MAX_SHOTS.
+    ValueError unless `p_th` is a distribution over outcomes of one width and
+    `counts` maps outcomes as wide to nonnegative integers totalling
+    1..MAX_SHOTS.
 
     The standard error is a Poisson bootstrap: each count is resampled as
     Poisson(count), renormalized, and the fidelity recomputed; the standard
     deviation over BOOTSTRAP_RESAMPLES seeded draws is reported.
     """
     _checked_probabilities(list(p_th.values()))  # before any draw
-    width = len(next(iter(p_th)))
+    _outcome_width("count", counts, _outcome_width("p_th", p_th))
     for key, count in counts.items():
-        if not isinstance(key, str) or len(key) != width or set(key) - {"0", "1"}:
-            raise ValueError(f"count key {key!r} is not a {width}-bit outcome")
         # a bool is an int to isinstance, but no count
         if type(count) is bool or not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError(f"count {count!r} of {key!r} is not a nonnegative integer")

@@ -321,24 +321,24 @@ def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
     assert len(gates) == 5 + 7 + 9  # one per gate of each circuit (148 run by run)
 
 
-def test_each_run_is_analysed_once_per_cut(monkeypatch):
-    stacks = []  # the number of stacked steps of each schmidt_analyze call
+def test_each_analysis_is_one_schmidt_call_for_all_cuts(monkeypatch):
+    calls = []  # (rows, cut) of each schmidt_analyze call
     real = pairdeutsch.entanglement.schmidt_analyze
     monkeypatch.setattr(pairdeutsch.entanglement, "schmidt_analyze",
-                        lambda state, left: stacks.append(len(state.amplitudes))
+                        lambda state, left: calls.append((len(state.amplitudes), left))
                         or real(state, left))
     assert verify_build().passed
-    # the steps of all 16 pair records, 8 x 4 + 8 x 5, in one stack per cut
-    assert stacks == [8 * 4 + 8 * 5] * 3  # was 48 calls, one per record and cut
+    # the steps of all 16 pair records, 8 x 4 + 8 x 5, once per qubit, in one call
+    assert calls == [(3 * (8 * 4 + 8 * 5), [0])]
     for argv, qubits in (
         (["run", "--algorithm", "entangled", "--f", "B1", "--g", "B2"], 3),
         (["run", "--algorithm", "product", "--f", "C1", "--g", "C2"], 3),
         (["run", "--algorithm", "deutsch", "--f", "B1"], 2),
     ):
-        stacks.clear()
+        calls.clear()
         envelope, code = execute(parse_request(argv))
         assert code == EXIT_OK
-        assert stacks == [len(envelope.payload["separability"])] * qubits, argv
+        assert calls == [(qubits * len(envelope.payload["separability"]), [0])], argv
 
 
 def test_largest_shot_counts_are_accepted(capsys, tmp_path):

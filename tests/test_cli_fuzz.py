@@ -3,7 +3,12 @@ of valid and invalid values, writes a generated noise config and counts
 file, and runs `cli.main` in this process, so one parser serves every
 example. Whatever the input, the exit code is 0, 1 or 2, never 3 (an
 internal error), and a usage error (2) prints nothing to stdout and exactly
-one `error:` line to stderr."""
+one `error:` line to stderr.
+
+`parse_request` hands an argv that starts with a subcommand straight to
+that subcommand's parser. The same pools, a stream of loose tokens and
+fixed cases check that it always ends as the top-level parser would: the
+same request, usage error text, or exit code and stdout."""
 
 import contextlib
 import io
@@ -11,12 +16,15 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from types import MappingProxyType
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pairdeutsch.cli import EXIT_USAGE, SEED_ENV_VAR, main
+from pairdeutsch import cli
+from pairdeutsch.cli import EXIT_USAGE, SEED_ENV_VAR, UsageError, main, parse_request
 from pairdeutsch.noise import NoiseModel
 
 ORACLES = (["B1", "B2", "C1", "C2", "0:1,1:0", "0:0,1:0"],
@@ -148,3 +156,96 @@ def test_cli_never_fails_internally(argv, config, counts, env_seed):
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def parse_outcome(argv: list[str]) -> tuple:
+    """What parse_request makes of argv: ("request", the RunRequest),
+    ("usage", the error text) or ("exit", the code, what it printed)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "request", parse_request(argv)
+    except UsageError as exc:
+        return "usage", str(exc), out.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def top_level_outcome(argv: list[str]) -> tuple:
+    """parse_outcome with no subcommand known by name, so that the top-level
+    parser parses every argv and hands the rest to the subcommand's parser."""
+    parser, _ = cli._build_parser()
+    with mock.patch.object(cli, "_build_parser", lambda: (parser, MappingProxyType({}))):
+        return parse_outcome(argv)
+
+
+def assert_parsed_as_by_the_top_level(argv: list[str]) -> None:
+    with mock.patch.dict(os.environ):
+        os.environ.pop(SEED_ENV_VAR, None)
+        assert parse_outcome(argv) == top_level_outcome(argv), argv
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_cli.json").read_text())
+PAIR = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
+FIDELITY = ["fidelity", "--counts", "counts.json", "--theory", "entangled:B1,B1"]
+# the argv of the usage-error tests in test_cli.py; parsing reads no file
+USAGE_ERRORS = [
+    ["run", "--algorithm", "entangled", "--f", "B1", "--g", "C1"],
+    ["run", "--algorithm", "entangled", "--f", "0:2,1:0", "--g", "B1"],
+    ["run", *PAIR, "--frobnicate"],
+    ["run", "--algorithm", "deutsch", "--f", "B1", "--g", "B2"],
+    ["run", "--algorithm", "deutsch", "--f", "B1", "--shots", "10", "--seed", "-1"],
+    ["run", "--algorithm", "deutsch", "--f", "B1", "--shots", "many"],
+    ["run", *PAIR, "--shots", "100000000000000000000000"],
+    ["run", *PAIR, "--shots", str(2**62 + 1)],
+    [*FIDELITY, "--seed", "-1"],
+    ["fidelity", "--counts", "counts.json", "--theory", "foo:B1"],
+    *(["fidelity", "--counts", "counts.json", "--theory", theory]
+      for theory in ("entangled=B1", "entangled:B1", "deutsch:B1,B1")),
+    ["audit-theorem", "--samples", "10", "--grid", "3", "--seed", "-1"],
+    ["audit-theorem", "--grid", "257"],
+    ["audit-theorem", "--grid", "1"],
+    ["audit-theorem", "--samples", "100001"],
+    ["audit-theorem", "--samples", "0"],
+    ["sweep-noise", "--algorithm", "deutsch", "--f", "B1", "--scales", "0,x"],
+    ["sweep-noise", *PAIR, "--scales", ",".join(["1"] * 1025)],
+    ["sweep-noise", *PAIR, "--noise", "off"],
+    ["verify", "--output", "csv"],
+]
+# every invalid value of the pools above, the other flags valid, alone and
+# followed by each stray token
+POOL_ERRORS = [
+    [command, *(arg for other, (valid, invalid) in flags.items() for arg in
+                (other, invalid[i] if other == flag else valid[0])), *stray]
+    for command, flags in COMMANDS.items() if command
+    for flag, (_, invalid) in flags.items() for i in range(len(invalid))
+    for stray in [[], *([token] for token in STRAY_TOKENS)]
+]
+NO_SUBCOMMAND = [[], ["--help"], ["-h"], ["--"], ["--", "run"], ["runn"], [""],
+                 ["--seed", "3", "run"], ["run", "--help"], ["run", "--"],
+                 ["verify", "--help"], ["audit-theorem", "-h", "--grid", "x"]]
+
+
+@pytest.mark.parametrize("argv", [case["argv"] for case in GOLDEN.values()]
+                         + USAGE_ERRORS + NO_SUBCOMMAND)
+def test_parse_request_ends_as_the_top_level_parser_would(argv):
+    assert_parsed_as_by_the_top_level(argv)
+
+
+def test_every_pool_error_parses_as_by_the_top_level_parser():
+    for argv in POOL_ERRORS:
+        assert_parsed_as_by_the_top_level(argv)
+
+
+TOKENS = [*COMMANDS, "--help", "-h", "--", "-", "--seed", "--output",
+          "--algorithm", "--f", "--g", "--shots", "--noise", "--scales", "--samples",
+          "--grid", "--counts", "--theory", "--alg", "--sh", "--f=B1", "--grid=3",
+          "json", "csv", "deutsch", "entangled", "B1", "C2", "0:1,1:0", "3", "-1",
+          "exact", "table2", "off", "0,1", "x", "entangled:B1,B1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(argvs(), st.lists(st.sampled_from(TOKENS), max_size=9)))
+def test_parse_request_agrees_with_the_top_level_parser(argv):
+    assert_parsed_as_by_the_top_level(argv)

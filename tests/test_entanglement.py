@@ -24,7 +24,16 @@ from pairdeutsch.entanglement import (
     step_second_coefficients,
     trace_run_separability,
 )
-from pairdeutsch.oracles import B1, C1, NAMED_FUNCTIONS, PromisePair, all_promise_pairs
+from pairdeutsch.oracles import (
+    B1,
+    B2,
+    C1,
+    C2,
+    NAMED_FUNCTIONS,
+    PromisePair,
+    all_promise_pairs,
+    oracle_unitary,
+)
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
     bloch_grid_params_reference,
@@ -118,19 +127,38 @@ def test_schmidt_invariant_under_local_unitaries(seed):
     assert np.allclose(before, after, atol=1e-9)
 
 
+def twenty_records() -> list:
+    """The 8 entangled, 8 product and 4 Deutsch records one verify makes."""
+    pairs = all_promise_pairs()
+    return ([run_entangled_pair(p) for p in pairs] + [run_product_pair(p) for p in pairs]
+            + [run_deutsch(fn) for fn in NAMED_FUNCTIONS.values()])
+
+
 def test_step_second_coefficients_match_the_per_state_reference():
-    pairs = all_promise_pairs()  # the 20 records one verify makes
-    records = ([run_entangled_pair(p) for p in pairs] + [run_product_pair(p) for p in pairs]
-               + [run_deutsch(fn) for fn in NAMED_FUNCTIONS.values()])
+    records = twenty_records()
     assert len(records) == 20
     for record in records:
         got = step_second_coefficients([record])[0]
         want = step_second_coefficients_reference(record)
-        assert got == want  # float ==: one stacked Schmidt test per cut, bit for bit
+        assert got == want  # float ==: one batched Schmidt test, bit for bit
         assert all(type(second) is float for _, second in got)
         assert trace_run_separability(record) == [
             (label, second < PRODUCT_TOL) for label, second in want
         ]
+
+
+def test_all_cuts_in_one_call_match_a_stacked_call_per_cut_by_hex():
+    records = twenty_records()
+    for group in [records[:16], records[16:], *([r] for r in records)]:
+        states = [state for r in group for _, state in r.step_states]
+        n = states[0].num_qubits
+        stack = StateVector(n, np.stack([state.amplitudes for state in states]))
+        per_cut = [schmidt_analyze(stack, [q]).schmidt_coefficients[:, 1]
+                   for q in range(n)]
+        want = [float(s).hex() for s in np.max(per_cut, axis=0)]
+        got = [s.hex() for seconds in step_second_coefficients(group)
+               for _, s in seconds]
+        assert got == want
 
 
 def test_many_record_form_matches_each_record_bit_for_bit(monkeypatch):
@@ -182,6 +210,44 @@ def test_product_state_params_validation():
         # every pair is checked, also the one a family fixes
         for audit in (oracle_output_overlaps, audit_family_distinguishability):
             assert str(pytest.raises(ValueError, audit, rows).value) == per_row
+
+
+def test_rows_that_pass_the_row_check_pass_both_audits():
+    # each pair's sum of squares may be ATOL/4 off 1, so that their product
+    # state, which cnot_product_condition checks as a StateVector, is within
+    # ATOL; a row off by more fails both audits with the pair's message
+    for off, accepted in ((0.2e-10, True), (-0.2e-10, True),
+                          (0.3e-10, False), (0.9e-10, False), (-0.9e-10, False)):
+        s = np.sqrt(1 + off)
+        for row in ([s, 0, s, 0], [s, 0, 1, 0], [1, 0, 0, s]):
+            audits = (cnot_product_condition, oracle_output_overlaps,
+                      audit_family_distinguishability)
+            if accepted:
+                for audit in audits:
+                    audit([row])
+                assert verdict_pairs([row]) == [(True, True)]
+                continue
+            label = "alpha/beta" if row[0] == s else "gamma/delta"
+            message = f"{label} amplitudes not normalized: sum of squares {float(s)**2!r}"
+            for audit in audits:
+                assert str(pytest.raises(ValueError, audit, [row]).value) == message
+
+
+def test_one_pass_overlaps_equal_the_per_family_loop():
+    perms = [np.argmax(oracle_unitary(h), axis=1) for h in (C2, B1, B2)]
+    factors = {KET0_FAMILY: ([1.0, 0.0], 0), KET1_FAMILY: ([0.0, 1.0], 0),
+               PLUS_FAMILY: ([SQ2, SQ2], 1), MINUS_FAMILY: ([SQ2, -SQ2], 1)}
+    for params in (bloch_grid_params(10), bloch_grid_params(51),
+                   random_product_params(300, seed=5)):
+        got = oracle_output_overlaps(params)
+        for family, block in zip(FAMILIES, got):
+            fixed, wire = factors[family]
+            free = params[:, 2:] if wire == 0 else params[:, :2]
+            fixed = np.array([fixed])
+            ctrl, tgt = (fixed, free) if wire == 0 else (free, fixed)
+            inputs = (ctrl[:, :, None] * tgt[:, None, :]).reshape(-1, 4)
+            loop = np.abs(np.einsum("si,shi->sh", inputs.conj(), inputs[:, perms]))
+            assert np.array_equal(block, loop), family
 
 
 def test_oracle_output_overlaps_rejects_non_row_shapes():

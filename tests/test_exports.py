@@ -17,6 +17,6 @@ def test_module_tables_that_other_code_reads_are_read_only():
     with pytest.raises(TypeError):
         noise.TABLE2_TWO_QUBIT[(0, 1)] = noise.TABLE2_TWO_QUBIT[(0, 1)]
     factors = [factor for factor, _ in entanglement._FAMILY_FACTORS.values()]
-    for table in (*factors, entanglement._FLIPS):
+    for table in (*factors, entanglement._FIXED_FACTORS, entanglement._FLIPS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]

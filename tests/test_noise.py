@@ -520,6 +520,13 @@ def test_statistical_fidelity_checks_its_counts():
     # keys as wide as the reference's: a 1-bit count is no 3-bit outcome
     with pytest.raises(ValueError, match="count key '0' is not a 3-bit outcome"):
         statistical_fidelity({"0": 3}, {"000": 1.0})
+    # and the reference's keys are outcomes of one width too, before any draw
+    for p_th, message in (({"0": 0.5, "11": 0.5}, "p_th key '11' is not a 1-bit outcome"),
+                          ({"0": 0.5, 1: 0.5}, "p_th key 1 is not a 1-bit outcome"),
+                          ({7: 1.0}, "p_th key 7 is not an outcome bitstring")):
+        with pytest.raises(ValueError) as info:
+            statistical_fidelity({"0": 1}, p_th)
+        assert str(info.value) == message
     with pytest.raises(ValueError, match="sums to"):  # the reference first
         statistical_fidelity({"0": -1}, {"0": 0.7, "1": 0.7})
     # numpy integers are counts, and give the same report as Python ints
@@ -561,6 +568,21 @@ def test_bhattacharyya_rejects_non_distributions():
             bhattacharyya(fair, bad)
     # within the 1e-9 tolerance sample_shots also uses
     assert bhattacharyya({"0": 1.0 + 5e-10}, {"0": 1.0}) == 1.0
+
+
+def test_bhattacharyya_scores_only_outcomes_of_one_width():
+    for p, q, message in (
+        ({"0": 1.0}, {"000": 1.0}, "q key '000' is not a 1-bit outcome"),
+        ({"000": 1.0}, {"0": 0.5, "1": 0.5}, "q key '0' is not a 3-bit outcome"),
+        ({"0": 0.5, "11": 0.5}, {"0": 1.0}, "p key '11' is not a 1-bit outcome"),
+        ({"02": 1.0}, {"00": 1.0}, "p key '02' is not a 2-bit outcome"),
+        ({"": 1.0}, {"0": 1.0}, "p key '' is not an outcome bitstring"),
+        ({0: 1.0}, {"0": 1.0}, "p key 0 is not an outcome bitstring"),
+    ):
+        with pytest.raises(ValueError) as info:
+            bhattacharyya(p, q)
+        assert str(info.value) == message
+    assert bhattacharyya({"01": 1.0}, {"10": 1.0}) == 0.0  # disjoint, one width
 
 
 BHATTACHARYYA_OF_TWO_RUNS = """
