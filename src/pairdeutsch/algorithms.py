@@ -33,11 +33,12 @@ PRODUCT_PAIR = "product_pair"
 
 @dataclass(frozen=True)
 class Algorithm:
-    """Width, exact query counts and gates of one circuit. A circuit that
-    queries g takes a PromisePair and decodes both answer bits; one that
-    queries only f takes a single BoolFn and decodes the answer qubit alone.
-    Its gates are (name, targets, step) rows in circuit order."""
+    """CLI alias, width, exact query counts and gates of one circuit. A
+    circuit that queries g takes a PromisePair and decodes both answer bits;
+    one that queries only f takes a single BoolFn and decodes the answer
+    qubit alone. Its gates are (name, targets, step) rows in circuit order."""
 
+    alias: str  # the short name the CLI takes besides the table key
     num_qubits: int
     queries: Mapping[str, int]
     gates: tuple[tuple[str, tuple[int, ...], str], ...]
@@ -50,7 +51,7 @@ class Algorithm:
 ALGORITHMS = MappingProxyType({
     # Single-query circuit: |0>|1>, H on both wires, one oracle call, H on
     # the answer qubit. The answer qubit then reads f(0)^f(1) with certainty.
-    DEUTSCH: Algorithm(2, MappingProxyType({"f": 1}), (
+    DEUTSCH: Algorithm("deutsch", 2, MappingProxyType({"f": 1}), (
         ("X", (1,), "initialize"),
         ("H", (0,), "initialize"),
         ("H", (1,), "initialize"),
@@ -63,7 +64,7 @@ ALGORITHMS = MappingProxyType({
     # own work qubit, and the final H turns the accumulated relative phase
     # into a deterministic answer bit, while the work-qubit parity records
     # whether the functions agree.
-    ENTANGLED_PAIR: Algorithm(3, MappingProxyType({"f": 1, "g": 1}), (
+    ENTANGLED_PAIR: Algorithm("entangled", 3, MappingProxyType({"f": 1, "g": 1}), (
         ("H", (0,), "initialize"),
         ("X", (1,), "initialize"),
         ("H", (1,), "initialize"),
@@ -80,7 +81,7 @@ ALGORITHMS = MappingProxyType({
     # the work qubits; under the promise their parity equals f(0)^g(0). The
     # answer qubit sits in a basis state during those writes, so no step
     # ever creates entanglement.
-    PRODUCT_PAIR: Algorithm(3, MappingProxyType({"f": 2, "g": 1}), (
+    PRODUCT_PAIR: Algorithm("product", 3, MappingProxyType({"f": 2, "g": 1}), (
         ("H", (0,), "initialize"),
         ("X", (1,), "initialize"),
         ("H", (1,), "initialize"),

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from . import __version__, algorithms
-from .algorithms import DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR, DecodedAnswer
+from .algorithms import DecodedAnswer
 from .entanglement import (
     audit_family_distinguishability,
     bloch_grid_params,
@@ -55,13 +55,11 @@ MAX_GRID = 256
 MAX_SAMPLES = 100_000
 MAX_SCALES = 1024  # a sweep walks one stacked density matrix per factor
 
-_ALGORITHM_NAMES = {
-    "deutsch": DEUTSCH,
-    "entangled": ENTANGLED_PAIR,
-    "entangled_pair": ENTANGLED_PAIR,
-    "product": PRODUCT_PAIR,
-    "product_pair": PRODUCT_PAIR,
-}
+# each algorithm under its table key and under its row's short alias
+_ALGORITHM_NAMES = MappingProxyType({
+    key: name
+    for name, row in algorithms.ALGORITHMS.items() for key in (name, row.alias)
+})
 
 _ORACLE_TOKEN = r"(?:[BC][12]|[01]:[01],[01]:[01])"
 _THEORY_SPEC = re.compile(
@@ -289,15 +287,6 @@ def _load_noise(source: str) -> NoiseModel:
         raise UsageError(f"--noise config {source}: {exc}") from None
 
 
-def _noisy(source: str, walk, *args):
-    """walk(*args), a noisy walk, whose one check that the model covers every
-    qubit and two-qubit gate of the circuit fails as a usage error."""
-    try:
-        return walk(*args)
-    except NotCovered as exc:
-        raise UsageError(f"--noise config {source}: {exc}") from None
-
-
 def _answer(answer: DecodedAnswer) -> dict:
     """The decoded bits as the envelope prints them; `different` only for a pair."""
     if answer.different is None:
@@ -316,9 +305,8 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
     if request.noise == "off":  # every exact outcome decodes to record.decoded
         probabilities, decoded = record.final_distribution, record.decoded
     else:
-        model = _load_noise(request.noise)
-        probabilities = _noisy(request.noise, run_noisy, request.algorithm,
-                               request.oracles, model)
+        model = _load_noise(request.noise)  # execute reports what it leaves unrated
+        probabilities = run_noisy(request.algorithm, request.oracles, model)
         decoded = _decode_argmax(request.algorithm, probabilities)
     payload: dict = {
         "queries": dict(sorted(record.query_counts.items())),
@@ -423,8 +411,7 @@ def _payload_sweep(request: RunRequest) -> tuple[dict, int]:
     except ValueError as exc:
         raise UsageError(f"--scales: {exc}") from None
     # every scale rides in one density walk
-    noisy_runs = _noisy(request.noise, run_noisy_models, request.algorithm,
-                        request.oracles, models)
+    noisy_runs = run_noisy_models(request.algorithm, request.oracles, models)
     rows = [
         {
             "scale": scale,
@@ -493,7 +480,10 @@ def parse_request(argv: list[str]) -> RunRequest:
 
 
 def execute(request: RunRequest) -> tuple[ResultEnvelope, int]:
-    payload, code = SUBCOMMANDS[request.command].payload(request)
+    try:
+        payload, code = SUBCOMMANDS[request.command].payload(request)
+    except NotCovered as exc:  # the noisy walk's one check of the --noise model
+        raise UsageError(f"--noise config {request.noise}: {exc}") from None
     timestamp = datetime.now(timezone.utc).isoformat()
     return ResultEnvelope(request, payload, __version__, timestamp), code
 

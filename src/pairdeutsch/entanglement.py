@@ -1,23 +1,35 @@
 """Separability certificates for pure states and the product-state oracle audit.
 
-Two computational audits back the claim that the two-query pair test needs
-entanglement. First, a CNOT acting on a two-qubit product state (a|0>+b|1>)
-(c|0>+d|1>) stays product exactly when a*b*(c^2-d^2) = 0; the algebraic
-criterion is checked against a numerical Schmidt test. Second, for each of
-the four input families that survive that criterion, one oracle query is
-shown to make at most one of f(0), f(1), f(0)^f(1) perfectly decidable.
+Two audits back the claim that the two-query pair test needs entanglement.
+First, a CNOT on a product state (a|0>+b|1>)(c|0>+d|1>) stays product
+exactly when a*b*(c^2-d^2) = 0, checked against a numerical Schmidt test.
+Second, one oracle query decides at most one of f(0), f(1), f(0)^f(1). The
+oracles are XOR permutations, so the outputs of two functions that differ
+by h (C2, B1 or B2) overlap by |<in|U_h|in>|. For the input
+(alpha|0> + beta|1>)(gamma|0> + delta|1>) and r = 2 Re(conj(gamma) delta),
+the target factor's <t|X|t>, these are
+
+    C2, X on the target:            |r|
+    B1, X on the target under |1>:  ||alpha|^2 + |beta|^2 r|
+    B2, X on the target under |0>:  ||alpha|^2 r + |beta|^2|
+
+f(0) needs the C2 and B2 overlaps to vanish: r = 0 and beta = 0, which
+leaves B1's at 1. f(1) needs r = 0 and alpha = 0, which leaves B2's at 1.
+f(0)^f(1) needs B1's and B2's to vanish; they sum to 1 + r, so r = -1 and
+C2's is 1. The audit computes the overlaps numerically for the four input
+families that survive the CNOT criterion; the tests hold them to this form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice
-from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, RunRecord
+from .algorithms import RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
 from .qstate import ATOL, CNOT, StateVector, _readonly, apply_gate
 
@@ -99,8 +111,8 @@ def _singular_values_2x2(mat: np.ndarray) -> np.ndarray:
 _PAIR_LABELS = ("alpha/beta", "gamma/delta")
 _NOT_NORMALIZED = "{} amplitudes not normalized: sum of squares {!r}"
 # two pairs this close to norm 1 make a product state within ATOL of it, with
-# room for rounding, so the StateVector that cnot_product_condition builds
-# from a row accepts every row that this check accepts
+# room for rounding, so cnot_product_condition wraps the product state of
+# every row that this check accepts without a second check
 _PAIR_ATOL = ATOL / 4
 
 
@@ -133,8 +145,8 @@ def cnot_product_condition(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     predicted = np.abs(alpha * beta * (gamma**2 - delta**2)) < PRODUCT_TOL
     predicted.flags.writeable = False
     products = (params[:, :2, None] * params[:, None, 2:]).reshape(-1, 4)
-    actual = schmidt_analyze(apply_gate(StateVector(2, products), CNOT, (0, 1)), [0])
-    return predicted, actual.is_product
+    cnot = apply_gate(StateVector._trusted(2, products), CNOT, (0, 1))
+    return predicted, schmidt_analyze(cnot, [0]).is_product
 
 
 def oracle_output_overlaps(params: np.ndarray) -> np.ndarray:
@@ -218,16 +230,12 @@ def random_product_params(count: int, seed: int) -> np.ndarray:
     return factors.reshape(count, 4)
 
 
+@cache  # one read-only gather per width, built on its first use
 def _cut_order(n: int) -> np.ndarray:
     """(n, 2**n) gather: row q lists the basis indices of an n-qubit state in
     the order that moves qubit q first, the others after it in order."""
     index = np.arange(2**n).reshape((2,) * n)
     return _readonly(np.stack([np.moveaxis(index, q, 0).ravel() for q in range(n)]))
-
-
-# the gather of each circuit width in the table, built once
-_CUT_ORDERS = MappingProxyType(
-    {row.num_qubits: _cut_order(row.num_qubits) for row in ALGORITHMS.values()})
 
 
 def step_second_coefficients(
@@ -244,9 +252,8 @@ def step_second_coefficients(
     labels, states = zip(*(step for r in records for step in r.step_states))
     n = states[0].num_qubits  # np.stack rejects a record of another width
     amps = np.stack([state.amplitudes for state in states])
-    order = _CUT_ORDERS[n] if n in _CUT_ORDERS else _cut_order(n)
     # (n, S, 2**n), one block per cut; every step was checked when it was made
-    cuts = amps[np.arange(len(amps))[:, None], order[:, None]]
+    cuts = amps[np.arange(len(amps))[:, None], _cut_order(n)[:, None]]
     stack = StateVector._trusted(n, cuts.reshape(-1, 2**n))
     seconds = schmidt_analyze(stack, [0]).schmidt_coefficients[:, 1]
     seconds = iter(zip(labels, seconds.reshape(n, -1).max(axis=0).tolist()))

@@ -254,6 +254,24 @@ def oracle_output_gram_reference(family: str, sample_params) -> np.ndarray:
     return np.array(grams).reshape(-1, 4, 4)
 
 
+def closed_form_overlaps(row) -> tuple[float, float, float]:
+    """|<in|U_h|in>| for h = C2, B1, B2 by the closed form, no matrices: for
+    in = (alpha|0> + beta|1>)(gamma|0> + delta|1>) and r = 2 Re(conj(gamma)
+    delta), they are |r|, ||alpha|^2 + |beta|^2 r| and ||alpha|^2 r + |beta|^2|."""
+    alpha, beta, gamma, delta = (complex(v) for v in row)
+    r = 2 * (gamma.conjugate() * delta).real
+    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+    return abs(r), abs(a2 + b2 * r), abs(a2 * r + b2)
+
+
+def closed_form_decidable(overlaps, tol: float) -> tuple[str, ...]:
+    """Quantities whose two flipping differences both overlap below tol:
+    C2 and B2 flip f(0), C2 and B1 flip f(1), B1 and B2 flip f(0)^f(1)."""
+    c2, b1, b2 = (overlap < tol for overlap in overlaps)
+    decided = {"f0": c2 and b2, "f1": c2 and b1, "f0_xor_f1": b1 and b2}
+    return tuple(quantity for quantity, d in decided.items() if d)
+
+
 def decidable_quantities_reference(gram: np.ndarray, tol: float) -> tuple[str, ...]:
     """Quantities of f(0), f(1), f(0)^f(1) for which the functions giving 0
     and those giving 1 have pairwise output overlaps below tol."""

@@ -1,12 +1,16 @@
+import json
 import time
+from itertools import compress
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairdeutsch.algorithms import run_deutsch, run_entangled_pair, run_product_pair
+from pairdeutsch.cli import parse_request
 from pairdeutsch.entanglement import (
     FAMILIES,
     KET0_FAMILY,
@@ -15,6 +19,7 @@ from pairdeutsch.entanglement import (
     PLUS_FAMILY,
     PRODUCT_TOL,
     QUANTITIES,
+    _cut_order,
     audit_family_distinguishability,
     bloch_grid_params,
     cnot_product_condition,
@@ -37,8 +42,11 @@ from pairdeutsch.oracles import (
 from pairdeutsch.qstate import StateVector, apply_gate, basis_state
 from reference_impls import (
     bloch_grid_params_reference,
+    closed_form_decidable,
+    closed_form_overlaps,
     cnot_product_condition_reference,
     decidable_quantities_reference,
+    oracle_matrix_reference,
     oracle_output_gram_reference,
     random_product_params_reference,
     random_state,
@@ -49,6 +57,7 @@ from reference_impls import (
 )
 
 SQ2 = 1 / np.sqrt(2)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 OVERLAP_INDEX = {"C2": 0, "B1": 1, "B2": 2}  # columns of oracle_output_overlaps
 
 
@@ -178,6 +187,16 @@ def test_many_record_form_matches_each_record_bit_for_bit(monkeypatch):
         step_second_coefficients([records[0], run_deutsch(C1)])
 
 
+def test_each_width_builds_its_cut_order_once():
+    records = twenty_records()  # 16 three-qubit records, then 4 two-qubit ones
+    _cut_order.cache_clear()
+    for group in (records[:16], records[16:], records[:1], records[19:], records[:16]):
+        step_second_coefficients(group)
+    assert _cut_order.cache_info()[:2] == (3, 2)  # (hits, misses)
+    order = _cut_order(3)
+    assert order is _cut_order(3) and not order.flags.writeable
+
+
 def test_step_second_coefficients_examples():
     entangled_init = run_entangled_pair(PromisePair(B1, B1)).step_states[0][1]
     steps = SimpleNamespace(step_states=(("010", basis_state(3, 2)),
@@ -226,6 +245,9 @@ def test_rows_that_pass_the_row_check_pass_both_audits():
                 for audit in audits:
                     audit([row])
                 assert verdict_pairs([row]) == [(True, True)]
+                # the product state the CNOT audit wraps unchecked passes the check
+                rows = np.array([row], dtype=np.complex128)
+                StateVector(2, (rows[:, :2, None] * rows[:, None, 2:]).reshape(-1, 4))
                 continue
             label = "alpha/beta" if row[0] == s else "gamma/delta"
             message = f"{label} amplitudes not normalized: sum of squares {float(s)**2!r}"
@@ -296,7 +318,7 @@ def test_random_params_match_the_per_sample_loop(count, seed):
     assert verdict_pairs(got) == verdict_pairs(want.reshape(-1, 4))
 
 
-def test_cnot_condition_validates_two_states(monkeypatch):
+def test_cnot_condition_validates_only_the_cnot_output(monkeypatch):
     calls = []
     validate = StateVector.__post_init__
 
@@ -308,7 +330,8 @@ def test_cnot_condition_validates_two_states(monkeypatch):
     for count in (1, 10, 1000):
         calls.clear()
         cnot_product_condition(random_product_params(count, seed=3))
-        assert calls == [2, 2]  # the input product stack and the CNOT output
+        # the product stack is wrapped unchecked: the row check implies its norms
+        assert calls == [2]  # the CNOT output
 
 
 def test_cnot_condition_agrees_on_the_four_surviving_families():
@@ -518,6 +541,55 @@ def test_overlaps_and_verdicts_match_the_loop_reference():
         ] == [
             decidable_quantities_reference(g, PRODUCT_TOL) for g in want
         ], family
+
+
+UNIT_DISK = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(UNIT_DISK, UNIT_DISK, UNIT_DISK, UNIT_DISK))
+@example((1, 0, 1, 0))  # |0>|0>: r = 0 and beta = 0 decide f(0)
+@example((0, 1, SQ2, 1j * SQ2))  # r = 0 and alpha = 0 decide f(1)
+@example((SQ2, SQ2, SQ2, -SQ2))  # |+>|->: r = -1, |alpha| = |beta|, f(0)^f(1)
+@example((0.6, 0.8j, SQ2, SQ2))  # a |+> target, r = 1, decides nothing
+def test_closed_form_overlaps_hold_for_every_product_input(amplitudes):
+    pairs = np.array(amplitudes, dtype=np.complex128).reshape(2, 2)
+    norms = np.sqrt(np.sum(np.abs(pairs) ** 2, axis=1))
+    assume(np.all(norms > 1e-6))
+    row = (pairs / norms[:, None]).reshape(4)
+    state = np.kron(row[:2], row[2:])
+    numeric = [abs(np.vdot(state, oracle_matrix_reference(h) @ state))
+               for h in (C2, B1, B2)]
+    want = closed_form_overlaps(row)
+    assert np.max(np.abs(np.subtract(numeric, want))) <= 1e-12
+    assert len(closed_form_decidable(want, PRODUCT_TOL)) <= 1
+    # the audit's input for each family, the row with one factor fixed
+    for family, got in zip(FAMILIES, oracle_output_overlaps([row])[:, 0]):
+        want = closed_form_overlaps(_family_params(family, row))
+        assert np.max(np.abs(got - want)) <= 1e-12, family
+        assert len(closed_form_decidable(want, PRODUCT_TOL)) <= 1, family
+
+
+def test_audit_verdicts_equal_the_closed_form_on_every_golden_grid():
+    grids = sorted({parse_request(case["argv"]).grid for case in GOLDEN.values()
+                    if case["argv"][0] == "audit-theorem"})
+    assert grids == [2, 4, 11, 51]
+    for t in grids:
+        params = bloch_grid_params(t)
+        reports = audit_family_distinguishability(params)
+        for family, report in zip(FAMILIES, reports):
+            got = [tuple(compress(QUANTITIES, row)) for row in report.samples.tolist()]
+            want = [closed_form_decidable(
+                closed_form_overlaps(_family_params(family, row)), PRODUCT_TOL)
+                for row in params]
+            assert got == want, (t, family)
+        # an odd grid's middle polar angle is theta = pi/2, equal magnitudes:
+        # there any-tensor-minus decides f(0)^f(1) on B1 and B2 overlaps
+        # that are zero only up to rounding
+        middle = range(t // 2 * (t + 1), (t // 2 + 1) * (t + 1)) if t % 2 else []
+        minus = reports[FAMILIES.index(MINUS_FAMILY)].samples
+        assert np.flatnonzero(minus[:, QUANTITIES.index("f0_xor_f1")]).tolist() == [
+            *middle], t
 
 
 def test_grid_audit_of_four_families_is_fast():
