@@ -447,7 +447,8 @@ SUBCOMMANDS = MappingProxyType({
     "fidelity": Subcommand("statistical fidelity of counts vs theory",
                            _payload_fidelity, _fidelity_flags, _fidelity_fields),
     "sweep-noise": Subcommand("fidelity under scaled noise rates", _payload_sweep,
-                              _sweep_flags, _sweep_fields, outputs=("json", "csv")),
+                              _sweep_flags, _sweep_fields, outputs=("json", "csv"),
+                              seeded=False),
 })
 
 

@@ -40,18 +40,13 @@ KET1_FAMILY = "ket1-tensor-any"
 PLUS_FAMILY = "any-tensor-plus"
 MINUS_FAMILY = "any-tensor-minus"
 
+FAMILIES = (KET0_FAMILY, KET1_FAMILY, PLUS_FAMILY, MINUS_FAMILY)
+# in FAMILIES order: the wire each family fixes (0 input, 1 target), and the
+# single-qubit factor it fixes there as a row
+_FIXED_WIRES = (0, 0, 1, 1)
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-# family -> (the single-qubit factor it fixes, the wire it fixes: 0 input, 1 target)
-_FAMILY_FACTORS = {
-    KET0_FAMILY: (_readonly(np.array([1.0, 0.0])), 0),
-    KET1_FAMILY: (_readonly(np.array([0.0, 1.0])), 0),
-    PLUS_FAMILY: (_readonly(np.array([_SQRT_HALF, _SQRT_HALF])), 1),
-    MINUS_FAMILY: (_readonly(np.array([_SQRT_HALF, -_SQRT_HALF])), 1),
-}
-FAMILIES = tuple(_FAMILY_FACTORS)
-# the table as one indexed assignment: each family's wire, and its factor as a row
-_FIXED_WIRES = tuple(wire for _, wire in _FAMILY_FACTORS.values())
-_FIXED_FACTORS = _readonly(np.stack([fixed for fixed, _ in _FAMILY_FACTORS.values()]))
+_FIXED_FACTORS = _readonly(np.array(
+    [[1.0, 0.0], [0.0, 1.0], [_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]]))
 
 QUANTITIES = ("f0", "f1", "f0_xor_f1")
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms
-from .algorithms import RunRecord
+from .algorithms import DecodedAnswer, RunRecord
 from .entanglement import PRODUCT_TOL, step_second_coefficients
 from .oracles import NAMED_FUNCTIONS, all_promise_pairs, is_balanced, same_at_zero
 
-CORRECT_MASS_TOL = 1e-10
-DEUTSCH_TOL = 1e-12
+CORRECT_MASS_TOL = 1e-12
 INIT_SCHMIDT_FLOOR = 1.0 / np.sqrt(2.0) - 1e-6
 
 
@@ -85,42 +84,23 @@ def _check(name: str, value, fn, *args) -> CheckResult:
     return CheckResult(name, True, detail or "ok")
 
 
-def _answer_bits(answer) -> tuple:
-    return answer.balanced, answer.different
-
-
-def _pair_correctness(record: RunRecord, pair) -> str:
-    truth = (is_balanced(pair.f), same_at_zero(pair))
-    decoded = _answer_bits(record.decoded)
-    _require(decoded == truth, f"decoded {decoded}, truth {truth}")
+def _correctness(record: RunRecord, truth: DecodedAnswer) -> str:
+    """The record decodes to truth, and the outcomes that decode to truth by
+    its algorithm's one rule, decode_outcome, carry all its probability."""
+    got, bits = record.decoded, (truth.balanced, truth.different)
+    _require(got == truth, f"decoded {(got.balanced, got.different)}, truth {bits}")
     correct_mass = sum(
         p
         for outcome, p in record.final_distribution.items()
-        if _answer_bits(algorithms.decode(outcome)) == truth
+        if algorithms.decode_outcome(record.algorithm, outcome) == truth
     )
     _require(
         abs(correct_mass - 1.0) <= CORRECT_MASS_TOL,
         f"correct outcomes carry probability {correct_mass!r}, not 1",
     )
-    return f"decoded {decoded} with probability 1"
-
-
-def _deutsch_correctness(record: RunRecord, fn) -> str:
-    want = is_balanced(fn)
-    _require(
-        record.decoded.balanced == want,
-        f"decoded balanced={record.decoded.balanced}, truth {want}",
-    )
-    marginal = sum(
-        p
-        for outcome, p in record.final_distribution.items()
-        if int(outcome[0]) == want
-    )
-    _require(
-        abs(marginal - 1.0) <= DEUTSCH_TOL,
-        f"answer-qubit marginal {marginal!r}, not 1",
-    )
-    return f"answer bit {want} with probability 1"
+    if truth.different is None:  # a single-function run decodes one answer bit
+        return f"answer bit {truth.balanced} with probability 1"
+    return f"decoded {bits} with probability 1"
 
 
 def _entangled_separability(seconds: list[tuple[str, float]]) -> str:
@@ -160,16 +140,16 @@ def verify_build() -> VerificationReport:
         pairs, entangled, product, seconds[: len(pairs)], seconds[len(pairs) :]
     ):
         label = pair.label()
+        truth = DecodedAnswer(is_balanced(pair.f), same_at_zero(pair))
         for group, value, check, args in (
-            ("correctness-entangled", ent, _pair_correctness, (pair,)),
-            ("correctness-product", prod, _pair_correctness, (pair,)),
+            ("correctness-entangled", ent, _correctness, (truth,)),
+            ("correctness-product", prod, _correctness, (truth,)),
             ("separability-entangled", ent_seconds, _entangled_separability, ()),
             ("separability-product", prod_seconds, _product_separability, ()),
         ):
             checks.append(_check(f"{group}:{label}", value, check, *args))
     deutsch = _run_many(algorithms.DEUTSCH, list(NAMED_FUNCTIONS.values()))
     for (name, fn), record in zip(NAMED_FUNCTIONS.items(), deutsch):
-        checks.append(
-            _check(f"correctness-deutsch:{name}", record, _deutsch_correctness, fn)
-        )
+        truth = DecodedAnswer(is_balanced(fn))
+        checks.append(_check(f"correctness-deutsch:{name}", record, _correctness, truth))
     return VerificationReport(tuple(checks))

@@ -16,6 +16,7 @@ import pairdeutsch.noise
 import pairdeutsch.oracles
 import pairdeutsch.qstate
 from pairdeutsch.algorithms import (
+    DEUTSCH,
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
     DecodedAnswer,
@@ -299,6 +300,49 @@ def test_verify_fails_exactly_the_checks_that_read_a_failed_run(capsys, monkeypa
     assert groups == ["correctness-product"] * 8 + ["separability-product"] * 8
     assert {c["detail"] for c in failed} == {"product circuit unavailable"}
     assert sum(c["passed"] for c in checks) == 20
+
+
+def test_verify_reads_deutsch_outcomes_through_decode_outcome(capsys, monkeypatch):
+    decode_outcome = pairdeutsch.algorithms.decode_outcome
+
+    def flipped(algorithm, bitstring):  # Deutsch's answer bit read the wrong way
+        answer = decode_outcome(algorithm, bitstring)
+        return DecodedAnswer(1 - answer.balanced) if algorithm == DEUTSCH else answer
+
+    monkeypatch.setattr(pairdeutsch.algorithms, "decode_outcome", flipped)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == EXIT_CHECK_FAILED
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert sorted(failed) == sorted(f"correctness-deutsch:{name}"
+                                    for name in pairdeutsch.oracles.NAMED_FUNCTIONS)
+
+
+def test_every_correctness_check_holds_its_mass_to_one_tolerance(capsys, monkeypatch):
+    # each record moves 1e-11 of its top outcome's probability to the outcome
+    # with the answer bit flipped, which decodes to the wrong answer
+    run_many = pairdeutsch.algorithms.run_many
+
+    def doctored(algorithm, oracle_list):
+        records = []
+        for record in run_many(algorithm, oracle_list):
+            dist = dict(record.final_distribution)
+            top = max(dist, key=dist.get)
+            wrong = str(1 - int(top[0])) + top[1:]
+            dist[top] -= 1e-11
+            dist[wrong] = dist.get(wrong, 0.0) + 1e-11
+            records.append(dataclasses.replace(record, final_distribution=dist))
+        return records
+
+    monkeypatch.setattr(pairdeutsch.algorithms, "run_many", doctored)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out)["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == [
+        c["name"] for c in checks if c["name"].startswith("correctness-")]
+    assert len(failed) == 20
+    for c in failed:
+        assert c["detail"].startswith("correct outcomes carry probability "), c
 
 
 def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
@@ -736,6 +780,21 @@ def test_verify_ignores_the_seed_env_var(capsys, monkeypatch):
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["request"] == {"command": "verify", "seed": 0,
                                               "output": "json"}
+
+
+def test_sweep_noise_ignores_the_seed_env_var(capsys, monkeypatch):
+    # a sweep is exact and draws nothing; it takes no --seed and echoes seed 0
+    argv = ["sweep-noise", "--algorithm", "entangled", "--f", "B1", "--g", "B1",
+            "--scales", "0,1"]
+    for env_seed in ("abc", "-2", "5"):
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        assert parse_request(argv).seed == 0
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["request"]["seed"] == 0
+    code, out, err = run_cli(capsys, [*argv, "--seed", "3"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--seed" in err
 
 
 def test_explicit_seed_overrides_env(monkeypatch):

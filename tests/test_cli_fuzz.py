@@ -69,7 +69,6 @@ COMMANDS = {
                      ["", "a,b", "-1", "nan", "inf", "1e9", " , ",
                       ",".join(["1"] * 1025)]),  # one factor over the cap
         "--noise": NOISE,
-        "--seed": SEED,
         "--output": (["json", "csv"], ["xml"]),
     },
     "runn": {},

@@ -16,7 +16,6 @@ def test_module_tables_that_other_code_reads_are_read_only():
         oracles.NAMED_FUNCTIONS["B1"] = oracles.B1
     with pytest.raises(TypeError):
         noise.TABLE2_TWO_QUBIT[(0, 1)] = noise.TABLE2_TWO_QUBIT[(0, 1)]
-    factors = [factor for factor, _ in entanglement._FAMILY_FACTORS.values()]
-    for table in (*factors, entanglement._FIXED_FACTORS, entanglement._FLIPS):
+    for table in (entanglement._FIXED_FACTORS, entanglement._FLIPS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
