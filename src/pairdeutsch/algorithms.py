@@ -156,8 +156,12 @@ def decode(bitstring: str) -> DecodedAnswer:
 def decode_outcome(algorithm: str, bitstring: str) -> DecodedAnswer:
     """Decode one outcome of the named algorithm; a single-function run
     reads only the answer qubit."""
-    if spec(algorithm).takes_pair:
+    entry = spec(algorithm)
+    if entry.takes_pair:
         return decode(bitstring)
+    if len(bitstring) != entry.num_qubits or bitstring.strip("01"):
+        raise ValueError(
+            f'expected a {entry.num_qubits}-bit outcome string, got "{bitstring}"')
     return DecodedAnswer(balanced=int(bitstring[0]))
 
 

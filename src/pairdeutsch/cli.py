@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -113,22 +114,6 @@ class RunRequest:
         return d
 
 
-@dataclass(frozen=True)
-class ResultEnvelope:
-    request: RunRequest
-    payload: dict
-    version: str
-    timestamp: str
-
-    def as_dict(self) -> dict:
-        return {
-            "request": self.request.as_dict(),
-            "version": self.version,
-            "timestamp": self.timestamp,
-            **self.payload,
-        }
-
-
 def _seed(flag_value: int | None) -> int:
     """--seed if given, else PAIRDEUTSCH_SEED, else 0; numpy takes only
     nonnegative seeds."""
@@ -175,6 +160,8 @@ def _parse_scales(text: str) -> tuple[float, ...]:
             scales.append(float(token.strip()))
         except ValueError:
             raise UsageError(f'--scales: "{token}" is not a number') from None
+        if not math.isfinite(scales[-1]):  # nan, inf, or a float overflow as 1e309
+            raise UsageError(f'--scales: "{token}" is not a finite number')
     return tuple(scales)
 
 
@@ -480,40 +467,43 @@ def parse_request(argv: list[str]) -> RunRequest:
     return RunRequest(ns.command, seed, ns.output, **row.fields(ns))
 
 
-def execute(request: RunRequest) -> tuple[ResultEnvelope, int]:
+def execute(request: RunRequest) -> tuple[dict, int]:
+    """The envelope that `emit` prints: the request, version and timestamp,
+    then the payload's keys; and the exit code."""
     try:
         payload, code = SUBCOMMANDS[request.command].payload(request)
     except NotCovered as exc:  # the noisy walk's one check of the --noise model
         raise UsageError(f"--noise config {request.noise}: {exc}") from None
     timestamp = datetime.now(timezone.utc).isoformat()
-    return ResultEnvelope(request, payload, __version__, timestamp), code
+    return {"request": request.as_dict(), "version": __version__,
+            "timestamp": timestamp, **payload}, code
 
 
 def _format_probability(p: float) -> str:
     return format(p, ".17g")  # round-trip precision, always >= 12 significant digits
 
 
-def emit(envelope: ResultEnvelope, fmt: str) -> str:
+def emit(envelope: dict, fmt: str) -> str:
     """Render an envelope as JSON (stable key order) or CSV."""
     if fmt == "json":
-        return json.dumps(envelope.as_dict(), indent=2) + "\n"
+        return json.dumps(envelope, indent=2) + "\n"
     if fmt != "csv":
         raise UsageError(f"unknown output format {fmt!r}")
     out = StringIO()
-    if "sweep" in envelope.payload:
+    if "sweep" in envelope:
         out.write("scale,fidelity,argmax_correct\n")
-        for row in envelope.payload["sweep"]:
+        for row in envelope["sweep"]:
             out.write(
                 f"{repr(row['scale']).removesuffix('.0')},"
                 f"{_format_probability(row['fidelity'])},"
                 f"{str(row['argmax_correct']).lower()}\n"
             )
         return out.getvalue()
-    probabilities = envelope.payload.get("probabilities")
+    probabilities = envelope.get("probabilities")
     if probabilities is None:
         takes_csv = [name for name, row in SUBCOMMANDS.items() if "csv" in row.outputs]
         raise UsageError(f"csv output is only available for {' and '.join(takes_csv)}")
-    counts = envelope.payload.get("counts", {})
+    counts = envelope.get("counts", {})
     out.write("bitstring,probability,count\n")
     for bitstring in sorted(probabilities):
         count = counts.get(bitstring, "")

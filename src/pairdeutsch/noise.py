@@ -105,7 +105,7 @@ class NoiseModel:
 
     def scaled(self, factor: float) -> NoiseModel:
         """All rates multiplied by `factor`; fails if any leaves [0, 1]."""
-        if factor < 0:
+        if not factor >= 0:  # NaN is not nonnegative either
             raise ValueError(f"scale factor must be nonnegative, got {factor!r}")
         return NoiseModel(
             tuple(r * factor for r in self.single_qubit_gate_error),

@@ -216,25 +216,16 @@ class DensityMatrix:
         return p / p.sum(axis=-1, keepdims=True)
 
 
-@lru_cache(maxsize=256)
-def _embedding(targets: tuple[int, ...], num_qubits: int, shape: tuple) -> tuple:
-    """Plan of `expanded_unitary`, after its checks: `_apply` of the gate's
-    entries labelled 1, 2, ... to the identity names each entry's source."""
-    _check_num_qubits(num_qubits)
-    dim = 2**num_qubits
-    identity = np.eye(dim).reshape((2,) * num_qubits + (dim,))
-    labels = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
-    label = _apply(identity, labels, targets, num_qubits).real.reshape(dim, dim)
-    return _readonly(label.astype(int) - 1), _readonly(label > 0)
-
-
 def expanded_unitary(
     gate: np.ndarray, targets: Sequence[int], num_qubits: int
 ) -> np.ndarray:
-    """Embed `gate` acting on `targets` into the full 2**n unitary."""
+    """Embed `gate` acting on `targets` into the full 2**n unitary: `_apply`
+    of the gate to the identity's columns."""
+    _check_num_qubits(num_qubits)
+    dim = 2**num_qubits
+    identity = _identity(dim).reshape((2,) * num_qubits + (dim,))
     g = np.asarray(gate, dtype=np.complex128)
-    flat, agree = _embedding(tuple(map(int, targets)), num_qubits, g.shape)
-    return np.where(agree, g.take(flat), 0)
+    return _apply(identity, g, targets, num_qubits).reshape(dim, dim)
 
 
 def apply_gate_density(

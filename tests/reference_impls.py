@@ -9,6 +9,9 @@ library is a genuine cross-check.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 from pairdeutsch.entanglement import PRODUCT_TOL, schmidt_analyze
@@ -125,6 +128,77 @@ def readout_confusion_reference(probs: np.ndarray, rates) -> np.ndarray:
                 weight *= e if flipped else 1.0 - e
             observed[seen] += weight * probs[true]
     return observed
+
+
+# I, X, Y, Z: a Pauli string is a tuple of these indices, qubit 0 first
+PAULIS = tuple(np.array(m, dtype=complex) for m in (
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+
+
+@lru_cache(maxsize=None)
+def clifford_conjugation(gate_bytes: bytes, k: int) -> dict:
+    """k-qubit Pauli string P -> (P', s) with U P U^H = s P', s = +-1, for the
+    gate U whose complex entries are `gate_bytes`: one signed permutation of
+    the Pauli strings, found by trying every P' against each U P U^H."""
+    u = np.frombuffer(gate_bytes, dtype=complex).reshape(2**k, 2**k)
+    strings = list(product(range(4), repeat=k))
+    matrices = {}
+    for string in strings:
+        m = np.eye(1)
+        for a in string:
+            m = np.kron(m, PAULIS[a])
+        matrices[string] = m
+    table = {}
+    for string in strings:
+        conjugated = u @ matrices[string] @ u.conj().T
+        for image in strings:
+            s = np.trace(matrices[image] @ conjugated) / 2**k
+            if abs(abs(s) - 1.0) < 1e-9:
+                assert abs(s.imag) < 1e-9, (string, image, s)
+                table[string] = (image, 1.0 if s.real > 0 else -1.0)
+                break
+        else:
+            raise ValueError(f"not a Clifford gate: {u}")
+    return table
+
+
+def noisy_walk_reference(ops, num_qubits: int, model) -> np.ndarray:
+    """Outcome probabilities of the noisy walk, by Pauli transfer: carry
+    <P> = Tr(rho P) for every Pauli string P from |0...0>, where <P> is 1 on
+    the strings of I and Z and 0 elsewhere. A Clifford gate permutes the
+    strings with signs. Depolarizing its targets at rate p multiplies by
+    (1 - p) every string that is not the identity on all of them. Readout
+    multiplies <Z_S> by (1 - 2 e_q) for each q in S, and
+    p(b) = 2^-n sum over S of (-1)^(b . S) <Z_S>."""
+    n = num_qubits
+    expect = {string: float(all(a in (0, 3) for a in string))
+              for string in product(range(4), repeat=n)}
+    for op in ops:
+        targets = op.targets
+        gate = np.ascontiguousarray(op.matrix, dtype=complex)
+        table = clifford_conjugation(gate.tobytes(), len(targets))
+        moved = {}
+        for string, value in expect.items():
+            image, sign = table[tuple(string[t] for t in targets)]
+            out = list(string)
+            for t, a in zip(targets, image):
+                out[t] = a
+            moved[tuple(out)] = sign * value
+        if len(targets) == 1:
+            p = model.single_qubit_gate_error[targets[0]]
+        else:
+            p = model.two_qubit_gate_error[min(targets), max(targets)]
+        expect = {string: value * (1.0 - p) if any(string[t] for t in targets)
+                  else value for string, value in moved.items()}
+    probs = np.zeros(2**n)
+    for b in range(2**n):
+        for subset in product((0, 1), repeat=n):  # Z on the qubits marked 1
+            term = expect[tuple(3 * z for z in subset)]
+            for q, z in enumerate(subset):
+                if z:
+                    term *= (1.0 - 2.0 * model.readout_error[q]) * (-1) ** bit_of(b, q, n)
+            probs[b] += term / 2**n
+    return probs
 
 
 def random_product_params_reference(count: int, seed: int) -> list[tuple]:

@@ -11,6 +11,7 @@ from pairdeutsch.algorithms import (
     DecodedAnswer,
     circuit_ops,
     decode,
+    decode_outcome,
     run_deutsch,
     run_many,
     run_entangled_pair,
@@ -46,6 +47,13 @@ def test_decode_rejects_bad_input():
         decode("1000")
     with pytest.raises(ValueError):
         decode("1a0")
+
+
+@pytest.mark.parametrize("key", ["2", "10101", "1x", ""])
+def test_decode_outcome_checks_a_deutsch_key_against_its_width(key):
+    with pytest.raises(ValueError) as info:
+        decode_outcome(DEUTSCH, key)
+    assert str(info.value) == f'expected a 2-bit outcome string, got "{key}"'
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,7 @@ from pairdeutsch.qstate import (
 )
 from reference_impls import expand_gate_reference, random_density_matrix, random_unitary
 
-PLANS = (qstate._embedding, qstate._trace_subscripts, qstate._identity,
-         noise._mixing_plan)
+PLANS = (qstate._axes, qstate._trace_subscripts, qstate._identity, noise._mixing_plan)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -82,7 +81,7 @@ def test_cached_plans_are_read_only_and_depolarize_repeats_itself():
         assert not first.flags.writeable
         assert np.array_equal(depolarize(rho, targets, 0.3).entries, first)
     for plan in (noise._mixing_plan(3, (0, 1, 2)), noise._mixing_plan(3, (1,)),
-                 qstate._embedding((2, 0), 3, (4, 4)), (qstate._identity(4),)):
+                 (qstate._identity(4), qstate._identity(8))):
         assert not any(a.flags.writeable for a in plan if isinstance(a, np.ndarray))
 
 

@@ -115,6 +115,9 @@ def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
         (["audit-theorem", "--samples", "100001"], None),
         (["audit-theorem", "--samples", "0"], None),
         (["sweep-noise", *pair, "--scales", ",".join(["1"] * 1025)], None),
+        (["sweep-noise", *pair, "--scales", "nan"], None),
+        (["sweep-noise", *pair, "--scales", "1,inf"], None),
+        (["sweep-noise", *pair, "--scales", "1e309"], None),
     ]
     for argv, env_seed in rows:
         if env_seed is None:
@@ -196,7 +199,7 @@ def test_json_round_trip():
     )
     envelope, code = execute(request)
     assert code == EXIT_OK
-    assert json.loads(emit(envelope, "json")) == envelope.as_dict()
+    assert json.loads(emit(envelope, "json")) == envelope
 
 
 def test_emit_rejects_what_no_subcommand_can_ask_for():
@@ -382,7 +385,7 @@ def test_each_analysis_is_one_schmidt_call_for_all_cuts(monkeypatch):
         calls.clear()
         envelope, code = execute(parse_request(argv))
         assert code == EXIT_OK
-        assert calls == [(qubits * len(envelope.payload["separability"]), [0])], argv
+        assert calls == [(qubits * len(envelope["separability"]), [0])], argv
 
 
 def test_largest_shot_counts_are_accepted(capsys, tmp_path):
@@ -456,7 +459,7 @@ def test_audit_theorem_makes_one_stacked_check_whatever_its_sample_count(
                              "--grid", "3", "--seed", "5"])
     envelope, code = execute(request)
     assert code == EXIT_OK
-    assert envelope.payload["cnot_product_condition"]["samples"] == samples
+    assert envelope["cnot_product_condition"]["samples"] == samples
     assert sorted(calls) == [  # the CNOT output is checked; its input rows were
         "apply_gate", "check", "cnot_product_condition", "schmidt_analyze"
     ]
@@ -478,7 +481,7 @@ def test_audit_theorem_audits_all_families_in_one_call(grid, monkeypatch):
         counting(module, "oracle_unitary")
     envelope, code = execute(parse_request(["audit-theorem", "--grid", str(grid)]))
     assert code == EXIT_OK
-    families = envelope.payload["families"]
+    families = envelope["families"]
     assert [f["samples"] for f in families] == [grid * (grid + 1)] * 4
     assert calls == {  # the samples and the grid are each checked once
         "audit_family_distinguishability": 1, "_checked_rows": 2, "oracle_unitary": 3
@@ -564,9 +567,11 @@ def test_fidelity_rejects_bad_counts_file(capsys, tmp_path):
      '--shots must be a positive integer or "exact", got "many"'),
     (["sweep-noise", "--algorithm", "deutsch", "--f", "B1", "--scales", "0,x"],
      '--scales: "x" is not a number'),
+    (["sweep-noise", "--algorithm", "deutsch", "--f", "B1", "--scales", "1,inf"],
+     '--scales: "inf" is not a finite number'),
     (["fidelity", "--counts", "counts.json", "--theory", "foo:B1"],
      '--theory: unknown algorithm "foo"'),
-], ids=["shots", "scales", "theory"])
+], ids=["shots", "scales", "scales-finite", "theory"])
 def test_usage_errors_name_the_flag_and_the_value(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -640,7 +645,7 @@ def test_sweep_noise_makes_one_walk_whatever_its_scale_count(count, monkeypatch)
     request = parse_request(["sweep-noise", "--algorithm", "product", "--f", "B1",
                              "--g", "B2", "--scales", scales])
     envelope, code = execute(request)
-    assert code == EXIT_OK and len(envelope.payload["sweep"]) == count
+    assert code == EXIT_OK and len(envelope["sweep"]) == count
     assert (len(checks), len(walks)) == (1, 2)  # the ideal run and one walk
 
 

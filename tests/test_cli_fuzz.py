@@ -20,7 +20,7 @@ from types import MappingProxyType
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pairdeutsch import cli
@@ -246,5 +246,8 @@ TOKENS = [*COMMANDS, "--help", "-h", "--", "-", "--seed", "--output",
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(argvs(), st.lists(st.sampled_from(TOKENS), max_size=9)))
+# a request that kept a NaN factor would never equal its own reparse
+@example(["sweep-noise", *PAIR, "--scales", "nan", "--noise", "table2",
+          "--output", "json"])
 def test_parse_request_agrees_with_the_top_level_parser(argv):
     assert_parsed_as_by_the_top_level(argv)

@@ -46,6 +46,7 @@ from pairdeutsch.oracles import (
 from pairdeutsch.qstate import DensityMatrix, basis_state
 from reference_impls import (
     depolarize_reference,
+    noisy_walk_reference,
     random_density_matrix,
     readout_confusion_reference,
 )
@@ -69,6 +70,8 @@ def test_noise_model_validation():
         NoiseModel.table2().scaled(100.0)
     with pytest.raises(ValueError, match="nonnegative"):
         NoiseModel.table2().scaled(-1.0)
+    with pytest.raises(ValueError, match="^scale factor must be nonnegative, got nan$"):
+        NoiseModel.table2().scaled(float("nan"))
     with pytest.raises(ValueError,
                        match="^gate and readout rate lists must cover the same qubits$"):
         NoiseModel((0.1,), {}, ())
@@ -395,6 +398,29 @@ def test_walk_without_gate_noise_reads_out_once_per_model():
     together = run_noisy_models(PRODUCT_PAIR, pair, models)
     assert together == [run_noisy(PRODUCT_PAIR, pair, m) for m in models]
     assert together[0] != together[1]
+
+
+RATES = st.floats(0.0, 1.0)
+NOISE_MODELS = st.builds(
+    NoiseModel,
+    st.tuples(RATES, RATES, RATES),
+    st.fixed_dictionaries({pair: RATES for pair in TABLE2_TWO_QUBIT}),
+    st.tuples(RATES, RATES, RATES),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(NOISE_MODELS, min_size=1, max_size=3))
+def test_noisy_walk_matches_the_pauli_transfer_reference(models):
+    for algorithm, oracles in SWEEP_CIRCUITS:
+        ops, n = circuit_ops(algorithm, oracles)
+        for model, dist in zip(models, run_noisy_models(algorithm, oracles, models)):
+            want = noisy_walk_reference(ops, n, model)
+            outcomes = [format(b, f"0{n}b") for b in range(2**n)]
+            assert set(dist) <= set(outcomes)
+            for outcome, p in zip(outcomes, want):
+                assert abs(dist.get(outcome, 0.0) - p) <= 1e-12, (
+                    algorithm, oracles.label(), model, outcome)
 
 
 @pytest.mark.parametrize(
