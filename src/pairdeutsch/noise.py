@@ -11,6 +11,7 @@ the seeded multinomial sampler.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -107,6 +108,8 @@ class NoiseModel:
         """All rates multiplied by `factor`; fails if any leaves [0, 1]."""
         if not factor >= 0:  # NaN is not nonnegative either
             raise ValueError(f"scale factor must be nonnegative, got {factor!r}")
+        if factor == math.inf:  # which would make a zero rate NaN
+            raise ValueError(f"scale factor must be finite, got {factor!r}")
         return NoiseModel(
             tuple(r * factor for r in self.single_qubit_gate_error),
             {k: v * factor for k, v in self.two_qubit_gate_error.items()},

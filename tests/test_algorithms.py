@@ -1,8 +1,11 @@
 import dataclasses
+from itertools import cycle, islice
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+from pairdeutsch import algorithms
 from pairdeutsch.algorithms import (
     ALGORITHMS,
     DEUTSCH,
@@ -18,6 +21,7 @@ from pairdeutsch.algorithms import (
     run_product_pair,
 )
 from pairdeutsch.oracles import (
+    NAMED_FUNCTIONS,
     B1,
     B2,
     C1,
@@ -29,7 +33,9 @@ from pairdeutsch.oracles import (
     oracle_unitary,
     same_at_zero,
 )
-from pairdeutsch.qstate import CNOT, H, X, basis_state, is_unitary
+from pairdeutsch.qstate import (
+    CNOT, H, X, StateVector, apply_gate, basis_state, is_unitary,
+)
 from reference_impls import expand_gate_reference
 
 
@@ -229,6 +235,82 @@ def test_run_many_prepares_every_member_alike():
         for state in s.values():
             assert state.amplitudes.shape == (8,)
             assert not state.amplitudes.flags.writeable
+
+
+def hex_rows(amplitudes) -> list:
+    return [[a.real.hex(), a.imag.hex()] for a in np.ravel(amplitudes).tolist()]
+
+
+def members(algorithm: str, size: int) -> list:
+    choices = (list(NAMED_FUNCTIONS.values()) if algorithm == DEUTSCH
+               else all_promise_pairs())
+    return list(islice(cycle(choices), size))
+
+
+def first_step_one_gate_at_a_time(algorithm: str, size: int) -> tuple[int, list]:
+    """Gate count and states of the row's first step, walked gate by gate on
+    the whole stack as every walk walked it before the step was prepared."""
+    ops_list = [circuit_ops(algorithm, o)[0] for o in members(algorithm, size)]
+    entry = ALGORITHMS[algorithm]
+    zero = np.eye(1, 2**entry.num_qubits)  # |0...0>, one row
+    state = StateVector(entry.num_qubits, zero.repeat(size, axis=0))
+    count = 0
+    for column in zip(*ops_list):
+        if column[0].step != ops_list[0][0].step:
+            break
+        state = apply_gate(state, np.array([op.matrix for op in column]),
+                           column[0].targets)
+        count += 1
+    return count, [hex_rows(row) for row in state.amplitudes]
+
+
+@pytest.mark.parametrize("algorithm", [DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR])
+@pytest.mark.parametrize("size", [1, 8])
+def test_prepared_first_step_is_its_gates_applied_one_by_one(algorithm, size):
+    count, want = first_step_one_gate_at_a_time(algorithm, size)
+    assert count == {DEUTSCH: 3, ENTANGLED_PAIR: 4, PRODUCT_PAIR: 3}[algorithm]
+    entry = ALGORITHMS[algorithm]
+    assert algorithms._prepared(entry.num_qubits, entry.gates)[0] == count
+    records = run_many(algorithm, members(algorithm, size))
+    label = entry.gates[0][2]
+    assert [hex_rows(r.step_states[0][1].amplitudes) for r in records] == want
+    assert all(r.step_states[0][0] == label for r in records)
+
+
+def test_a_patched_row_gets_its_own_prepared_state(monkeypatch):
+    # the product row patched as in test_verify_fails_if_product_run_entangles:
+    # the entangled circuit plus a padding query
+    entangled = ALGORITHMS[ENTANGLED_PAIR]
+    product = ALGORITHMS[PRODUCT_PAIR]
+    pairs = all_promise_pairs()
+    algorithms._prepared.cache_clear()  # another test may have walked the patch
+    before = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
+    patched = dataclasses.replace(
+        product, gates=entangled.gates + (("f", (0, 1), "extra"),))
+    monkeypatch.setattr(algorithms, "ALGORITHMS",
+                        MappingProxyType({**ALGORITHMS, PRODUCT_PAIR: patched}))
+    misses = algorithms._prepared.cache_info().misses
+    after = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
+    assert algorithms._prepared.cache_info().misses == misses + 1
+    resource = run_many(ENTANGLED_PAIR, pairs)[0].step_states[0][1].amplitudes
+    assert hex_rows(after) == hex_rows(resource)  # (|0>+|1>)(|00>-|11>)/2
+    assert not np.array_equal(after, before)
+    monkeypatch.undo()
+    restored = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
+    assert hex_rows(restored) == hex_rows(before)
+
+
+def test_a_first_step_that_queries_is_walked_from_the_zero_state(monkeypatch):
+    # U_f|00> = |0, f(0)>: one outcome, so every run still decodes
+    row = dataclasses.replace(ALGORITHMS[DEUTSCH], gates=(("f", (0, 1), "query-f"),))
+    monkeypatch.setattr(algorithms, "ALGORITHMS",
+                        MappingProxyType({**ALGORITHMS, DEUTSCH: row}))
+    assert algorithms._prepared(2, row.gates)[0] == 0
+    for fn in NAMED_FUNCTIONS.values():
+        record = run_many(DEUTSCH, [fn])[0]
+        assert [label for label, _ in record.step_states] == ["query-f"]
+        queried = apply_gate(basis_state(2, 0), oracle_unitary(fn), (0, 1))
+        assert np.array_equal(record.step_states[0][1].amplitudes, queried.amplitudes)
 
 
 def test_run_many_rejects_no_choice_and_mixed_inputs():

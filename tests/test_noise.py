@@ -72,6 +72,11 @@ def test_noise_model_validation():
         NoiseModel.table2().scaled(-1.0)
     with pytest.raises(ValueError, match="^scale factor must be nonnegative, got nan$"):
         NoiseModel.table2().scaled(float("nan"))
+    for model in (NoiseModel.table2(), NoiseModel((0.0,), {}, (0.0,))):
+        with pytest.raises(ValueError, match="^scale factor must be finite, got inf$"):
+            model.scaled(float("inf"))
+    with pytest.raises(ValueError, match="^scale factor must be nonnegative, got -inf$"):
+        NoiseModel.table2().scaled(float("-inf"))
     with pytest.raises(ValueError,
                        match="^gate and readout rate lists must cover the same qubits$"):
         NoiseModel((0.1,), {}, ())
