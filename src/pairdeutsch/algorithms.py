@@ -23,7 +23,6 @@ from .qstate import (
     H,
     StateVector,
     X,
-    _readonly,
     apply_gate,
     bitstring_distribution,
 )
@@ -188,12 +187,10 @@ def circuit_ops(
 @cache  # one walk per row's content, so a patched row gets its own entry
 def _prepared(num_qubits: int, gates: tuple) -> tuple[int, np.ndarray]:
     """Gate count and read-only state row of a row's first step, walked from
-    |0...0> as a one-member walk walks it, when that step queries no
-    oracle; (0, |0...0>) when it does."""
-    start = np.eye(1, 2**num_qubits, dtype=np.complex128)  # |0...0>, one row
+    |0...0> as a one-member walk walks it. That step queries no oracle in
+    any row: it prepares the registers (the row test checks it)."""
     first = list(takewhile(lambda gate: gate[2] == gates[0][2], gates))
-    if any(name not in _CONSTANTS for name, _, _ in first):
-        return 0, _readonly(start[0])
+    start = np.eye(1, 2**num_qubits, dtype=np.complex128)  # |0...0>, one row
     state = StateVector._trusted(num_qubits, start)
     for name, targets, _ in first:
         state = apply_gate(state, _CONSTANTS[name][None], targets)
@@ -207,9 +204,10 @@ def run_many(
     each in order. The walk carries a stack, one row per member, and applies
     each column of gates as a gate stack, which advances each row by its own
     gate, so a member's bits never depend on which other members share its
-    walk. A first step that queries nothing is the same for every member: it
-    is walked once per process (`_prepared`), and each walk starts from
-    copies of its state, recorded as that step, and applies the rest."""
+    walk. The first step queries nothing, so it is the same for every
+    member: it is walked once per process (`_prepared`), and each walk
+    starts from copies of its state, recorded as that step, and applies the
+    rest."""
     ops_list = [circuit_ops(algorithm, oracles)[0] for oracles in oracle_list]
     if not ops_list:
         raise ValueError("run_many needs at least one oracle choice")
@@ -217,9 +215,7 @@ def run_many(
     num_qubits = entry.num_qubits
     skipped, row = _prepared(num_qubits, entry.gates)
     state = StateVector._trusted(num_qubits, row[None].repeat(len(ops_list), axis=0))
-    steps: list[tuple[str, StateVector]] = []
-    if skipped:
-        steps.append((entry.gates[0][2], state))
+    steps = [(entry.gates[0][2], state)]
     queries: dict[str, int] = {}
     columns = islice(zip(*ops_list), skipped, None)
     for label, group in groupby(columns, key=lambda column: column[0].step):

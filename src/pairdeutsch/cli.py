@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from io import StringIO
-from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Callable
 
@@ -484,49 +483,10 @@ def _format_probability(p: float) -> str:
     return format(p, ".17g")  # round-trip precision, always >= 12 significant digits
 
 
-def _write_json(value, indent: str, out: list[str]) -> None:
-    """Append `value` to `out` as `json.dumps(..., indent=2)` writes it at
-    nesting `indent`, by the type dispatch of json's own encoder. Anything
-    else, a dict key that is not a string too, goes to `json.dumps`, which
-    writes it or raises what it raises there."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):  # int.__repr__, as json writes an IntEnum
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(float.__repr__(value) if math.isfinite(value)
-                   else "NaN" if value != value
-                   else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, (list, tuple)):
-        inner, sep = indent + "  ", "[\n"
-        for item in value:
-            out.append(sep + inner)
-            _write_json(item, inner, out)
-            sep = ",\n"
-        out.append("\n" + indent + "]" if value else "[]")
-    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        inner, sep = indent + "  ", "{\n"
-        for key, item in value.items():
-            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-            sep = ",\n"
-        out.append("\n" + indent + "}" if value else "{}")
-    else:
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + indent))
-
-
 def emit(envelope: dict, fmt: str) -> str:
-    """Render an envelope as JSON (stable key order) or CSV. JSON is written
-    in one pass by `_write_json`, the same bytes as `json.dumps(envelope,
-    indent=2)` plus a newline, which Python's json writes through its
-    pure-Python encoder whenever it indents."""
+    """Render an envelope as JSON (stable key order) or CSV."""
     if fmt == "json":
-        parts: list[str] = []
-        _write_json(envelope, "", parts)
-        parts.append("\n")
-        return "".join(parts)
+        return json.dumps(envelope, indent=2) + "\n"
     if fmt != "csv":
         raise UsageError(f"unknown output format {fmt!r}")
     out = StringIO()

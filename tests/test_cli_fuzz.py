@@ -19,7 +19,6 @@ from pathlib import Path
 from types import MappingProxyType
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -252,43 +251,3 @@ TOKENS = [*COMMANDS, "--help", "-h", "--", "-", "--seed", "--output",
           "--output", "json"])
 def test_parse_request_agrees_with_the_top_level_parser(argv):
     assert_parsed_as_by_the_top_level(argv)
-
-
-# what json writes, as emit's one-pass writer must write it: strings of any
-# code point, ints past 64 bits, every float json writes (NaN and both
-# infinities as JavaScript spells them), and dicts keyed by strings or by the
-# scalars json turns into keys
-JSON_SCALARS = st.one_of(
-    st.text(), st.integers(-(2**200), 2**200), st.booleans(), st.none(),
-    st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]),
-)
-JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
-JSON_TREES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
-    st.lists(children), st.lists(children).map(tuple),
-    st.dictionaries(st.text(), children), st.dictionaries(JSON_KEYS, children),
-), max_leaves=40)
-
-
-def json_outcome(write, tree) -> tuple:
-    try:
-        return "ok", write(tree)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-# values json cannot write: numpy scalars that subclass neither int nor float,
-# and keys that are no string or scalar
-UNWRITABLE = st.sampled_from([np.float32(0.5), np.int64(1), {1j: 0}, {(): 0}])
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_TREES, UNWRITABLE)
-@example({"\u00e9\ud800\U0001f600": [(), {}, [[]], -0.0, 2**70, None, True]},
-         np.float32(0.5))
-def test_emit_json_writes_the_bytes_of_json_dumps(tree, bad):
-    assert cli.emit(tree, "json") == json.dumps(tree, indent=2) + "\n"
-    # a value json cannot write fails the same way, wherever it sits
-    for poisoned in ([tree, bad], {"payload": tree, "bad": (bad,)}):
-        want = json_outcome(lambda t: json.dumps(t, indent=2) + "\n", poisoned)
-        assert want[0] is TypeError
-        assert json_outcome(lambda t: cli.emit(t, "json"), poisoned) == want
