@@ -9,8 +9,7 @@ was applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import groupby, islice, takewhile
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -23,6 +22,7 @@ from .qstate import (
     H,
     StateVector,
     X,
+    _apply,
     apply_gate,
     bitstring_distribution,
 )
@@ -184,54 +184,42 @@ def circuit_ops(
     return ops, entry.num_qubits
 
 
-@cache  # one walk per row's content, so a patched row gets its own entry
-def _prepared(num_qubits: int, gates: tuple) -> tuple[int, np.ndarray]:
-    """Gate count and read-only state row of a row's first step, walked from
-    |0...0> as a one-member walk walks it. That step queries no oracle in
-    any row: it prepares the registers (the row test checks it)."""
-    first = list(takewhile(lambda gate: gate[2] == gates[0][2], gates))
-    start = np.eye(1, 2**num_qubits, dtype=np.complex128)  # |0...0>, one row
-    state = StateVector._trusted(num_qubits, start)
-    for name, targets, _ in first:
-        state = apply_gate(state, _CONSTANTS[name][None], targets)
-    return len(first), state.amplitudes[0]
-
-
 def run_many(
     algorithm: str, oracle_list: Sequence[BoolFn | PromisePair]
 ) -> list[RunRecord]:
     """Run the named algorithm for every oracle choice in one walk, one record
-    each in order. The walk carries a stack, one row per member, and applies
-    each column of gates as a gate stack, which advances each row by its own
-    gate, so a member's bits never depend on which other members share its
-    walk. The first step queries nothing, so it is the same for every
-    member: it is walked once per process (`_prepared`), and each walk
-    starts from copies of its state, recorded as that step, and applies the
-    rest."""
+    each in order. The walk carries a raw (2,)*n + (S,) tensor, member s at
+    index s of its last axis, and applies each column of gates as a gate
+    stack through the unchecked `_apply`, which advances each member by its
+    own gate, so a member's bits never depend on which other members share
+    its walk. The last column goes through `apply_gate`: its output check is
+    the walk's one check of its result."""
     ops_list = [circuit_ops(algorithm, oracles)[0] for oracles in oracle_list]
     if not ops_list:
         raise ValueError("run_many needs at least one oracle choice")
-    entry = spec(algorithm)
-    num_qubits = entry.num_qubits
-    skipped, row = _prepared(num_qubits, entry.gates)
-    state = StateVector._trusted(num_qubits, row[None].repeat(len(ops_list), axis=0))
-    steps = [(entry.gates[0][2], state)]
+    num_qubits, size = spec(algorithm).num_qubits, len(ops_list)
+    tensor = np.zeros((2,) * num_qubits + (size,), dtype=np.complex128)
+    tensor[(0,) * num_qubits] = 1.0  # |0...0> in each member
+    steps: list[tuple[str, np.ndarray]] = []  # each step's (S, 2**n) view
     queries: dict[str, int] = {}
-    columns = islice(zip(*ops_list), skipped, None)
-    for label, group in groupby(columns, key=lambda column: column[0].step):
-        for op, *rest in group:
+    last = len(ops_list[0]) - 1
+    columns = enumerate(zip(*ops_list))
+    for label, group in groupby(columns, key=lambda column: column[1][0].step):
+        for i, (op, *rest) in group:
             gates = np.array([o.matrix for o in (op, *rest)])
-            state = apply_gate(state, gates, op.targets)
+            if i < last:
+                tensor = _apply(tensor, gates, op.targets, num_qubits)
+            else:  # the walk's one check: apply_gate checks its output
+                state = StateVector._trusted(num_qubits, tensor.reshape(-1, size).T)
+                tensor = apply_gate(state, gates, op.targets).amplitudes.T
             if op.oracle is not None:
                 queries[op.oracle] = queries.get(op.oracle, 0) + 1
-        steps.append((label, state))
-    probs = np.abs(state.amplitudes) ** 2
+        steps.append((label, tensor.reshape(-1, size).T))
+    probs = np.abs(steps[-1][1]) ** 2
     records = []
     for s, ops in enumerate(ops_list):
-        member_steps = tuple(
-            (label, StateVector._trusted(num_qubits, step.amplitudes[s]))
-            for label, step in steps
-        )
+        member_steps = tuple((label, StateVector._trusted(num_qubits, step[s]))
+                             for label, step in steps)
         dist = bitstring_distribution(probs[s], num_qubits)
         answers = {decode_outcome(algorithm, o) for o in dist}
         if len(answers) != 1:

@@ -11,9 +11,10 @@ the seeded multinomial sampler.
 
 from __future__ import annotations
 
-import math
+import numbers
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -105,11 +106,13 @@ class NoiseModel:
         return cls(TABLE2_SINGLE_QUBIT, TABLE2_TWO_QUBIT, TABLE2_READOUT)
 
     def scaled(self, factor: float) -> NoiseModel:
-        """All rates multiplied by `factor`; fails if any leaves [0, 1]."""
-        if not factor >= 0:  # NaN is not nonnegative either
-            raise ValueError(f"scale factor must be nonnegative, got {factor!r}")
-        if factor == math.inf:  # which would make a zero rate NaN
-            raise ValueError(f"scale factor must be finite, got {factor!r}")
+        """All rates multiplied by `factor`, a finite nonnegative real number
+        other than a bool; fails if any rate leaves [0, 1]."""
+        real = isinstance(factor, numbers.Real) and not isinstance(factor, bool)
+        # NaN fails the comparison, and so does an int too large for a float
+        if not (real and 0 <= factor <= sys.float_info.max):
+            raise ValueError(
+                f"scale factor must be a finite nonnegative number, got {factor!r}")
         return NoiseModel(
             tuple(r * factor for r in self.single_qubit_gate_error),
             {k: v * factor for k, v in self.two_qubit_gate_error.items()},
@@ -308,8 +311,9 @@ def _checked_probabilities(values) -> np.ndarray:
 
 def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> dict[str, int]:
     """Seeded multinomial draw as outcome -> count; same seed, same counts."""
-    # 5.5 is no shot count (numpy would draw 5), and numpy overflows at 2**63
-    if not 0 < operator.index(shots) <= MAX_SHOTS:
+    # 5.5 is no shot count (numpy would draw 5), nor is True (an int to
+    # operator.index); numpy overflows at 2**63
+    if type(shots) is bool or not 0 < operator.index(shots) <= MAX_SHOTS:
         raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     keys = sorted(dist)
     p = _checked_probabilities([dist[k] for k in keys])

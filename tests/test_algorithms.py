@@ -34,7 +34,7 @@ from pairdeutsch.oracles import (
     same_at_zero,
 )
 from pairdeutsch.qstate import (
-    CNOT, H, X, StateVector, apply_gate, basis_state, is_unitary,
+    CNOT, H, X, basis_state, is_unitary,
 )
 from reference_impls import expand_gate_reference
 
@@ -237,67 +237,29 @@ def test_run_many_prepares_every_member_alike():
             assert not state.amplitudes.flags.writeable
 
 
-def hex_rows(amplitudes) -> list:
-    return [[a.real.hex(), a.imag.hex()] for a in np.ravel(amplitudes).tolist()]
-
-
 def members(algorithm: str, size: int) -> list:
     choices = (list(NAMED_FUNCTIONS.values()) if algorithm == DEUTSCH
                else all_promise_pairs())
     return list(islice(cycle(choices), size))
 
 
-def first_step_one_gate_at_a_time(algorithm: str, size: int) -> tuple[int, list]:
-    """Gate count and states of the row's first step, walked gate by gate on
-    the whole stack as every walk walked it before the step was prepared."""
-    ops_list = [circuit_ops(algorithm, o)[0] for o in members(algorithm, size)]
-    entry = ALGORITHMS[algorithm]
-    zero = np.eye(1, 2**entry.num_qubits)  # |0...0>, one row
-    state = StateVector(entry.num_qubits, zero.repeat(size, axis=0))
-    count = 0
-    for column in zip(*ops_list):
-        if column[0].step != ops_list[0][0].step:
-            break
-        state = apply_gate(state, np.array([op.matrix for op in column]),
-                           column[0].targets)
-        count += 1
-    return count, [hex_rows(row) for row in state.amplitudes]
-
-
-@pytest.mark.parametrize("algorithm", [DEUTSCH, ENTANGLED_PAIR, PRODUCT_PAIR])
 @pytest.mark.parametrize("size", [1, 8])
-def test_prepared_first_step_is_its_gates_applied_one_by_one(algorithm, size):
-    count, want = first_step_one_gate_at_a_time(algorithm, size)
-    assert count == {DEUTSCH: 3, ENTANGLED_PAIR: 4, PRODUCT_PAIR: 3}[algorithm]
-    entry = ALGORITHMS[algorithm]
-    assert algorithms._prepared(entry.num_qubits, entry.gates)[0] == count
-    records = run_many(algorithm, members(algorithm, size))
-    label = entry.gates[0][2]
-    assert [hex_rows(r.step_states[0][1].amplitudes) for r in records] == want
-    assert all(r.step_states[0][0] == label for r in records)
-
-
-def test_a_patched_row_gets_its_own_prepared_state(monkeypatch):
-    # the product row patched as in test_verify_fails_if_product_run_entangles:
-    # the entangled circuit plus a padding query
-    entangled = ALGORITHMS[ENTANGLED_PAIR]
+@pytest.mark.parametrize("column", [0, 4])  # in the first step, and in a middle one
+def test_a_non_unitary_gate_fails_the_walk(monkeypatch, size, column):
+    # the walk checks its state once, after its last column: a gate that
+    # scales the norm anywhere before it must still fail the walk
     product = ALGORITHMS[PRODUCT_PAIR]
-    pairs = all_promise_pairs()
-    algorithms._prepared.cache_clear()  # another test may have walked the patch
-    before = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
-    patched = dataclasses.replace(
-        product, gates=entangled.gates + (("f", (0, 1), "extra"),))
-    monkeypatch.setattr(algorithms, "ALGORITHMS",
-                        MappingProxyType({**ALGORITHMS, PRODUCT_PAIR: patched}))
-    misses = algorithms._prepared.cache_info().misses
-    after = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
-    assert algorithms._prepared.cache_info().misses == misses + 1
-    resource = run_many(ENTANGLED_PAIR, pairs)[0].step_states[0][1].amplitudes
-    assert hex_rows(after) == hex_rows(resource)  # (|0>+|1>)(|00>-|11>)/2
-    assert not np.array_equal(after, before)
-    monkeypatch.undo()
-    restored = run_many(PRODUCT_PAIR, pairs)[0].step_states[0][1].amplitudes
-    assert hex_rows(restored) == hex_rows(before)
+    gates = list(product.gates)
+    gate, targets, step = gates[column]
+    assert gate == "H"
+    gates[column] = ("1.1H", targets, step)
+    monkeypatch.setattr(algorithms, "_CONSTANTS", MappingProxyType(
+        {**algorithms._CONSTANTS, "1.1H": 1.1 * H}))
+    monkeypatch.setattr(algorithms, "ALGORITHMS", MappingProxyType(
+        {**ALGORITHMS, PRODUCT_PAIR: dataclasses.replace(product, gates=tuple(gates))}))
+    with pytest.raises(ValueError, match=r"^state is not normalized: sum \|a\|\^2 = ") as info:
+        run_many(PRODUCT_PAIR, members(PRODUCT_PAIR, size))
+    assert float(str(info.value).rpartition(" ")[2]) == pytest.approx(1.21)
 
 
 def test_run_many_rejects_no_choice_and_mixed_inputs():
@@ -320,6 +282,6 @@ def test_every_row_states_its_gates_within_its_width_and_query_budget():
         assert {fn: names.count(fn) for fn in ("f", "g") if fn in names} == dict(
             entry.queries), name
         # the first step prepares the registers, the same for every oracle
-        # choice, so `_prepared` can walk it once per process
+        # choice: the circuit's resource state, before any query
         first = [gate for gate, _, step in entry.gates if step == entry.gates[0][2]]
         assert not {"f", "g"} & set(first), name

@@ -361,19 +361,15 @@ def test_verify_runs_each_circuit_once_per_oracle_choice(monkeypatch):
     monkeypatch.setattr(pairdeutsch.algorithms, "circuit_ops",
                         lambda alg, oracles: built.update([alg])
                         or circuit_ops(alg, oracles))
-    pairdeutsch.algorithms._prepared.cache_clear()
     assert verify_build().passed
     # one walk per circuit, each member's gate list built once
     assert sorted(walks) == [("deutsch", 4), ("entangled_pair", 8), ("product_pair", 8)]
     assert built == {"deutsch": 4, "entangled_pair": 8, "product_pair": 8}
-    # each circuit's query-free first step is walked once, on one row (3 + 4
-    # + 3 gates); each walk applies only the gates after it (2 + 3 + 6)
-    prepared = [a for a in gates if len(a[0].amplitudes) == 1]
-    assert len(prepared) == 3 + 4 + 3
-    assert len(gates) - len(prepared) == 2 + 3 + 6
+    # one checked apply_gate per walk, on its whole stack: the last column's
+    assert sorted(len(a[0].amplitudes) for a in gates) == [4, 8, 8]
     gates.clear()
     assert verify_build().passed
-    assert len(gates) == 2 + 3 + 6  # the first steps come from the cache
+    assert sorted(len(a[0].amplitudes) for a in gates) == [4, 8, 8]
 
 
 def test_each_analysis_is_one_schmidt_call_for_all_cuts(monkeypatch):

@@ -68,15 +68,16 @@ def test_noise_model_validation():
         NoiseModel((0.5, -0.1, 0.0), dict(TABLE2_TWO_QUBIT), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="outside"):
         NoiseModel.table2().scaled(100.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        NoiseModel.table2().scaled(-1.0)
-    with pytest.raises(ValueError, match="^scale factor must be nonnegative, got nan$"):
-        NoiseModel.table2().scaled(float("nan"))
+    bad = (-1.0, float("nan"), float("inf"), float("-inf"), 10**400, True, np.True_,
+           "2", 2j, None)
     for model in (NoiseModel.table2(), NoiseModel((0.0,), {}, (0.0,))):
-        with pytest.raises(ValueError, match="^scale factor must be finite, got inf$"):
-            model.scaled(float("inf"))
-    with pytest.raises(ValueError, match="^scale factor must be nonnegative, got -inf$"):
-        NoiseModel.table2().scaled(float("-inf"))
+        for factor in bad:
+            with pytest.raises(ValueError) as info:
+                model.scaled(factor)
+            assert str(info.value) == (
+                f"scale factor must be a finite nonnegative number, got {factor!r}")
+    for factor in (2, np.float64(2.0), np.int64(2)):
+        assert NoiseModel.table2().scaled(factor) == NoiseModel.table2().scaled(2.0)
     with pytest.raises(ValueError,
                        match="^gate and readout rate lists must cover the same qubits$"):
         NoiseModel((0.1,), {}, ())
@@ -525,6 +526,10 @@ def test_sample_shots_validation():
     for shots in (5.5, 5.0, "5"):  # a shot count is what operator.index takes
         with pytest.raises(TypeError):
             sample_shots({"0": 1.0}, shots, seed=0)
+    for shots in (True, False):  # an int to operator.index, but no shot count
+        with pytest.raises(ValueError) as info:
+            sample_shots({"0": 1.0}, shots, seed=0)
+        assert str(info.value) == f"shots must be in 1..{MAX_SHOTS}, got {shots}"
     assert sample_shots({"0": 1.0}, np.int64(5), seed=0) == {"0": 5}
 
 
