@@ -1,9 +1,8 @@
 """Instrumented single-shot runs of the three oracle-testing circuits.
 
 Outcome keys are big-endian bitstrings: qubit 0 (the constant-vs-balanced
-answer qubit) comes first, then the work qubits. Every run records its gate
-list, the state after each named step and the number of times each oracle
-was applied.
+answer qubit) comes first, then the work qubits. Every run records the
+state after each named step and the number of times each oracle was applied.
 """
 
 from __future__ import annotations
@@ -107,13 +106,12 @@ def spec(algorithm: str) -> Algorithm:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application; `oracle` marks counted queries ("f" or "g")."""
+    """One gate application, named by its row entry: X, H, CNOT, f or g."""
 
     name: str
     matrix: np.ndarray
     targets: tuple[int, ...]
     step: str
-    oracle: str | None = None
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,6 @@ class RunRecord:
     query_counts: dict[str, int]
     step_states: tuple[tuple[str, StateVector], ...]
     decoded: DecodedAnswer
-    ops: tuple[GateOp, ...]
 
     def __post_init__(self) -> None:
         expected = dict(spec(self.algorithm).queries)
@@ -175,12 +172,10 @@ def circuit_ops(
         raise ValueError(f"{algorithm} takes a PromisePair")
     if not entry.takes_pair and not isinstance(oracles, BoolFn):
         raise ValueError(f"{algorithm} takes a single BoolFn")
-    functions = {"f": oracles.f, "g": oracles.g} if entry.takes_pair else {"f": oracles}
-    queries = {name: (f"U[{fn.label()}]", oracle_unitary(fn))
-               for name, fn in functions.items()}
-    ops = [GateOp(*queries[gate], targets, step, gate) if gate in queries
-           else GateOp(gate, _CONSTANTS[gate], targets, step)
-           for gate, targets, step in entry.gates]
+    queried = (oracles.f, oracles.g) if entry.takes_pair else (oracles,)
+    matrices = {**_CONSTANTS, **dict(zip("fg", map(oracle_unitary, queried)))}
+    ops = [GateOp(name, matrices[name], targets, step)
+           for name, targets, step in entry.gates]
     return ops, entry.num_qubits
 
 
@@ -201,8 +196,9 @@ def run_many(
     tensor = np.zeros((2,) * num_qubits + (size,), dtype=np.complex128)
     tensor[(0,) * num_qubits] = 1.0  # |0...0> in each member
     steps: list[tuple[str, np.ndarray]] = []  # each step's (S, 2**n) view
-    queries: dict[str, int] = {}
-    last = len(ops_list[0]) - 1
+    names = [op.name for op in ops_list[0]]  # every member's, from one row
+    queries = {fn: names.count(fn) for fn in ("f", "g") if fn in names}
+    last = len(names) - 1
     columns = enumerate(zip(*ops_list))
     for label, group in groupby(columns, key=lambda column: column[1][0].step):
         for i, (op, *rest) in group:
@@ -212,12 +208,10 @@ def run_many(
             else:  # the walk's one check: apply_gate checks its output
                 state = StateVector._trusted(num_qubits, tensor.reshape(-1, size).T)
                 tensor = apply_gate(state, gates, op.targets).amplitudes.T
-            if op.oracle is not None:
-                queries[op.oracle] = queries.get(op.oracle, 0) + 1
         steps.append((label, tensor.reshape(-1, size).T))
     probs = np.abs(steps[-1][1]) ** 2
     records = []
-    for s, ops in enumerate(ops_list):
+    for s in range(size):
         member_steps = tuple((label, StateVector._trusted(num_qubits, step[s]))
                              for label, step in steps)
         dist = bitstring_distribution(probs[s], num_qubits)
@@ -225,7 +219,7 @@ def run_many(
         if len(answers) != 1:
             raise RuntimeError(f"outcomes decode inconsistently: {sorted(dist)}")
         records.append(RunRecord(algorithm, dist, dict(queries), member_steps,
-                                 answers.pop(), tuple(ops)))
+                                 answers.pop()))
     return records
 
 

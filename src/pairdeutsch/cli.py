@@ -297,7 +297,7 @@ def _payload_run(request: RunRequest) -> tuple[dict, int]:
         decoded = _decode_argmax(request.algorithm, probabilities)
     payload: dict = {
         "queries": dict(sorted(record.query_counts.items())),
-        "gate_count": len(record.ops),  # informational, never asserted on
+        "gate_count": len(algorithms.spec(request.algorithm).gates),
         "probabilities": {k: probabilities[k] for k in sorted(probabilities)},
     }
     if request.shots != "exact":

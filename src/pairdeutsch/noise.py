@@ -30,7 +30,6 @@ from .qstate import (
     _apply,
     _readonly,
     apply_gate_density,
-    basis_state,
     bitstring_distribution,
     partial_trace,
 )
@@ -277,9 +276,9 @@ def run_noisy_models(
     rates = [model.gate_rates(n, ops) for model in models]
     if not models:
         return []
-    a = basis_state(n, 0).amplitudes  # |0...0>, whose projector starts each model
-    start = np.outer(a, a.conj())  # unchecked, as run_many's start is
-    rho = DensityMatrix._trusted(n, np.repeat(start[None], len(models), axis=0))
+    start = np.zeros((len(models), 2**n, 2**n), dtype=np.complex128)
+    start[:, 0, 0] = 1.0  # |0...0><0...0| per model, unchecked as run_many's start is
+    rho = DensityMatrix._trusted(n, start)
     for op, op_rates in zip(ops, zip(*rates)):
         rho = apply_gate_density(rho, op.matrix, op.targets)
         rho = depolarize(rho, op.targets, op_rates)

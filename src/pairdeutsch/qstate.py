@@ -183,10 +183,7 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=np.complex128)
         if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim) or m.size == 0:
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        h = m.conj().swapaxes(-1, -2)  # np.allclose(m, h, atol=ATOL), spelled out
-        close = (abs(m - h) <= ATOL + 1e-5 * abs(h) if np.isfinite(m).all()
-                 else np.isclose(m, h, atol=ATOL))  # which knows inf and NaN
-        if not close.all():
+        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=ATOL):
             raise ValueError("density matrix is not Hermitian")
         for tr in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
             if abs(tr - 1.0) > ATOL:

@@ -223,6 +223,20 @@ def test_every_gate_is_a_shared_read_only_unitary_constant():
     assert oracle_unitary(BoolFn(0, 1)) is oracle_unitary(B1)
 
 
+def test_every_op_is_named_by_its_row_entry():
+    circuits = [(DEUTSCH, fn) for fn in (C1, C2, B1, B2)]
+    circuits += [(algorithm, pair) for algorithm in (ENTANGLED_PAIR, PRODUCT_PAIR)
+                 for pair in all_promise_pairs()]
+    assert len(circuits) == 20
+    for algorithm, oracles in circuits:
+        ops, _ = circuit_ops(algorithm, oracles)
+        assert [op.name for op in ops] == [
+            gate for gate, _, _ in ALGORITHMS[algorithm].gates], (algorithm, oracles)
+        if algorithm == PRODUCT_PAIR:  # both f queries apply one U_f object
+            assert ops[3].name == ops[7].name == "f"
+            assert ops[3].matrix is ops[7].matrix is oracle_unitary(oracles.f)
+
+
 def test_run_many_prepares_every_member_alike():
     pairs = all_promise_pairs()
     records = run_many(ENTANGLED_PAIR, pairs)
