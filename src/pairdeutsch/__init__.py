@@ -20,7 +20,6 @@ from .algorithms import (
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
     DecodedAnswer,
-    GateOp,
     RunRecord,
     circuit_ops,
     decode,
@@ -70,7 +69,6 @@ from .qstate import (
     DensityMatrix,
     StateVector,
     apply_gate,
-    basis_state,
     is_unitary,
     partial_trace,
     purity,
@@ -96,7 +94,6 @@ __all__ = [
     "FAMILIES",
     "FamilyAuditReport",
     "FidelityReport",
-    "GateOp",
     "NoiseModel",
     "PromisePair",
     "RunRecord",
@@ -106,7 +103,6 @@ __all__ = [
     "all_promise_pairs",
     "apply_gate",
     "audit_family_distinguishability",
-    "basis_state",
     "bhattacharyya",
     "bloch_grid_params",
     "circuit_ops",

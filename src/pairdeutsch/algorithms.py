@@ -105,16 +105,6 @@ def spec(algorithm: str) -> Algorithm:
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """One gate application, named by its row entry: X, H, CNOT, f or g."""
-
-    name: str
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-    step: str
-
-
-@dataclass(frozen=True)
 class DecodedAnswer:
     """balanced = f(0)^f(1); different = f(0)^g(0), absent for single-function runs."""
 
@@ -165,8 +155,9 @@ def decode_outcome(algorithm: str, bitstring: str) -> DecodedAnswer:
 
 def circuit_ops(
     algorithm: str, oracles: BoolFn | PromisePair
-) -> tuple[list[GateOp], int]:
-    """Gate list and qubit count of the named algorithm, built from its row."""
+) -> tuple[list[np.ndarray], int]:
+    """The matrix of each gate of the named algorithm, in row order, and its
+    qubit count. Each matrix is one of the shared read-only constants."""
     entry = spec(algorithm)
     if entry.takes_pair and not isinstance(oracles, PromisePair):
         raise ValueError(f"{algorithm} takes a PromisePair")
@@ -174,9 +165,7 @@ def circuit_ops(
         raise ValueError(f"{algorithm} takes a single BoolFn")
     queried = (oracles.f, oracles.g) if entry.takes_pair else (oracles,)
     matrices = {**_CONSTANTS, **dict(zip("fg", map(oracle_unitary, queried)))}
-    ops = [GateOp(name, matrices[name], targets, step)
-           for name, targets, step in entry.gates]
-    return ops, entry.num_qubits
+    return [matrices[name] for name, _, _ in entry.gates], entry.num_qubits
 
 
 def run_many(
@@ -189,25 +178,26 @@ def run_many(
     own gate, so a member's bits never depend on which other members share
     its walk. The last column goes through `apply_gate`: its output check is
     the walk's one check of its result."""
-    ops_list = [circuit_ops(algorithm, oracles)[0] for oracles in oracle_list]
-    if not ops_list:
+    matrices = [circuit_ops(algorithm, oracles)[0] for oracles in oracle_list]
+    if not matrices:
         raise ValueError("run_many needs at least one oracle choice")
-    num_qubits, size = spec(algorithm).num_qubits, len(ops_list)
+    entry = spec(algorithm)
+    num_qubits, size = entry.num_qubits, len(matrices)
     tensor = np.zeros((2,) * num_qubits + (size,), dtype=np.complex128)
     tensor[(0,) * num_qubits] = 1.0  # |0...0> in each member
     steps: list[tuple[str, np.ndarray]] = []  # each step's (S, 2**n) view
-    names = [op.name for op in ops_list[0]]  # every member's, from one row
+    names = [name for name, _, _ in entry.gates]
     queries = {fn: names.count(fn) for fn in ("f", "g") if fn in names}
     last = len(names) - 1
-    columns = enumerate(zip(*ops_list))
-    for label, group in groupby(columns, key=lambda column: column[1][0].step):
-        for i, (op, *rest) in group:
-            gates = np.array([o.matrix for o in (op, *rest)])
+    columns = enumerate(zip(entry.gates, zip(*matrices)))  # (row entry, matrices)
+    for label, group in groupby(columns, key=lambda item: item[1][0][2]):  # by step
+        for i, ((_, targets, _), column) in group:
+            gates = np.array(column)
             if i < last:
-                tensor = _apply(tensor, gates, op.targets, num_qubits)
+                tensor = _apply(tensor, gates, targets, num_qubits)
             else:  # the walk's one check: apply_gate checks its output
                 state = StateVector._trusted(num_qubits, tensor.reshape(-1, size).T)
-                tensor = apply_gate(state, gates, op.targets).amplitudes.T
+                tensor = apply_gate(state, gates, targets).amplitudes.T
         steps.append((label, tensor.reshape(-1, size).T))
     probs = np.abs(steps[-1][1]) ** 2
     records = []

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algorithms import GateOp, circuit_ops
+from .algorithms import circuit_ops, spec
 from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
@@ -124,18 +124,18 @@ class NoiseModel:
         except KeyError:
             raise KeyError(f"no two-qubit error rate for pair ({a}, {b})") from None
 
-    def gate_rates(self, num_qubits: int, ops: Sequence[GateOp]) -> list[float]:
-        """The depolarizing rate after each op: its qubit's gate error, or its
-        pair's in either direction. NotCovered unless qubits 0..num_qubits-1
-        and the pair of every two-qubit gate in `ops` have error rates."""
+    def gate_rates(self, num_qubits: int, targets: Sequence[tuple]) -> list[float]:
+        """The depolarizing rate after each gate, given by its target tuple:
+        its qubit's gate error, or its pair's in either direction. NotCovered
+        unless qubits 0..num_qubits-1 and every pair in `targets` have rates."""
         covered = len(self.single_qubit_gate_error)
         if covered < num_qubits:
             raise NotCovered(
                 f"rates cover {covered} qubit(s), the circuit uses {num_qubits}"
             )
         try:
-            return [self.single_qubit_gate_error[op.targets[0]] if len(op.targets) == 1
-                    else self.pair_gate_rate(*op.targets) for op in ops]
+            return [self.single_qubit_gate_error[on[0]] if len(on) == 1
+                    else self.pair_gate_rate(*on) for on in targets]
         except KeyError as exc:
             raise NotCovered(exc.args[0]) from None
 
@@ -272,16 +272,17 @@ def run_noisy_models(
     model's rate for it, and each model's readout confusion on its final
     distribution. Returns bitstring -> probability per model, each equal to
     that model's walk alone. NotCovered unless every model covers the circuit."""
-    ops, n = circuit_ops(algorithm, oracles)
-    rates = [model.gate_rates(n, ops) for model in models]
+    gates, n = circuit_ops(algorithm, oracles)
+    targets = [on for _, on, _ in spec(algorithm).gates]
+    rates = [model.gate_rates(n, targets) for model in models]
     if not models:
         return []
     start = np.zeros((len(models), 2**n, 2**n), dtype=np.complex128)
     start[:, 0, 0] = 1.0  # |0...0><0...0| per model, unchecked as run_many's start is
     rho = DensityMatrix._trusted(n, start)
-    for op, op_rates in zip(ops, zip(*rates)):
-        rho = apply_gate_density(rho, op.matrix, op.targets)
-        rho = depolarize(rho, op.targets, op_rates)
+    for gate, on, model_rates in zip(gates, targets, zip(*rates)):
+        rho = apply_gate_density(rho, gate, on)
+        rho = depolarize(rho, on, model_rates)
     rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
     probs = apply_readout_confusion(
         rho.probabilities(), [m.readout_error[:n] for m in models]

@@ -57,23 +57,11 @@ class StateVector:
 
     @classmethod
     def _trusted(cls, num_qubits: int, amplitudes: np.ndarray) -> StateVector:
-        """Wrap amplitudes known to be valid, such as a row of a checked stack
-        or a basis state built in place, read-only and without a check."""
+        """Wrap amplitudes known to be valid, such as a row of a checked
+        stack, read-only and without a check."""
         state = object.__new__(cls)  # frozen: set through its __dict__
         vars(state).update(num_qubits=num_qubits, amplitudes=_readonly(amplitudes))
         return state
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    """Computational basis state |index> under the big-endian convention."""
-    _check_num_qubits(num_qubits)
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(
-            f"basis index {index} out of range for {num_qubits} qubit(s)"
-        )
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 def _const(entries) -> np.ndarray:

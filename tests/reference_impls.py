@@ -24,6 +24,14 @@ def bit_of(index: int, qubit: int, num_qubits: int) -> int:
     return (index >> (num_qubits - 1 - qubit)) & 1
 
 
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    """Computational basis state |index>, big-endian: qubit 0 is the most
+    significant bit of `index`."""
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
 def expand_gate_reference(
     gate: np.ndarray, targets: tuple[int, ...], num_qubits: int
 ) -> np.ndarray:
@@ -162,33 +170,32 @@ def clifford_conjugation(gate_bytes: bytes, k: int) -> dict:
     return table
 
 
-def noisy_walk_reference(ops, num_qubits: int, model) -> np.ndarray:
-    """Outcome probabilities of the noisy walk, by Pauli transfer: carry
-    <P> = Tr(rho P) for every Pauli string P from |0...0>, where <P> is 1 on
-    the strings of I and Z and 0 elsewhere. A Clifford gate permutes the
-    strings with signs. Depolarizing its targets at rate p multiplies by
-    (1 - p) every string that is not the identity on all of them. Readout
-    multiplies <Z_S> by (1 - 2 e_q) for each q in S, and
-    p(b) = 2^-n sum over S of (-1)^(b . S) <Z_S>."""
+def noisy_walk_reference(gates, targets, num_qubits: int, model) -> np.ndarray:
+    """Outcome probabilities of the noisy walk of `gates`, each on its tuple
+    of `targets`, by Pauli transfer: carry <P> = Tr(rho P) for every Pauli
+    string P from |0...0>, where <P> is 1 on the strings of I and Z and 0
+    elsewhere. A Clifford gate permutes the strings with signs. Depolarizing
+    its targets at rate p multiplies by (1 - p) every string that is not the
+    identity on all of them. Readout multiplies <Z_S> by (1 - 2 e_q) for each
+    q in S, and p(b) = 2^-n sum over S of (-1)^(b . S) <Z_S>."""
     n = num_qubits
     expect = {string: float(all(a in (0, 3) for a in string))
               for string in product(range(4), repeat=n)}
-    for op in ops:
-        targets = op.targets
-        gate = np.ascontiguousarray(op.matrix, dtype=complex)
-        table = clifford_conjugation(gate.tobytes(), len(targets))
+    for gate, on in zip(gates, targets):
+        gate = np.ascontiguousarray(gate, dtype=complex)
+        table = clifford_conjugation(gate.tobytes(), len(on))
         moved = {}
         for string, value in expect.items():
-            image, sign = table[tuple(string[t] for t in targets)]
+            image, sign = table[tuple(string[t] for t in on)]
             out = list(string)
-            for t, a in zip(targets, image):
+            for t, a in zip(on, image):
                 out[t] = a
             moved[tuple(out)] = sign * value
-        if len(targets) == 1:
-            p = model.single_qubit_gate_error[targets[0]]
+        if len(on) == 1:
+            p = model.single_qubit_gate_error[on[0]]
         else:
-            p = model.two_qubit_gate_error[min(targets), max(targets)]
-        expect = {string: value * (1.0 - p) if any(string[t] for t in targets)
+            p = model.two_qubit_gate_error[min(on), max(on)]
+        expect = {string: value * (1.0 - p) if any(string[t] for t in on)
                   else value for string, value in moved.items()}
     probs = np.zeros(2**n)
     for b in range(2**n):

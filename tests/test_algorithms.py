@@ -20,6 +20,7 @@ from pairdeutsch.algorithms import (
     run_entangled_pair,
     run_product_pair,
 )
+from pairdeutsch.noise import NoiseModel, run_noisy_models
 from pairdeutsch.oracles import (
     NAMED_FUNCTIONS,
     B1,
@@ -34,9 +35,9 @@ from pairdeutsch.oracles import (
     same_at_zero,
 )
 from pairdeutsch.qstate import (
-    CNOT, H, X, basis_state, is_unitary,
+    CNOT, H, X, is_unitary,
 )
-from reference_impls import expand_gate_reference
+from reference_impls import basis_state, expand_gate_reference
 
 
 def test_decode_table():
@@ -179,10 +180,10 @@ def test_runs_match_reference_matrix_product(algorithm):
         else [(pair, None) for pair in all_promise_pairs()]
     )
     for oracles, _ in cases:
-        ops, n = circuit_ops(algorithm, oracles)
+        gates, n = circuit_ops(algorithm, oracles)
         full = np.eye(2**n, dtype=complex)
-        for op in ops:
-            full = expand_gate_reference(op.matrix, op.targets, n) @ full
+        for gate, (_, targets, _) in zip(gates, ALGORITHMS[algorithm].gates):
+            full = expand_gate_reference(gate, targets, n) @ full
         amps = full @ basis_state(n, 0).amplitudes
         expected = {
             format(i, f"0{n}b"): float(abs(a) ** 2)
@@ -217,9 +218,12 @@ def test_every_gate_is_a_shared_read_only_unitary_constant():
                  for algorithm in (ENTANGLED_PAIR, PRODUCT_PAIR)
                  for pair in all_promise_pairs()]
     assert len(circuits) == 20
-    for ops in circuits:
-        for op in ops:  # every gate is one of the constants, not a copy
-            assert any(op.matrix is m for m in constants), op.name
+    for gates in circuits:
+        for gate in gates:  # every gate is one of the constants, not a copy
+            assert any(gate is m for m in constants)
+    for gates, pair in zip(circuits[12:], all_promise_pairs()):
+        # both f queries of the product circuit apply one U_f object
+        assert gates[3] is gates[7] is oracle_unitary(pair.f)
     assert oracle_unitary(BoolFn(0, 1)) is oracle_unitary(B1)
 
 
@@ -229,12 +233,15 @@ def test_every_op_is_named_by_its_row_entry():
                  for pair in all_promise_pairs()]
     assert len(circuits) == 20
     for algorithm, oracles in circuits:
-        ops, _ = circuit_ops(algorithm, oracles)
-        assert [op.name for op in ops] == [
-            gate for gate, _, _ in ALGORITHMS[algorithm].gates], (algorithm, oracles)
-        if algorithm == PRODUCT_PAIR:  # both f queries apply one U_f object
-            assert ops[3].name == ops[7].name == "f"
-            assert ops[3].matrix is ops[7].matrix is oracle_unitary(oracles.f)
+        queried = ({"f": oracles.f, "g": oracles.g} if isinstance(oracles, PromisePair)
+                   else {"f": oracles})
+        named = {"X": X, "H": H, "CNOT": CNOT,
+                 **{fn: oracle_unitary(o) for fn, o in queried.items()}}
+        gates, _ = circuit_ops(algorithm, oracles)
+        entries = ALGORITHMS[algorithm].gates
+        assert len(gates) == len(entries), (algorithm, oracles)
+        for gate, (name, _, _) in zip(gates, entries):  # in row order
+            assert gate is named[name], (algorithm, oracles, name)
 
 
 def test_run_many_prepares_every_member_alike():
@@ -260,8 +267,9 @@ def members(algorithm: str, size: int) -> list:
 @pytest.mark.parametrize("size", [1, 8])
 @pytest.mark.parametrize("column", [0, 4])  # in the first step, and in a middle one
 def test_a_non_unitary_gate_fails_the_walk(monkeypatch, size, column):
-    # the walk checks its state once, after its last column: a gate that
-    # scales the norm anywhere before it must still fail the walk
+    # the pure walk checks its state once, after its last column: a gate that
+    # scales the norm anywhere before it must still fail the walk. The noisy
+    # walk reads the same row and checks each gate, on a stack of `size` models
     product = ALGORITHMS[PRODUCT_PAIR]
     gates = list(product.gates)
     gate, targets, step = gates[column]
@@ -274,6 +282,9 @@ def test_a_non_unitary_gate_fails_the_walk(monkeypatch, size, column):
     with pytest.raises(ValueError, match=r"^state is not normalized: sum \|a\|\^2 = ") as info:
         run_many(PRODUCT_PAIR, members(PRODUCT_PAIR, size))
     assert float(str(info.value).rpartition(" ")[2]) == pytest.approx(1.21)
+    with pytest.raises(ValueError, match="^apply_gate_density expects a unitary gate$"):
+        run_noisy_models(PRODUCT_PAIR, members(PRODUCT_PAIR, 1)[0],
+                         [NoiseModel.table2()] * size)
 
 
 def test_run_many_rejects_no_choice_and_mixed_inputs():

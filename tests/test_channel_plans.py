@@ -14,11 +14,15 @@ from pairdeutsch.qstate import (
     CNOT,
     DensityMatrix,
     X,
-    basis_state,
     expanded_unitary,
     partial_trace,
 )
-from reference_impls import expand_gate_reference, random_density_matrix, random_unitary
+from reference_impls import (
+    basis_state,
+    expand_gate_reference,
+    random_density_matrix,
+    random_unitary,
+)
 
 PLANS = (qstate._axes, qstate._trace_subscripts, qstate._identity, noise._mixing_plan)
 

@@ -39,8 +39,9 @@ from pairdeutsch.oracles import (
     all_promise_pairs,
     oracle_unitary,
 )
-from pairdeutsch.qstate import StateVector, apply_gate, basis_state
+from pairdeutsch.qstate import StateVector, apply_gate
 from reference_impls import (
+    basis_state,
     bloch_grid_params_reference,
     closed_form_decidable,
     closed_form_overlaps,

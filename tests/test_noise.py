@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pairdeutsch.noise
 from pairdeutsch.algorithms import (
+    ALGORITHMS,
     DEUTSCH,
     ENTANGLED_PAIR,
     PRODUCT_PAIR,
@@ -43,8 +44,9 @@ from pairdeutsch.oracles import (
     is_balanced,
     same_at_zero,
 )
-from pairdeutsch.qstate import DensityMatrix, basis_state
+from pairdeutsch.qstate import DensityMatrix
 from reference_impls import (
+    basis_state,
     depolarize_reference,
     noisy_walk_reference,
     random_density_matrix,
@@ -141,13 +143,14 @@ def test_gate_rates_follow_the_ops():
     for model, pairs in ((NoiseModel.table2(), TABLE2_TWO_QUBIT),
                          (reversed_pair, {**TABLE2_TWO_QUBIT, (1, 2): 0.5})):
         pair_rate = {frozenset(pair): rate for pair, rate in pairs.items()}
-        for algorithm, oracles in SWEEP_CIRCUITS:
-            ops, n = circuit_ops(algorithm, oracles)
-            want = [TABLE2_SINGLE_QUBIT[op.targets[0]] if len(op.targets) == 1
-                    else pair_rate[frozenset(op.targets)] for op in ops]
-            assert model.gate_rates(n, ops) == want, (algorithm, oracles)
-    # the qubit count is checked before any pair, whatever the ops
-    ops, n = circuit_ops(ENTANGLED_PAIR, all_promise_pairs()[0])
+        for algorithm, entry in ALGORITHMS.items():
+            targets = [on for _, on, _ in entry.gates]
+            want = [TABLE2_SINGLE_QUBIT[on[0]] if len(on) == 1
+                    else pair_rate[frozenset(on)] for on in targets]
+            assert model.gate_rates(entry.num_qubits, targets) == want, algorithm
+    # the qubit count is checked before any pair, whatever the targets
+    entry = ALGORITHMS[ENTANGLED_PAIR]
+    n, targets = entry.num_qubits, [on for _, on, _ in entry.gates]
     for model, message in (
         (NoiseModel(TABLE2_SINGLE_QUBIT[:2], {}, TABLE2_READOUT[:2]),
          "rates cover 2 qubit(s), the circuit uses 3"),
@@ -155,7 +158,7 @@ def test_gate_rates_follow_the_ops():
          "no two-qubit error rate for pair (1, 2)"),
     ):
         with pytest.raises(NotCovered) as info:
-            model.gate_rates(n, ops)
+            model.gate_rates(n, targets)
         assert str(info.value) == message
 
 
@@ -419,9 +422,10 @@ NOISE_MODELS = st.builds(
 @given(st.lists(NOISE_MODELS, min_size=1, max_size=3))
 def test_noisy_walk_matches_the_pauli_transfer_reference(models):
     for algorithm, oracles in SWEEP_CIRCUITS:
-        ops, n = circuit_ops(algorithm, oracles)
+        gates, n = circuit_ops(algorithm, oracles)
+        targets = [on for _, on, _ in ALGORITHMS[algorithm].gates]
         for model, dist in zip(models, run_noisy_models(algorithm, oracles, models)):
-            want = noisy_walk_reference(ops, n, model)
+            want = noisy_walk_reference(gates, targets, n, model)
             outcomes = [format(b, f"0{n}b") for b in range(2**n)]
             assert set(dist) <= set(outcomes)
             for outcome, p in zip(outcomes, want):

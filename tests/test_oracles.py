@@ -14,8 +14,8 @@ from pairdeutsch.oracles import (
     parse_oracle,
     same_at_zero,
 )
-from pairdeutsch.qstate import CNOT, X, apply_gate, basis_state
-from reference_impls import oracle_gate_sequence
+from pairdeutsch.qstate import CNOT, X, apply_gate
+from reference_impls import basis_state, oracle_gate_sequence
 
 ALL_FNS = (C1, C2, B1, B2)
 

