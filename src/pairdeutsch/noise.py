@@ -28,6 +28,9 @@ from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
     _apply,
+    _partial_trace,
+    _placement,
+    _qubits,
     _readonly,
     apply_gate_density,
     bitstring_distribution,
@@ -208,6 +211,8 @@ def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
     a gather of the reduced state's flat entries times a read-only weight."""
     if not targets:
         raise ValueError("depolarize needs at least one target qubit")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"repeated qubit in qubits={list(targets)}")
     for q in targets:
         if not 0 <= q < n:
             raise ValueError(f"target {q} out of range for {n} qubit(s)")
@@ -218,6 +223,17 @@ def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
     gather = kept_index[:, None] * 2 ** len(kept) + kept_index[None, :]
     weight = (target_index[:, None] == target_index[None, :]) / 2 ** len(targets)
     return kept, _readonly(gather), _readonly(weight)
+
+
+def _mix(entries, reduced, plan, keep, coef) -> np.ndarray:
+    """`depolarize`'s array core, on rates already checked: keep * entries +
+    coef * (reduced (x) I/2^k), with keep = 1 - coef, `plan` from
+    `_mixing_plan` and `reduced` the entries' state on its kept qubits, None
+    when it keeps none."""
+    kept, gather, mixed = plan
+    if kept:  # with every qubit a target the trace is 1: no reduction taken
+        mixed = reduced.reshape(reduced.shape[:-2] + (-1,)).take(gather, -1) * mixed
+    return keep * entries + coef * mixed
 
 
 def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
@@ -233,12 +249,10 @@ def depolarize(rho: DensityMatrix, qubits, p) -> DensityMatrix:
             f"depolarizing rates of shape {rates.shape} do not fit density matrices"
             f" of shape {rho.entries.shape}: give one rate, or one per member")
     n = rho.num_qubits
-    kept, gather, mixed = _mixing_plan(n, tuple(sorted(set(map(int, qubits)))))
-    if kept:  # with every qubit a target the trace is 1: no reduction taken
-        reduced = partial_trace(rho, kept).entries
-        mixed = reduced.reshape(reduced.shape[:-2] + (-1,)).take(gather, -1) * mixed
+    plan = _mixing_plan(n, _qubits(qubits))
+    reduced = partial_trace(rho, plan[0]).entries if plan[0] else None
     coef = rates[..., None, None]
-    return DensityMatrix._trusted(n, (1.0 - coef) * rho.entries + coef * mixed)
+    return DensityMatrix._trusted(n, _mix(rho.entries, reduced, plan, 1.0 - coef, coef))
 
 
 def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
@@ -264,6 +278,15 @@ def apply_readout_confusion(probs: np.ndarray, rates) -> np.ndarray:
     return p.reshape(probs.shape[::-1]).T
 
 
+@lru_cache(maxsize=64)
+def _walk_placement(gate_bytes: bytes, d: int, targets: tuple, num_qubits: int):
+    """`_placement` of the d x d complex128 gate with these bytes: the noisy
+    walk's checked (U, U^H), one per (gate, targets, width). The key
+    determines the value, and a gate that fails its check is never cached."""
+    gate = np.frombuffer(gate_bytes, np.complex128).reshape(d, d)
+    return _placement(gate, targets, num_qubits)
+
+
 def run_noisy_models(
     algorithm: str, oracles: BoolFn | PromisePair, models: Sequence[NoiseModel]
 ) -> list[dict[str, float]]:
@@ -271,21 +294,33 @@ def run_noisy_models(
     one walk of a stack: a depolarizing channel after every gate, at each
     model's rate for it, and each model's readout confusion on its final
     distribution. Returns bitstring -> probability per model, each equal to
-    that model's walk alone. NotCovered unless every model covers the circuit."""
+    that model's walk alone. NotCovered unless every model covers the circuit.
+
+    The walk carries a raw (M, 2**n, 2**n) array. Each gate but the last
+    takes its checked (U, U^H) from `_walk_placement` and mixes through
+    `depolarize`'s and `partial_trace`'s array cores, at the rates that
+    `gate_rates` checked, with 1 - rate taken once per walk. The last gate
+    goes through `apply_gate_density` and `depolarize` themselves, and one
+    `DensityMatrix` check of the final stack closes the walk."""
     gates, n = circuit_ops(algorithm, oracles)
     targets = [on for _, on, _ in spec(algorithm).gates]
     rates = [model.gate_rates(n, targets) for model in models]
     if not models:
         return []
-    start = np.zeros((len(models), 2**n, 2**n), dtype=np.complex128)
-    start[:, 0, 0] = 1.0  # |0...0><0...0| per model, unchecked as run_many's start is
-    rho = DensityMatrix._trusted(n, start)
-    for gate, on, model_rates in zip(gates, targets, zip(*rates)):
-        rho = apply_gate_density(rho, gate, on)
-        rho = depolarize(rho, on, model_rates)
+    coefs = np.array(rates).T[..., None, None]  # one (M, 1, 1) column per gate
+    m = np.zeros((len(models), 2**n, 2**n), dtype=np.complex128)
+    m[:, 0, 0] = 1.0  # |0...0><0...0| per model, unchecked as run_many's start is
+    for gate, on, keep, coef in zip(gates[:-1], targets, 1.0 - coefs, coefs):
+        u, uh = _walk_placement(gate.tobytes(), len(gate), on, n)
+        m = u @ m @ uh
+        plan = _mixing_plan(n, on)
+        reduced = _partial_trace(m, n, plan[0]) if plan[0] else None
+        m = _mix(m, reduced, plan, keep, coef)
+    rho = apply_gate_density(DensityMatrix._trusted(n, m), gates[-1], targets[-1])
+    rho = depolarize(rho, targets[-1], [model_rates[-1] for model_rates in rates])
     rho = DensityMatrix(n, rho.entries)  # the walk's one check of its results
     probs = apply_readout_confusion(
-        rho.probabilities(), [m.readout_error[:n] for m in models]
+        rho.probabilities(), [model.readout_error[:n] for model in models]
     )
     return [bitstring_distribution(p, n) for p in probs]
 
@@ -344,6 +379,11 @@ def bhattacharyya(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     _checked_probabilities(list(p.values()))
     _checked_probabilities(list(q.values()))
     _outcome_width("q", q, _outcome_width("p", p))
+    return _overlap(p, q)
+
+
+def _overlap(p: Mapping[str, float], q: Mapping[str, float]) -> float:
+    """`bhattacharyya`'s sum, on distributions already checked."""
     total = 0.0
     for k in sorted(set(p) & set(q)):
         pk, qk = p[k], q[k]
@@ -369,6 +409,16 @@ class FidelityReport:
         for name in ("p_exp", "p_th"):  # read-only copies: the fidelity stays theirs
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "fidelity", bhattacharyya(self.p_exp, self.p_th))
+
+    @classmethod
+    def _trusted(cls, stderr: float, p_exp: dict, p_th: Mapping) -> FidelityReport:
+        """The report on a fresh `p_exp` and a `p_th` that `statistical_fidelity`
+        has checked, built without checking them again."""
+        report = object.__new__(cls)  # frozen: set through its __dict__
+        vars(report).update(stderr=stderr, p_exp=MappingProxyType(p_exp),
+                            p_th=MappingProxyType(dict(p_th)),
+                            fidelity=_overlap(p_exp, p_th))
+        return report
 
 
 def statistical_fidelity(
@@ -404,8 +454,4 @@ def statistical_fidelity(
     totals = draws.sum(axis=1, keepdims=True)
     resampled = np.sqrt(draws / np.where(totals == 0, 1.0, totals) * theory).sum(axis=1)
     resampled[totals[:, 0] == 0] = 0.0
-    return FidelityReport(
-        stderr=float(np.std(resampled)),
-        p_exp=p_exp,
-        p_th=p_th,
-    )
+    return FidelityReport._trusted(float(np.std(resampled)), p_exp, p_th)

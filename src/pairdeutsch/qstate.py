@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from string import ascii_lowercase
@@ -86,13 +87,27 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
     return bool((abs(m.conj().T @ m - _identity(len(m))) <= tol).all())
 
 
+def _qubits(qubits: Sequence[int]) -> tuple[int, ...]:
+    """The one qubit-index rule: a qubit is an index other than a bool, read
+    through operator.index, so np.int64 passes and 0.7 and True fail. It runs
+    before a cached plan is looked up, as lru_cache takes (True,) for (1,)."""
+    indices = []
+    for q in qubits:
+        try:
+            if type(q) is bool:  # an index to operator.index, but no qubit
+                raise TypeError
+            indices.append(operator.index(q))
+        except TypeError:
+            raise ValueError(f"qubit {q!r} is not an integer index") from None
+    return tuple(indices)
+
+
 @lru_cache(maxsize=256)
 def _axes(targets: tuple, num_qubits: int, ndim: int, stacked: bool) -> tuple:
     """Plan of `_apply` after its target checks: the axis order that puts the
     targets first (after the stack axis, the last one, for a gate stack), the
     moved tensor's matrix shape (-1 for a gate stack's length, which may be
     0) and the order that puts every axis back."""
-    targets = tuple(int(t) for t in targets)
     if not targets:
         raise ValueError("a gate needs at least one target qubit")
     if len(set(targets)) != len(targets):
@@ -118,7 +133,7 @@ def _apply(
     stack, shape (S, d, d), needs one axis of length S after the qubits: its
     member s acts on index s of that axis."""
     stacked = gate.ndim == 3
-    order, shape, inverse = _axes(tuple(targets), num_qubits, tensor.ndim, stacked)
+    order, shape, inverse = _axes(_qubits(targets), num_qubits, tensor.ndim, stacked)
     k, d = len(targets), 2 ** len(targets)
     if gate.ndim not in (2, 3) or gate.shape[-2:] != (d, d):
         raise ValueError(
@@ -213,16 +228,23 @@ def expanded_unitary(
     return _apply(identity, g, targets, num_qubits).reshape(dim, dim)
 
 
-def apply_gate_density(
-    rho: DensityMatrix, gate: np.ndarray, targets: Sequence[int]
-) -> DensityMatrix:
-    """U rho U^H, one product of the full unitary for the whole stack."""
-    u = expanded_unitary(gate, targets, rho.num_qubits)
+def _placement(gate: np.ndarray, targets: Sequence[int], num_qubits: int) -> tuple:
+    """`apply_gate_density`'s place-and-check core: the gate's full unitary U
+    and U^H, both read-only, once the gate is checked to be unitary."""
+    u = expanded_unitary(gate, targets, num_qubits)
     # the one input that can break validity: a d x d gate off unitarity by e
     # per entry moves the trace by up to d * e, so e <= ATOL / d bounds it
     if not is_unitary(gate, ATOL / len(gate)):
         raise ValueError("apply_gate_density expects a unitary gate")
-    return DensityMatrix._trusted(rho.num_qubits, u @ rho.entries @ u.conj().T)
+    return _readonly(u), _readonly(u.conj().T)
+
+
+def apply_gate_density(
+    rho: DensityMatrix, gate: np.ndarray, targets: Sequence[int]
+) -> DensityMatrix:
+    """U rho U^H, one product of the full unitary for the whole stack."""
+    u, uh = _placement(gate, targets, rho.num_qubits)
+    return DensityMatrix._trusted(rho.num_qubits, u @ rho.entries @ uh)
 
 
 @lru_cache(maxsize=256)
@@ -241,17 +263,24 @@ def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
     return f"...{src}->...{dst}"
 
 
+def _partial_trace(entries: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
+    """`partial_trace`'s array core, on entries of shape stack + (2**n, 2**n)
+    and a tuple of qubit indices: the reduced entries, one einsum."""
+    subscripts, k = _trace_subscripts(n, keep), len(keep)  # checks keep against n
+    stack = entries.shape[:-2]
+    reduced = np.einsum(subscripts, entries.reshape(stack + (2,) * (2 * n)))
+    return reduced.reshape(stack + (2**k, 2**k))
+
+
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not listed in `keep`, from every member.
 
     The output qubit order follows the `keep` list, so keep=[1, 0] also
     swaps the two remaining qubits.
     """
-    n, keep = rho.num_qubits, tuple(map(int, keep))
-    subscripts, k = _trace_subscripts(n, keep), len(keep)  # checks keep against n
-    stack = rho.entries.shape[:-2]
-    reduced = np.einsum(subscripts, rho.entries.reshape(stack + (2,) * (2 * n)))
-    return DensityMatrix._trusted(k, reduced.reshape(stack + (2**k, 2**k)))
+    keep = _qubits(keep)
+    reduced = _partial_trace(rho.entries, rho.num_qubits, keep)
+    return DensityMatrix._trusted(len(keep), reduced)
 
 
 def purity(rho: DensityMatrix) -> float | np.ndarray:

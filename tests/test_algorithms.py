@@ -285,6 +285,19 @@ def test_a_non_unitary_gate_fails_the_walk(monkeypatch, size, column):
     with pytest.raises(ValueError, match="^apply_gate_density expects a unitary gate$"):
         run_noisy_models(PRODUCT_PAIR, members(PRODUCT_PAIR, 1)[0],
                          [NoiseModel.table2()] * size)
+    # the noisy walk's last gate takes apply_gate_density itself, not the
+    # walk's cached placements: a row whose only bad gate is its last fails alike
+    gates = list(product.gates)
+    name, targets, step = gates[-1]
+    assert name == "g"
+    gates[-1] = ("1.1CNOT", targets, step)
+    monkeypatch.setattr(algorithms, "_CONSTANTS", MappingProxyType(
+        {**algorithms._CONSTANTS, "1.1CNOT": 1.1 * CNOT}))
+    monkeypatch.setattr(algorithms, "ALGORITHMS", MappingProxyType(
+        {**ALGORITHMS, PRODUCT_PAIR: dataclasses.replace(product, gates=tuple(gates))}))
+    with pytest.raises(ValueError, match="^apply_gate_density expects a unitary gate$"):
+        run_noisy_models(PRODUCT_PAIR, members(PRODUCT_PAIR, 1)[0],
+                         [NoiseModel.table2()] * size)
 
 
 def test_run_many_rejects_no_choice_and_mixed_inputs():

@@ -7,14 +7,29 @@ import numpy as np
 import pytest
 
 from pairdeutsch import noise, qstate
-from pairdeutsch.algorithms import ENTANGLED_PAIR, PRODUCT_PAIR
-from pairdeutsch.noise import NoiseModel, depolarize, run_noisy_models
-from pairdeutsch.oracles import all_promise_pairs
+from pairdeutsch.algorithms import (
+    ALGORITHMS,
+    DEUTSCH,
+    ENTANGLED_PAIR,
+    PRODUCT_PAIR,
+    circuit_ops,
+)
+from pairdeutsch.noise import (
+    NoiseModel,
+    apply_readout_confusion,
+    depolarize,
+    run_noisy_models,
+)
+from pairdeutsch.oracles import NAMED_FUNCTIONS, all_promise_pairs
 from pairdeutsch.qstate import (
+    ATOL,
     CNOT,
     DensityMatrix,
     X,
+    apply_gate_density,
+    bitstring_distribution,
     expanded_unitary,
+    is_unitary,
     partial_trace,
 )
 from reference_impls import (
@@ -24,7 +39,12 @@ from reference_impls import (
     random_unitary,
 )
 
-PLANS = (qstate._axes, qstate._trace_subscripts, qstate._identity, noise._mixing_plan)
+PLANS = (qstate._axes, qstate._trace_subscripts, qstate._identity, noise._mixing_plan,
+         noise._walk_placement)
+# all 20 circuits: four Deutsch oracles, and eight promise pairs per pair circuit
+CIRCUITS = [*((DEUTSCH, fn) for fn in NAMED_FUNCTIONS.values()),
+            *((algorithm, pair) for algorithm in (ENTANGLED_PAIR, PRODUCT_PAIR)
+              for pair in all_promise_pairs())]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -99,3 +119,54 @@ def test_a_second_walk_of_the_same_circuit_adds_no_plan_misses():
         after = [plan.cache_info() for plan in PLANS]
         assert [a.misses for a in after] == [b.misses for b in before]
         assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
+def test_the_walk_places_each_gate_once_checked_and_read_only():
+    noise._walk_placement.cache_clear()
+    placements = {}  # the walk's cache key -> the gate it places
+    for algorithm, oracles in CIRCUITS:
+        run_noisy_models(algorithm, oracles, [NoiseModel.table2()])
+        gates, n = circuit_ops(algorithm, oracles)
+        for gate, (_, on, _) in zip(gates[:-1], ALGORITHMS[algorithm].gates):
+            placements[gate.tobytes(), len(gate), on, n] = gate
+    assert len(CIRCUITS) == 20
+    # 7 on two qubits, 12 on three: each oracle permutation is its own gate
+    assert noise._walk_placement.cache_info().currsize == len(placements) == 19
+    misses = noise._walk_placement.cache_info().misses
+    for (data, d, on, n), gate in placements.items():
+        u, uh = noise._walk_placement(data, d, on, n)
+        assert not u.flags.writeable and not uh.flags.writeable
+        assert is_unitary(u, ATOL / d)
+        assert np.array_equal(u, expanded_unitary(gate, on, n))
+        assert np.array_equal(uh, u.conj().T)
+    assert noise._walk_placement.cache_info().misses == misses
+
+
+def public_channel_walk(algorithm, oracles, models) -> list[dict[str, float]]:
+    """The noisy walk op by op through the public, checked channels."""
+    gates, n = circuit_ops(algorithm, oracles)
+    targets = [on for _, on, _ in ALGORITHMS[algorithm].gates]
+    rates = [model.gate_rates(n, targets) for model in models]
+    start = np.zeros((len(models), 2**n, 2**n), dtype=np.complex128)
+    start[:, 0, 0] = 1.0
+    rho = DensityMatrix(n, start)
+    for gate, on, model_rates in zip(gates, targets, zip(*rates)):
+        rho = depolarize(apply_gate_density(rho, gate, on), on, model_rates)
+    probs = apply_readout_confusion(DensityMatrix(n, rho.entries).probabilities(),
+                                    [model.readout_error[:n] for model in models])
+    return [bitstring_distribution(p, n) for p in probs]
+
+
+def _hex(dists: list[dict[str, float]]) -> list[dict[str, str]]:
+    return [{k: v.hex() for k, v in dist.items()} for dist in dists]
+
+
+@pytest.mark.parametrize("scales", [(1.0,), (0.0, 0.5, 2.0, 7.0)],
+                         ids=["table2", "stack"])
+def test_the_walk_equals_the_public_channels_bit_for_bit(scales):
+    models = [NoiseModel.table2().scaled(s) for s in scales]
+    for algorithm, oracles in CIRCUITS:
+        want = _hex(public_channel_walk(algorithm, oracles, models))
+        noise._walk_placement.cache_clear()
+        assert _hex(run_noisy_models(algorithm, oracles, models)) == want, algorithm
+        assert _hex(run_noisy_models(algorithm, oracles, models)) == want, algorithm

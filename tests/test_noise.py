@@ -281,6 +281,28 @@ def test_depolarize_rejects_bad_probability():
         depolarize(rho, [0], -0.1)
 
 
+@pytest.mark.parametrize(
+    "qubits, message",
+    [
+        ([0, 0], "repeated qubit in qubits=[0, 0]"),
+        ([2, 0, 2], "repeated qubit in qubits=[2, 0, 2]"),
+        ([0.7], "qubit 0.7 is not an integer index"),
+        ([0, True], "qubit True is not an integer index"),
+        ([np.True_], "qubit np.True_ is not an integer index"),
+        ([np.float64(1.0)], "qubit np.float64(1.0) is not an integer index"),
+        ([1, 3], "target 3 out of range for 3 qubit(s)"),
+    ],
+)
+def test_depolarize_takes_each_qubit_once_as_an_index(qubits, message):
+    rho = DensityMatrix(3, random_density_matrix(3, np.random.default_rng(5)))
+    want = depolarize(rho, [0, 1], 0.1).entries  # caches the plan True would hit
+    for _ in range(2):  # a failed plan is never cached
+        with pytest.raises(ValueError) as info:
+            depolarize(rho, qubits, 0.1)
+        assert str(info.value) == message
+    assert np.array_equal(depolarize(rho, np.array([0, 1]), 0.1).entries, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_depolarize_preserves_trace_and_positivity(seed):
@@ -706,16 +728,24 @@ def test_fidelity_report_computes_its_fidelity_from_its_distributions():
     assert report.fidelity == bhattacharyya(report.p_exp, report.p_th)
 
 
-def test_statistical_fidelity_makes_one_bhattacharyya_call(monkeypatch):
+def test_statistical_fidelity_checks_its_inputs_once(monkeypatch):
+    # its own checks cover the report's inputs, so the report is built
+    # without bhattacharyya's second pass over them
     calls = []
-    original = pairdeutsch.noise.bhattacharyya
+    for name in ("bhattacharyya", "_checked_probabilities", "_outcome_width"):
+        original = getattr(pairdeutsch.noise, name)
 
-    def counting(p, q):
-        calls.append(1)
-        return original(p, q)
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(pairdeutsch.noise, "bhattacharyya", counting)
+        monkeypatch.setattr(pairdeutsch.noise, name, counting)
     ideal = run_entangled_pair(PromisePair(B1, B1)).final_distribution
-    report = statistical_fidelity(sample_shots(ideal, 512, seed=1), ideal, seed=2)
-    assert len(calls) == 1
-    assert report.fidelity == original(report.p_exp, report.p_th)
+    counts = sample_shots(ideal, 512, seed=1)
+    calls.clear()
+    report = statistical_fidelity(counts, ideal, seed=2)
+    assert calls == ["_checked_probabilities", "_outcome_width", "_outcome_width"]
+    assert report.fidelity.hex() == bhattacharyya(report.p_exp, report.p_th).hex()
+    assert report == FidelityReport(report.stderr, report.p_exp, report.p_th)
+    with pytest.raises(TypeError):
+        report.p_th["100"] = 1.0

@@ -9,6 +9,7 @@ from pairdeutsch.qstate import (
     X,
     DensityMatrix,
     StateVector,
+    _apply,
     apply_gate,
     apply_gate_density,
     expanded_unitary,
@@ -219,6 +220,29 @@ def test_apply_gate_rejects_bad_targets():
         expanded_unitary(np.eye(1), [], 2)
     with pytest.raises(ValueError, match="num_qubits"):
         expanded_unitary(X, [0], 0)
+
+
+# each call applies X, or traces, at qubit q of three and returns an array
+QUBIT_CALLS = {
+    "apply_gate": lambda q: apply_gate(basis_state(3, 0), X, [q]).amplitudes,
+    "expanded_unitary": lambda q: expanded_unitary(X, (q,), 3),
+    "_apply": lambda q: _apply(np.eye(8).reshape(2, 2, 2, 8), X, [q], 3),
+    "apply_gate_density": lambda q: apply_gate_density(
+        DensityMatrix.from_state(basis_state(3, 0)), X, [q]).entries,
+    "partial_trace": lambda q: partial_trace(
+        DensityMatrix.from_state(basis_state(3, 2)), [0, q]).entries,
+}
+
+
+@pytest.mark.parametrize("bad", [0.7, True, np.True_, np.float64(1.0), "1"], ids=repr)
+@pytest.mark.parametrize("call", QUBIT_CALLS.values(), ids=QUBIT_CALLS.keys())
+def test_a_qubit_is_an_index_other_than_a_bool(call, bad):
+    want = call(1)  # caches qubit 1's plan, which lru_cache would hand True
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"qubit {bad!r} is not an integer index"
+    assert np.array_equal(call(np.int64(1)), want)
 
 
 def test_controlled_z_phase_kickback():
