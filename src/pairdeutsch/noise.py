@@ -11,6 +11,7 @@ the seeded multinomial sampler.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import re
@@ -68,7 +69,8 @@ def _rate(r) -> float:
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-qubit gate/readout error rates, stored as tuples, and per-pair
-    two-qubit gate rates, stored as a read-only mapping of ascending pairs."""
+    two-qubit gate rates, stored as a read-only mapping of ascending pairs
+    whose qubits follow `qstate._qubits`' rule."""
 
     single_qubit_gate_error: tuple[float, ...]
     two_qubit_gate_error: Mapping[tuple[int, int], float]
@@ -79,7 +81,8 @@ class NoiseModel:
         singles, readouts = tuple(self.single_qubit_gate_error), tuple(self.readout_error)
         qubits = range(len(singles))
         pair_rates: dict[tuple[int, int], float] = {}
-        for (a, b), rate in dict(self.two_qubit_gate_error).items():
+        for key, rate in dict(self.two_qubit_gate_error).items():
+            a, b = _qubits(key)  # np.int64 passes as an int; True and 0.0 fail
             if a == b or a not in qubits or b not in qubits:
                 raise ValueError(
                     f"pair ({a}, {b}) must name two different qubits below {len(qubits)}")
@@ -109,17 +112,26 @@ class NoiseModel:
 
     def scaled(self, factor: float) -> NoiseModel:
         """All rates multiplied by `factor`, a finite nonnegative real number
-        other than a bool; fails if any rate leaves [0, 1]."""
+        other than a bool, taken as a float; fails, naming the first rate
+        in the constructor's order, if any rate leaves [0, 1]. The result
+        equals the model the constructor builds from the same products."""
         real = isinstance(factor, numbers.Real) and not isinstance(factor, bool)
         # NaN fails the comparison, and so does an int too large for a float
         if not (real and 0 <= factor <= sys.float_info.max):
             raise ValueError(
                 f"scale factor must be a finite nonnegative number, got {factor!r}")
-        return NoiseModel(
-            tuple(r * factor for r in self.single_qubit_gate_error),
-            {k: v * factor for k, v in self.two_qubit_gate_error.items()},
-            tuple(r * factor for r in self.readout_error),
-        )
+        # products of rates the constructor checked: only the upper bound can fail
+        factor = float(factor)
+        singles = tuple(r * factor for r in self.single_qubit_gate_error)
+        pairs = {k: r * factor for k, r in self.two_qubit_gate_error.items()}
+        readouts = tuple(r * factor for r in self.readout_error)
+        for rate in (*singles, *pairs.values(), *readouts):
+            if rate > 1.0:
+                _rate(rate)  # raises: outside [0, 1]
+        model = object.__new__(NoiseModel)  # frozen: set through its __dict__
+        vars(model).update(single_qubit_gate_error=singles, readout_error=readouts,
+                           two_qubit_gate_error=MappingProxyType(pairs))
+        return model
 
     def pair_gate_rate(self, a: int, b: int) -> float:
         try:
@@ -388,7 +400,7 @@ def _overlap(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     for k in sorted(set(p) & set(q)):
         pk, qk = p[k], q[k]
         if pk > 0.0 and qk > 0.0:
-            total += float(np.sqrt(pk * qk))
+            total += math.sqrt(pk * qk)
     return min(total, 1.0)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_lowercase
 from typing import Sequence
 
 import numpy as np
@@ -175,7 +174,12 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits, or a
     stack of S of them, shape (S, 2**n, 2**n): checked, the whole stack at
     once, by `DensityMatrix(...)` and `from_state`, and preserved by the
-    channels, which build their results unchecked through `_trusted`."""
+    channels, which build their results unchecked through `_trusted`.
+
+    Hermitian means np.allclose(m, m^H, atol=ATOL). A stack whose largest
+    |m - m^H| is within ATOL passes it for certain and is accepted without
+    the call; any other stack, one with a NaN or infinite entry included,
+    gets np.allclose's own verdict."""
 
     num_qubits: int
     entries: np.ndarray
@@ -186,7 +190,11 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=np.complex128)
         if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim) or m.size == 0:
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=ATOL):
+        mh = m.conj().swapaxes(-1, -2)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NaN fails
+            within = np.maximum.reduce(abs(m - mh), axis=None) <= ATOL
+        # |m - m^H| <= ATOL implies allclose's <= ATOL + 1e-5 |m^H|
+        if not within and not np.allclose(m, mh, atol=ATOL):
             raise ValueError("density matrix is not Hermitian")
         for tr in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
             if abs(tr - 1.0) > ATOL:
@@ -212,7 +220,8 @@ class DensityMatrix:
     def probabilities(self) -> np.ndarray:
         """Diagonal as a real probability vector, one row per stack member;
         eigenvalue-tolerance negatives are clipped and each row renormalized."""
-        p = np.clip(np.diagonal(self.entries, axis1=-2, axis2=-1).real, 0.0, None)
+        # np.clip(diag, 0.0, None) dispatches to this np.maximum
+        p = np.maximum(np.diagonal(self.entries, axis1=-2, axis2=-1).real, 0.0)
         return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -248,8 +257,10 @@ def apply_gate_density(
 
 
 @lru_cache(maxsize=256)
-def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    """einsum subscripts of `partial_trace` after its checks; repeats trace."""
+def _trace_gather(n: int, keep: tuple[int, ...]) -> np.ndarray:
+    """`partial_trace`'s plan after its checks: a read-only (2**(n-k), 4**k)
+    gather of the flat entries, row t holding the reduced matrix's entries
+    at the traced qubits' basis state t, so its column sums trace them out."""
     if not keep:
         raise ValueError("keep list must be non-empty")
     if len(set(keep)) != len(keep):
@@ -257,18 +268,27 @@ def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
     for q in keep:
         if not 0 <= q < n:
             raise ValueError(f"keep qubit {q} out of range for {n} qubit(s)")
-    row, col = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
-    src = row + "".join(col[q] if q in keep else row[q] for q in range(n))
-    dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    return f"...{src}->...{dst}"
+    traced = [q for q in range(n) if q not in keep]
+
+    def index(qubits):  # each basis state of `qubits`, big-endian, as a full index
+        bits = np.arange(2 ** len(qubits))[:, None] >> np.arange(len(qubits))[::-1] & 1
+        return bits @ (1 << (n - 1 - np.array(qubits, dtype=int)))
+
+    kept, t = index(keep), index(traced)[:, None, None]
+    gather = (kept[:, None] + t) * 2**n + kept[None, :] + t
+    return _readonly(gather.reshape(len(t), -1))
 
 
 def _partial_trace(entries: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """`partial_trace`'s array core, on entries of shape stack + (2**n, 2**n)
-    and a tuple of qubit indices: the reduced entries, one einsum."""
-    subscripts, k = _trace_subscripts(n, keep), len(keep)  # checks keep against n
+    and a tuple of qubit indices: one cached gather of the flat entries and
+    one sum over the traced states, bit for bit the einsum it replaced. With
+    every qubit kept there is one term, taken unsummed: a sum over one term
+    would turn -0.0 into +0.0."""
+    gather, k = _trace_gather(n, keep), len(keep)  # checks keep against n
     stack = entries.shape[:-2]
-    reduced = np.einsum(subscripts, entries.reshape(stack + (2,) * (2 * n)))
+    flat = entries.reshape(stack + (4**n,))
+    reduced = flat.take(gather[0], -1) if k == n else flat.take(gather, -1).sum(axis=-2)
     return reduced.reshape(stack + (2**k, 2**k))
 
 

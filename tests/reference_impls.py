@@ -4,13 +4,16 @@ These deliberately avoid the library's transpose/einsum/broadcasting code
 paths: gates are expanded by explicit bit surgery, reduced and depolarized
 density matrices by index loops, random samples are drawn one factor at a
 time and grid points are built one angle at a time, so agreement with the
-library is a genuine cross-check.
+library is a genuine cross-check. The one exception is
+`partial_trace_einsum`, the einsum that the library's partial trace once
+was, kept to pin the bits of the kernel that replaced it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from string import ascii_lowercase
 
 import numpy as np
 
@@ -72,6 +75,17 @@ def reduced_density_reference(
                 c = (c << 1) | bit_of(j, q, n)
             rho[r, c] += ai * np.conj(aj)
     return rho
+
+
+def partial_trace_einsum(entries: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
+    """The reduced entries of a stack + (2**n, 2**n) array on `keep`, in
+    list order, by one einsum whose repeated subscripts trace the rest."""
+    row, col = ascii_lowercase[:n], ascii_lowercase[n : 2 * n]
+    src = row + "".join(col[q] if q in keep else row[q] for q in range(n))
+    dst = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
+    stack, k = entries.shape[:-2], len(keep)
+    reduced = np.einsum(f"...{src}->...{dst}", entries.reshape(stack + (2,) * (2 * n)))
+    return reduced.reshape(stack + (2**k, 2**k))
 
 
 def schmidt_coefficients_reference(state: StateVector, left: list[int]) -> np.ndarray:

@@ -35,11 +35,12 @@ from pairdeutsch.qstate import (
 from reference_impls import (
     basis_state,
     expand_gate_reference,
+    partial_trace_einsum,
     random_density_matrix,
     random_unitary,
 )
 
-PLANS = (qstate._axes, qstate._trace_subscripts, qstate._identity, noise._mixing_plan,
+PLANS = (qstate._axes, qstate._trace_gather, qstate._identity, noise._mixing_plan,
          noise._walk_placement)
 # all 20 circuits: four Deutsch oracles, and eight promise pairs per pair circuit
 CIRCUITS = [*((DEUTSCH, fn) for fn in NAMED_FUNCTIONS.values()),
@@ -55,6 +56,35 @@ def test_expanded_unitary_equals_the_reference_for_every_target_tuple(n):
             gate = random_unitary(2**k, rng)
             want = expand_gate_reference(gate, targets, n)
             assert np.array_equal(expanded_unitary(gate, targets, n), want), targets
+
+
+def _signed_zero_stacks(shape, rng) -> list[np.ndarray]:
+    """Entries for the trace pin: random, random of mixed magnitudes with
+    +0.0 and -0.0 in about half the real and imaginary parts, and all -0.0."""
+    def normal():
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    signed = normal() + 1j * normal()
+    for part in (signed.real, signed.imag):
+        zeros = rng.random(shape) < 0.5
+        part[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return [random, signed, np.full(shape, complex(-0.0, -0.0))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_trace_equals_the_einsum_bit_for_bit_for_every_keep_tuple(n):
+    rng = np.random.default_rng(200 + n)
+    for k in range(1, n + 1):
+        for keep in permutations(range(n), k):  # k == n: the permutations
+            for stack in ((), (3,)):
+                for entries in _signed_zero_stacks(stack + (2**n, 2**n), rng):
+                    got = partial_trace(DensityMatrix._trusted(n, entries), keep).entries
+                    want = partial_trace_einsum(entries, n, keep)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want), keep
+                    for part in (lambda a: a.real, lambda a: a.imag):
+                        assert np.array_equal(np.signbit(part(got)),
+                                              np.signbit(part(want))), keep
 
 
 @pytest.mark.parametrize(
@@ -104,6 +134,10 @@ def test_cached_plans_are_read_only_and_depolarize_repeats_itself():
         first = depolarize(rho, targets, 0.3).entries
         assert not first.flags.writeable
         assert np.array_equal(depolarize(rho, targets, 0.3).entries, first)
+    for n, keep in ((3, (1,)), (3, (2, 0)), (3, (2, 0, 1)), (1, (0,))):
+        gather = qstate._trace_gather(n, keep)
+        assert gather.shape == (2 ** (n - len(keep)), 4 ** len(keep))
+        assert not gather.flags.writeable
     for plan in (noise._mixing_plan(3, (0, 1, 2)), noise._mixing_plan(3, (1,)),
                  (qstate._identity(4), qstate._identity(8))):
         assert not any(a.flags.writeable for a in plan if isinstance(a, np.ndarray))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,38 @@ def test_noise_model_validation():
                 f"scale factor must be a finite nonnegative number, got {factor!r}")
     for factor in (2, np.float64(2.0), np.int64(2)):
         assert NoiseModel.table2().scaled(factor) == NoiseModel.table2().scaled(2.0)
+    # scaled trusts the rates the constructor checked: it builds the model the
+    # checked constructor builds from the same products
+    table2 = NoiseModel.table2()
+    for factor in (2, 0.5, np.float64(1.25), np.int64(3), Fraction(3, 2)):
+        want = NoiseModel(
+            tuple(r * factor for r in TABLE2_SINGLE_QUBIT),
+            {pair: r * factor for pair, r in TABLE2_TWO_QUBIT.items()},
+            tuple(r * factor for r in TABLE2_READOUT),
+        )
+        got = table2.scaled(factor)
+        assert got == want and hash(got) == hash(want), factor
+        assert got.to_config_text() == want.to_config_text()
+        assert type(got.two_qubit_gate_error) is type(want.two_qubit_gate_error)
+        rates = [*got.single_qubit_gate_error, *got.two_qubit_gate_error.values(),
+                 *got.readout_error]
+        assert all(type(r) is float for r in rates), factor
+    # past 1 it names the first rate the checked constructor names: singles,
+    # then pairs, then readouts
+    for singles, pairs, readouts in (
+        ((0.1, 0.6, 0.7), {(0, 1): 0.8}, (0.9, 0.1, 0.1)),
+        ((0.1, 0.1, 0.1), {(1, 2): 0.3, (0, 1): 0.6}, (0.2, 0.9, 0.1)),
+        ((0.1, 0.1, 0.1), {(0, 2): 0.1}, (0.2, 0.1, 0.55)),
+    ):
+        model = NoiseModel(singles, pairs, readouts)
+        with pytest.raises(ValueError) as want:
+            NoiseModel(tuple(r * 2 for r in singles),
+                       {pair: r * 2 for pair, r in pairs.items()},
+                       tuple(r * 2 for r in readouts))
+        with pytest.raises(ValueError) as got:
+            model.scaled(2)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("error rate 1.")
     with pytest.raises(ValueError,
                        match="^gate and readout rate lists must cover the same qubits$"):
         NoiseModel((0.1,), {}, ())
@@ -114,6 +147,25 @@ def test_noise_model_rejects_a_pair_no_gate_can_use(pair):
     with pytest.raises(ValueError) as info:
         NoiseModel((0.0, 0.0, 0.0), {(0, 1): 0.1, pair: 0.2}, (0.0, 0.0, 0.0))
     assert str(info.value) == f"pair {pair} must name two different qubits below 3"
+
+
+@pytest.mark.parametrize("pair", [(True, 2), (0.0, 1.0), (0, np.True_), (1, 0.5), ("0", 1)],
+                         ids=["bool", "floats", "np_bool", "float", "str"])
+def test_noise_model_reads_pair_qubits_by_the_qubit_rule(pair):
+    bad = next(q for q in pair if type(q) is not int)
+    with pytest.raises(ValueError) as info:
+        NoiseModel((0.01,) * 3, {pair: 0.02}, (0.01,) * 3)
+    assert str(info.value) == f"qubit {bad!r} is not an integer index"
+
+
+def test_noise_model_with_numpy_pair_keys_saves_and_loads_back(tmp_path):
+    pairs = {(np.int64(1), np.int64(0)): 0.03, (np.int64(1), np.int64(2)): 0.02}
+    model = NoiseModel((0.01,) * 3, pairs, (0.01,) * 3)
+    assert all(type(q) is int for pair in model.two_qubit_gate_error for q in pair)
+    assert model == NoiseModel((0.01,) * 3, {(0, 1): 0.03, (1, 2): 0.02}, (0.01,) * 3)
+    model.save(tmp_path / "noise.cfg")
+    loaded = NoiseModel.load(tmp_path / "noise.cfg")
+    assert loaded == model and hash(loaded) == hash(model)
 
 
 def test_noise_model_stores_each_pair_in_ascending_order():

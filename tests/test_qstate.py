@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairdeutsch.qstate import (
+    ATOL,
     CNOT,
     H,
     X,
@@ -429,6 +430,48 @@ def test_density_matrix_check_keeps_its_tolerances():
     with pytest.raises(ValueError) as exc:
         DensityMatrix(1, near)
     assert str(exc.value) == "density matrix has negative eigenvalue -999999.5"
+
+
+# an off-diagonal entry's change, as a multiple of the tolerance it is drawn around
+NEAR_ONE = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]) | st.floats(0.9, 1.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(-12, 0),
+    st.sampled_from(["atol", "atol+rtol", "nan", "inf", "-inf", "inf pair"]),
+    NEAR_ONE,
+)
+def test_the_hermitian_check_gives_the_allclose_verdict(seed, n, size, exponent,
+                                                        change, scale):
+    """The fast accept, max |m - m^H| <= ATOL, leaves every verdict to
+    np.allclose(m, m^H, atol=ATOL): the check fails exactly when it does."""
+    rng = np.random.default_rng(seed)
+    m = np.stack([random_density_matrix(n, rng) for _ in range(size)])
+    s, (i, j) = rng.integers(size), sorted(rng.choice(2**n, 2, replace=False))
+    b = 10.0**exponent * np.exp(2j * np.pi * rng.random())  # m^H[i, j] = b
+    m[s, i, j], m[s, j, i] = b, np.conj(b)
+    phase = np.exp(2j * np.pi * rng.random())
+    if change == "atol":
+        m[s, i, j] += scale * ATOL * phase
+    elif change == "atol+rtol":
+        m[s, i, j] += scale * (ATOL + 1e-5 * abs(b)) * phase
+    elif change == "nan":
+        m[s, i, j] = complex(np.nan, 0.0) if scale < 1.0 else complex(0.0, np.nan)
+    elif change == "inf pair":  # Hermitian to allclose, as m^H holds the same inf
+        m[s, i, j], m[s, j, i] = np.inf, np.inf
+    else:
+        m[s, i, j] = float(change)
+    hermitian = np.allclose(m, m.conj().swapaxes(-1, -2), atol=ATOL)
+    try:
+        DensityMatrix(n, m)
+        message = None
+    except ValueError as exc:  # a later check may fail too, with its own message
+        message = str(exc)
+    assert (message == NOT_HERMITIAN) == (not hermitian), (change, scale, message)
 
 
 @st.composite
