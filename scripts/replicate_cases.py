@@ -50,6 +50,18 @@ def shot_count(text: str) -> int:
     return shots
 
 
+def seed_value(text: str) -> int:
+    """--seed value: a nonnegative integer, as numpy's generators take, or an
+    argparse error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def noise_model(text: str) -> NoiseModel:
     """--noise value: table2 or a readable config file, or an argparse error."""
     if text == "table2":
@@ -63,7 +75,7 @@ def noise_model(text: str) -> NoiseModel:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shots", type=shot_count, default=8192)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_value, default=0)
     parser.add_argument("--noise", type=noise_model, default="table2",
                         help="table2 | config path")
     parser.add_argument("--csv", type=Path, help="also write rows to this file")

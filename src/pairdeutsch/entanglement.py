@@ -31,7 +31,7 @@ import numpy as np
 
 from .algorithms import RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
-from .qstate import ATOL, CNOT, StateVector, _readonly, apply_gate
+from .qstate import ATOL, CNOT, StateVector, _qubits, _readonly, _subset, apply_gate
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
 
@@ -71,13 +71,10 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
     sorted descending. Product iff the second coefficient vanishes. A 2x2
     matrix (two qubits) takes a closed form, any other one SVD; a stack is
     analysed at once and the verdict's fields gain its leading axis."""
-    left_qubits = sorted({int(q) for q in left})
     n = state.num_qubits
-    if not left_qubits or len(left_qubits) == n:
+    left_qubits = sorted(_subset(_qubits(left), n, "left"))
+    if len(left_qubits) == n:
         raise ValueError("bipartition must be a non-empty proper subset")
-    for q in left_qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubit(s)")
     right = [q for q in range(n) if q not in left_qubits]
     lead = state.amplitudes.ndim - 1  # 1 for a stack, 0 for one state
     psi = state.amplitudes.reshape(state.amplitudes.shape[:lead] + (2,) * n)

@@ -33,6 +33,8 @@ from .qstate import (
     _placement,
     _qubits,
     _readonly,
+    _subset,
+    _trace_gather,
     apply_gate_density,
     bitstring_distribution,
     partial_trace,
@@ -219,21 +221,19 @@ class NoiseModel:
 
 @lru_cache(maxsize=256)
 def _mixing_plan(n: int, targets: tuple[int, ...]) -> tuple:
-    """`depolarize`'s kept qubits and, after its checks, reduced (x) I/2^k as
-    a gather of the reduced state's flat entries times a read-only weight."""
-    if not targets:
-        raise ValueError("depolarize needs at least one target qubit")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated qubit in qubits={list(targets)}")
-    for q in targets:
-        if not 0 <= q < n:
-            raise ValueError(f"target {q} out of range for {n} qubit(s)")
-    kept = tuple(q for q in range(n) if q not in targets)
-    bits = np.arange(2**n)[:, None] >> (n - 1 - np.arange(n)) & 1  # qubit 0 first
-    kept_index = bits[:, list(kept)] @ (1 << np.arange(len(kept)))[::-1]
-    target_index = bits[:, list(targets)] @ (1 << np.arange(len(targets)))[::-1]
-    gather = kept_index[:, None] * 2 ** len(kept) + kept_index[None, :]
-    weight = (target_index[:, None] == target_index[None, :]) / 2 ** len(targets)
+    """`depolarize`'s kept qubits and, after `_subset`'s check, reduced (x)
+    I/2^k as a read-only gather of the reduced state's flat entries times a
+    read-only weight, read off `_trace_gather`: each reduced entry goes back,
+    times 2^-k, to every flat position the trace takes it from; every other
+    position has weight 0. With no qubit kept, the weight is I/2^n alone."""
+    _subset(targets, n, "qubits")
+    kept, d = tuple(q for q in range(n) if q not in targets), 2**n
+    if not kept:
+        return kept, None, _readonly(np.eye(d) / d)
+    trace = _trace_gather(n, kept)
+    gather, weight = np.zeros((d, d), dtype=int), np.zeros((d, d))
+    gather.flat[trace] = np.arange(trace.shape[1])  # alike at every traced state
+    weight.flat[trace] = 2.0 ** -len(targets)
     return kept, _readonly(gather), _readonly(weight)
 
 

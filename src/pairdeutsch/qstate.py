@@ -101,19 +101,27 @@ def _qubits(qubits: Sequence[int]) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def _subset(qubits: tuple[int, ...], n: int, what: str) -> tuple[int, ...]:
+    """The one qubit-list rule, on indices read by `_qubits`: at least one
+    qubit, each once and each below n, or a ValueError naming `what`."""
+    if not qubits:
+        raise ValueError(f"{what}=[] must name at least one qubit")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in {what}={list(qubits)}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(
+                f"qubit {q} in {what}={list(qubits)} is out of range for {n} qubit(s)")
+    return qubits
+
+
 @lru_cache(maxsize=256)
 def _axes(targets: tuple, num_qubits: int, ndim: int, stacked: bool) -> tuple:
     """Plan of `_apply` after its target checks: the axis order that puts the
     targets first (after the stack axis, the last one, for a gate stack), the
     moved tensor's matrix shape (-1 for a gate stack's length, which may be
     0) and the order that puts every axis back."""
-    if not targets:
-        raise ValueError("a gate needs at least one target qubit")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated target qubit in {targets}")
-    for t in targets:
-        if not 0 <= t < num_qubits:
-            raise ValueError(f"target {t} out of range for {num_qubits} qubit(s)")
+    _subset(targets, num_qubits, "targets")
     order = targets + tuple(a for a in range(ndim) if a not in targets)
     d = 2 ** len(targets)
     shape = (-1, d, 2**num_qubits // d) if stacked else (d, -1)
@@ -261,13 +269,7 @@ def _trace_gather(n: int, keep: tuple[int, ...]) -> np.ndarray:
     """`partial_trace`'s plan after its checks: a read-only (2**(n-k), 4**k)
     gather of the flat entries, row t holding the reduced matrix's entries
     at the traced qubits' basis state t, so its column sums trace them out."""
-    if not keep:
-        raise ValueError("keep list must be non-empty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"repeated qubit in keep={list(keep)}")
-    for q in keep:
-        if not 0 <= q < n:
-            raise ValueError(f"keep qubit {q} out of range for {n} qubit(s)")
+    _subset(keep, n, "keep")
     traced = [q for q in range(n) if q not in keep]
 
     def index(qubits):  # each basis state of `qubits`, big-endian, as a full index

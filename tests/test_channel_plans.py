@@ -14,6 +14,7 @@ from pairdeutsch.algorithms import (
     PRODUCT_PAIR,
     circuit_ops,
 )
+from pairdeutsch.entanglement import schmidt_analyze
 from pairdeutsch.noise import (
     NoiseModel,
     apply_readout_confusion,
@@ -26,6 +27,7 @@ from pairdeutsch.qstate import (
     CNOT,
     DensityMatrix,
     X,
+    apply_gate,
     apply_gate_density,
     bitstring_distribution,
     expanded_unitary,
@@ -90,21 +92,9 @@ def test_partial_trace_equals_the_einsum_bit_for_bit_for_every_keep_tuple(n):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: expanded_unitary(CNOT, [0, 0], 3), r"repeated target qubit in (0, 0)"),
-        (lambda: expanded_unitary(X, [5], 3), "target 5 out of range for 3 qubit(s)"),
-        (lambda: expanded_unitary(X, [], 3), "a gate needs at least one target qubit"),
         (lambda: expanded_unitary(X, [0], 13), "num_qubits must be in 1..12, got 13"),
         (lambda: expanded_unitary(CNOT, [0], 3),
          "gate of shape (4, 4) cannot act on 1 target qubit(s)"),
-        (lambda: partial_trace(_rho3(), []), "keep list must be non-empty"),
-        (lambda: partial_trace(_rho3(), [1, 1]), "repeated qubit in keep=[1, 1]"),
-        (lambda: partial_trace(_rho3(), [3]),
-         "keep qubit 3 out of range for 3 qubit(s)"),
-        (lambda: depolarize(_rho3(), [], 0.1),
-         "depolarize needs at least one target qubit"),
-        (lambda: depolarize(_rho3(), [0, 4], 0.1),
-         "target 4 out of range for 3 qubit(s)"),
-        (lambda: depolarize(_rho3(), [4], 0.0), "target 4 out of range for 3 qubit(s)"),
         (lambda: depolarize(_rho3(), [0], [0.1, 1.5]),
          "depolarizing probability 1.5 outside [0, 1]"),
     ],
@@ -114,6 +104,40 @@ def test_a_bad_call_raises_the_same_message_every_time(call, message):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+# each public function that takes a qubit list, as a call on three qubits
+# that returns an array, and the name its messages give the list; depolarize
+# at rate 0, which checks its qubits all the same
+QUBIT_LISTS = {
+    "apply_gate": (lambda qs: apply_gate(basis_state(3, 0), X, qs).amplitudes, "targets"),
+    "expanded_unitary": (lambda qs: expanded_unitary(X, qs, 3), "targets"),
+    "partial_trace": (lambda qs: partial_trace(_rho3(), qs).entries, "keep"),
+    "depolarize": (lambda qs: depolarize(_rho3(), qs, 0.0).entries, "qubits"),
+    "schmidt_analyze": (
+        lambda qs: schmidt_analyze(basis_state(3, 5), qs).schmidt_coefficients, "left"),
+}
+BAD_LISTS = {
+    "empty": ([], "{}=[] must name at least one qubit"),
+    "repeated": ([1, 2, 1], "repeated qubit in {}=[1, 2, 1]"),
+    "out_of_range": ([0, 3], "qubit 3 in {}=[0, 3] is out of range for 3 qubit(s)"),
+    "float": ([0.7], "qubit 0.7 is not an integer index"),
+    "bool": ([True], "qubit True is not an integer index"),
+    "str": ("01", "qubit '0' is not an integer index"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LISTS)
+@pytest.mark.parametrize("entry", QUBIT_LISTS)
+def test_a_bad_qubit_list_raises_the_rule_message_every_time(entry, bad):
+    call, what = QUBIT_LISTS[entry]
+    qubits, message = BAD_LISTS[bad]
+    want = call([1])  # caches qubit 1's plans, which lru_cache would hand True
+    for _ in range(3):  # a failed plan is never cached
+        with pytest.raises(ValueError) as exc:
+            call(qubits)
+        assert str(exc.value) == message.format(what)
+    assert np.array_equal(call([np.int64(1)]), want)
 
 
 def _rho3() -> DensityMatrix:

@@ -106,7 +106,7 @@ def test_schmidt_ghz_two_vs_one():
 
 def test_schmidt_rejects_trivial_bipartition():
     state = basis_state(2, 0)
-    with pytest.raises(ValueError, match="proper subset"):
+    with pytest.raises(ValueError, match="at least one"):
         schmidt_analyze(state, [])
     with pytest.raises(ValueError, match="proper subset"):
         schmidt_analyze(state, [0, 1])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_depolarize_rejects_bad_probability():
         ([0, True], "qubit True is not an integer index"),
         ([np.True_], "qubit np.True_ is not an integer index"),
         ([np.float64(1.0)], "qubit np.float64(1.0) is not an integer index"),
-        ([1, 3], "target 3 out of range for 3 qubit(s)"),
+        ([1, 3], "qubit 3 in qubits=[1, 3] is out of range for 3 qubit(s)"),
     ],
 )
 def test_depolarize_takes_each_qubit_once_as_an_index(qubits, message):
@@ -369,14 +370,18 @@ def test_depolarize_preserves_trace_and_positivity(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_depolarize_matches_loop_reference_on_every_target_subset(seed):
+    # every ordered target tuple on 1..4 qubits, all the qubits included, on
+    # a stack of three matrices at a rate each
     rng = np.random.default_rng(seed)
-    rho = DensityMatrix(3, random_density_matrix(3, rng))
-    for mask in range(1, 8):
-        targets = [q for q in range(3) if mask >> (2 - q) & 1]
-        p = float(rng.uniform(0, 1))
-        out = depolarize(rho, targets[::-1], p)
-        want = depolarize_reference(rho.entries, targets, p)
-        assert np.abs(out.entries - want).max() <= 1e-12, targets
+    for n in range(1, 5):
+        rho = DensityMatrix(n, [random_density_matrix(n, rng) for _ in range(3)])
+        for k in range(1, n + 1):
+            for targets in permutations(range(n), k):
+                p = rng.uniform(0, 1, size=3)
+                out = depolarize(rho, targets, p)
+                for member, want, rate in zip(out.entries, rho.entries, p):
+                    want = depolarize_reference(want, list(targets), float(rate))
+                    assert np.abs(member - want).max() <= 1e-12, targets
 
 
 @pytest.mark.parametrize("num_rates", [2, 4])

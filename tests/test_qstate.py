@@ -328,7 +328,7 @@ def test_partial_trace_plus_tensor_zero():
 
 def test_partial_trace_rejects_bad_keep():
     rho = DensityMatrix.from_state(basis_state(2, 0))
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match="at least one"):
         partial_trace(rho, [])
     with pytest.raises(ValueError, match="repeated"):
         partial_trace(rho, [0, 0])

@@ -33,6 +33,15 @@ def test_replicate_cases_rejects_a_bad_shot_count():
         assert "Traceback" not in proc.stderr
 
 
+def test_replicate_cases_rejects_a_bad_seed():
+    for seed in ("-1", "seven"):
+        proc = replicate("--shots", "16", "--seed", seed)
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--seed" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_replicate_cases_rejects_a_bad_noise_model(tmp_path):
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("garbage\n")
