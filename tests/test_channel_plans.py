@@ -111,7 +111,7 @@ def test_a_bad_call_raises_the_same_message_every_time(call, message):
 # at rate 0, which checks its qubits all the same
 QUBIT_LISTS = {
     "apply_gate": (lambda qs: apply_gate(basis_state(3, 0), X, qs).amplitudes, "targets"),
-    "expanded_unitary": (lambda qs: expanded_unitary(X, qs, 3), "targets"),
+    "expand": (lambda qs: expanded_unitary(X, qs, 3), "targets"),
     "partial_trace": (lambda qs: partial_trace(_rho3(), qs).entries, "keep"),
     "depolarize": (lambda qs: depolarize(_rho3(), qs, 0.0).entries, "qubits"),
     "schmidt_analyze": (
