@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -39,27 +40,25 @@ CASES = [
 PAIR_ALGORITHMS = [name for name, entry in ALGORITHMS.items() if entry.takes_pair]
 
 
-def shot_count(text: str) -> int:
-    """--shots value: an integer in 1..MAX_SHOTS, or an argparse error."""
-    try:
-        shots = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 < shots <= MAX_SHOTS:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_SHOTS}, got {shots}")
-    return shots
+def integer_in(low: int, high: float, rule: str | None = None):
+    """An argparse type: an integer in low..high, or an argparse error that
+    states the rule ("must be in low..high" unless given)."""
+    rule = rule or f"must be in {low}..{high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
 
 
-def seed_value(text: str) -> int:
-    """--seed value: a nonnegative integer, as numpy's generators take, or an
-    argparse error."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
-    return seed
+shot_count = integer_in(1, MAX_SHOTS)  # --shots
+seed_value = integer_in(0, math.inf, "must be nonnegative")  # --seed, as numpy takes it
 
 
 def noise_model(text: str) -> NoiseModel:

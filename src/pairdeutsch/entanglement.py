@@ -23,7 +23,7 @@ families that survive the CNOT criterion; the tests hold them to this form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from typing import Iterable
 
@@ -31,7 +31,8 @@ import numpy as np
 
 from .algorithms import RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
-from .qstate import ATOL, CNOT, StateVector, _qubits, _readonly, _subset, apply_gate
+from .qstate import (
+    ATOL, CNOT, StateVector, _index, _qubits, _readonly, _subset, apply_gate)
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
 
@@ -41,12 +42,17 @@ PLUS_FAMILY = "any-tensor-plus"
 MINUS_FAMILY = "any-tensor-minus"
 
 FAMILIES = (KET0_FAMILY, KET1_FAMILY, PLUS_FAMILY, MINUS_FAMILY)
-# in FAMILIES order: the wire each family fixes (0 input, 1 target), and the
-# single-qubit factor it fixes there as a row
-_FIXED_WIRES = (0, 0, 1, 1)
+# A row's product state, amplitude 2i + j (i on the input wire, j on the
+# target), is row column i times row column 2 + j.
+_INPUT_COLUMNS, _TARGET_COLUMNS = (0, 0, 1, 1), (2, 3, 2, 3)
+# in FAMILIES order: the factor each family fixes (|0> or |1> on the input
+# wire, |+> or |-> on the target) spread over the four amplitudes 2i + j, and
+# the row columns of the other wire's factor that multiply it
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-_FIXED_FACTORS = _readonly(np.array(
-    [[1.0, 0.0], [0.0, 1.0], [_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]]))
+_FIXED_AMPLITUDES = _readonly(np.array([
+    [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+    [_SQRT_HALF] * 4, [_SQRT_HALF, -_SQRT_HALF] * 2]))
+_FREE_COLUMNS = _readonly(np.array([_TARGET_COLUMNS] * 2 + [_INPUT_COLUMNS] * 2))
 
 QUANTITIES = ("f0", "f1", "f0_xor_f1")
 
@@ -91,13 +97,20 @@ def schmidt_analyze(state: StateVector, left: Iterable[int]) -> SeparabilityVerd
 
 def _singular_values_2x2(mat: np.ndarray) -> np.ndarray:
     """(s1, s2) of each 2x2 matrix on the last two axes from d = |det M| and
-    F = |M|_F^2 (s1^2 + s2^2 = F, s1*s2 = d); s2 = d/s1 is as small as d."""
-    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
-    d = np.sqrt(det.real**2 + det.imag**2)
-    frob = np.sum(mat.real**2 + mat.imag**2, axis=(-2, -1))
+    F = |M|_F^2 (s1^2 + s2^2 = F, s1*s2 = d); s2 = d/s1 is as small as d.
+    Each matrix is one contiguous row (m00, m01, m10, m11), and F is one
+    einsum over its real and imaginary parts."""
+    rows = np.ascontiguousarray(mat).reshape(-1, 4)
+    det = rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2]
+    d = np.abs(det)
+    parts = rows.view(np.float64)
+    frob = np.einsum("sk,sk->s", parts, parts)
     root = np.sqrt(np.maximum((frob - 2 * d) * (frob + 2 * d), 0.0))
-    s1 = np.sqrt((frob + root) / 2)  # > 0: a state's amplitudes have norm 1
-    return np.stack([s1, d / s1], axis=-1)
+    out = np.empty(mat.shape[:-2] + (2,))
+    s1, s2 = out.reshape(-1, 2).T  # views: each column is written in place
+    s1[...] = np.sqrt((frob + root) / 2)  # > 0: a state's amplitudes have norm 1
+    np.divide(d, s1, out=s2)
+    return out
 
 
 _PAIR_LABELS = ("alpha/beta", "gamma/delta")
@@ -114,11 +127,13 @@ def _checked_rows(params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.complex128)
     if params.ndim != 2 or params.shape[1] != 4:
         raise ValueError(f"params must have shape (S, 4), got {params.shape}")
-    squares = np.abs(params) ** 2
-    norms = squares[:, 0::2] + squares[:, 1::2]  # columns: alpha/beta, gamma/delta
-    bad = np.argwhere(~(np.abs(norms - 1.0) <= _PAIR_ATOL))  # NaN fails too
-    if bad.size:
-        sample, pair = bad[0]
+    # each pair's sum of squares as one einsum over the float view; columns:
+    # alpha/beta, gamma/delta
+    pairs = np.ascontiguousarray(params).view(np.float64).reshape(-1, 2, 4)
+    norms = np.einsum("spk,spk->sp", pairs, pairs)
+    ok = np.abs(norms - 1.0) <= _PAIR_ATOL  # NaN fails too
+    if not ok.all():
+        sample, pair = np.argwhere(~ok)[0]
         label, norm2 = _PAIR_LABELS[pair], float(norms[sample, pair])
         raise ValueError(_NOT_NORMALIZED.format(label, norm2))
     return params
@@ -136,7 +151,7 @@ def cnot_product_condition(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alpha, beta, gamma, delta = params.T
     predicted = np.abs(alpha * beta * (gamma**2 - delta**2)) < PRODUCT_TOL
     predicted.flags.writeable = False
-    products = (params[:, :2, None] * params[:, None, 2:]).reshape(-1, 4)
+    products = params.take(_INPUT_COLUMNS, axis=1) * params.take(_TARGET_COLUMNS, axis=1)
     cnot = apply_gate(StateVector._trusted(2, products), CNOT, (0, 1))
     return predicted, schmidt_analyze(cnot, [0]).is_product
 
@@ -148,13 +163,13 @@ def oracle_output_overlaps(params: np.ndarray) -> np.ndarray:
     (S, 4) rows (alpha, beta, gamma, delta) of params gives the other. All
     four families' inputs form one (4, S, 4) array, queried in one pass."""
     params = _checked_rows(params)
-    # each U_h is a permutation matrix: amplitude perm[i] of in moves to row i
-    perms = [np.argmax(oracle_unitary(h), axis=1) for h in _DIFFERENCES]
-    # [family, row, wire, amplitude]: each row's factors, then the fixed one
-    factors = np.repeat(params.reshape(1, -1, 2, 2), len(FAMILIES), axis=0)
-    factors[range(len(FAMILIES)), :, _FIXED_WIRES] = _FIXED_FACTORS[:, None]
-    inputs = (factors[:, :, 0, :, None] * factors[:, :, 1, None, :]).reshape(
-        len(FAMILIES), -1, 4)
+    # each U_h is a permutation matrix: amplitude perms[h, i] of in moves to row i
+    perms = np.argmax([oracle_unitary(h) for h in _DIFFERENCES], axis=-1)
+    # [family, row, amplitude]: the fixed factor times the row's other one,
+    # one gather and one multiply for all four families
+    inputs = np.empty((len(FAMILIES), len(params), 4), dtype=np.complex128)
+    np.multiply(params[:, _FREE_COLUMNS].transpose(1, 0, 2), _FIXED_AMPLITUDES[:, None],
+                out=inputs)
     outs = inputs[..., perms]  # (4, S, 3, 4): U_h|in> for every family, row and h
     return np.abs(np.einsum("fsi,fshi->fsh", inputs.conj(), outs))
 
@@ -194,23 +209,34 @@ def audit_family_distinguishability(
 
 def bloch_grid_params(theta_points: int = 51) -> np.ndarray:
     """Deterministic single-qubit grid, theta_points polar x theta_points + 1
-    azimuthal angles, as (theta * phi, 4) rows (a, b, a, b): the same factor
-    for both wires, theta-major; families pick out whichever factor they need.
+    azimuthal angles, as read-only (theta * phi, 4) rows (a, b, a, b): the
+    same factor for both wires, theta-major; families pick out whichever
+    factor they need.
 
     The grid hits theta = pi/2 (equal magnitudes) only for an odd theta count,
     and phi in {0, pi/2, pi, 3pi/2} only when theta_points + 1 is a multiple
     of 4, as at the default 51; phi = 0 is always on it.
+
+    Each size is built once and shared: the last four sizes asked for stay
+    cached, 64 t (t + 1) bytes each, 4.2 MB at the CLI's largest grid, 256,
+    so at most 17 MB.
     """
+    return _bloch_grid(_index(theta_points, "theta_points"))
+
+
+@lru_cache(maxsize=4)
+def _bloch_grid(theta_points: int) -> np.ndarray:
     half = np.linspace(0.0, np.pi, theta_points)[:, None] / 2
     phi = np.linspace(0.0, 2 * np.pi, theta_points + 1, endpoint=False)
     b = np.sin(half) * np.exp(1j * phi)
     a = np.broadcast_to(np.cos(half), b.shape)
-    return np.stack([a, b, a, b], axis=-1).reshape(-1, 4)
+    return _readonly(np.stack([a, b, a, b], axis=-1).reshape(-1, 4))
 
 
 def random_product_params(count: int, seed: int) -> np.ndarray:
     """(count, 4) rows (alpha, beta, gamma, delta) of Haar-distributed
     single-qubit factors from a seeded generator."""
+    count, seed = _index(count, "count"), _index(seed, "seed")
     # one draw in the order of a per-sample loop: sample, factor, real or
     # imaginary part, amplitude
     draw = np.random.default_rng(seed).normal(size=(count, 2, 2, 2))

@@ -86,19 +86,22 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
     return bool((abs(m.conj().T @ m - _identity(len(m))) <= tol).all())
 
 
+def _index(value: int, what: str = "qubit") -> int:
+    """The one index rule, for qubits, counts and seeds: an index other than a
+    bool, read through operator.index, so np.int64 passes and 0.7 and True
+    fail with a ValueError naming `what`. It runs before a cache is looked up,
+    as lru_cache takes (True,) for (1,) and 9.0 for 9."""
+    try:
+        if type(value) is bool:  # an index to operator.index, but not here
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer index") from None
+
+
 def _qubits(qubits: Sequence[int]) -> tuple[int, ...]:
-    """The one qubit-index rule: a qubit is an index other than a bool, read
-    through operator.index, so np.int64 passes and 0.7 and True fail. It runs
-    before a cached plan is looked up, as lru_cache takes (True,) for (1,)."""
-    indices = []
-    for q in qubits:
-        try:
-            if type(q) is bool:  # an index to operator.index, but no qubit
-                raise TypeError
-            indices.append(operator.index(q))
-        except TypeError:
-            raise ValueError(f"qubit {q!r} is not an integer index") from None
-    return tuple(indices)
+    """Each qubit of the list read by the index rule."""
+    return tuple(map(_index, qubits))
 
 
 def _subset(qubits: tuple[int, ...], n: int, what: str) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from itertools import compress
 from pathlib import Path
@@ -19,6 +20,7 @@ from pairdeutsch.entanglement import (
     PLUS_FAMILY,
     PRODUCT_TOL,
     QUANTITIES,
+    _bloch_grid,
     _cut_order,
     audit_family_distinguishability,
     bloch_grid_params,
@@ -212,12 +214,14 @@ def test_step_second_coefficients_examples():
 
 
 def test_product_state_params_validation():
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for row, label in (
         ((1.0, 1.0, 1.0, 0.0), "alpha/beta"),
         ((1.0, 0.0, 0.5, 0.5), "gamma/delta"),
         ((nan, 0.0, 1.0, 0.0), "alpha/beta"),  # a NaN norm is not within 1e-10 of 1
         ((1.0, 0.0, nan, nan), "gamma/delta"),
+        ((inf, 0.0, 1.0, 0.0), "alpha/beta"),
+        ((1.0, 0.0, 0.0, -inf), "gamma/delta"),
     ):
         with pytest.raises(ValueError, match=f"{label} amplitudes not normalized"):
             cnot_product_condition([row])
@@ -516,6 +520,38 @@ def test_bloch_grid_matches_the_per_point_loop(t):
     assert got.shape == want.shape == (t * (t + 1), 4)
     # float-hex identity: every real and imaginary part, sign of zero included
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_each_grid_size_is_built_once_read_only_and_the_cache_is_bounded():
+    _bloch_grid.cache_clear()
+    grid = bloch_grid_params(9)
+    assert grid is bloch_grid_params(9) is bloch_grid_params(np.int64(9))
+    assert bloch_grid_params() is bloch_grid_params(51)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 0
+    assert _bloch_grid.cache_info()[:2] == (3, 2)  # (hits, misses)
+    for t in range(2, 20):
+        bloch_grid_params(t)
+    info = _bloch_grid.cache_info()
+    assert info.currsize == info.maxsize == 4
+    for bad, message in ((9.0, "theta_points 9.0 is not an integer index"),
+                         (True, "theta_points True is not an integer index"),
+                         (np.True_, "theta_points np.True_ is not an integer index"),
+                         (-1, "Number of samples, -1, must be non-negative")):
+        for _ in range(3):  # a failed build is never cached
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bloch_grid_params(bad)
+
+
+def test_random_params_read_count_and_seed_as_indices():
+    want = random_product_params(3, 7)
+    assert np.array_equal(random_product_params(np.int64(3), np.int64(7)), want)
+    for count, seed, message in ((3, True, "seed True"), (True, 7, "count True"),
+                                 (3.0, 7, "count 3.0"), (3, 7.0, "seed 7.0"),
+                                 (3, np.True_, "seed np.True_")):
+        with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer index")):
+            random_product_params(count, seed)
 
 
 def test_only_odd_grids_put_theta_half_pi_on_the_grid():

@@ -16,6 +16,7 @@ def test_module_tables_that_other_code_reads_are_read_only():
         oracles.NAMED_FUNCTIONS["B1"] = oracles.B1
     with pytest.raises(TypeError):
         noise.TABLE2_TWO_QUBIT[(0, 1)] = noise.TABLE2_TWO_QUBIT[(0, 1)]
-    for table in (entanglement._FIXED_FACTORS, entanglement._FLIPS):
+    for table in (entanglement._FIXED_AMPLITUDES, entanglement._FREE_COLUMNS,
+                  entanglement._FLIPS):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
