@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -22,13 +21,13 @@ from pairdeutsch import (  # noqa: E402
     B2,
     C1,
     C2,
-    NoiseModel,
     PromisePair,
     run_noisy,
     sample_shots,
     statistical_fidelity,
 )
 from pairdeutsch.algorithms import ALGORITHMS, run  # noqa: E402
+from pairdeutsch.cli import UsageError, _integer_flag, _load_noise  # noqa: E402
 from pairdeutsch.noise import MAX_SHOTS, NotCovered  # noqa: E402
 
 CASES = [
@@ -40,45 +39,19 @@ CASES = [
 PAIR_ALGORITHMS = [name for name, entry in ALGORITHMS.items() if entry.takes_pair]
 
 
-def integer_in(low: int, high: float, rule: str | None = None):
-    """An argparse type: an integer in low..high, or an argparse error that
-    states the rule ("must be in low..high" unless given)."""
-    rule = rule or f"must be in {low}..{high}"
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
-        return value
-
-    return parse
-
-
-shot_count = integer_in(1, MAX_SHOTS)  # --shots
-seed_value = integer_in(0, math.inf, "must be nonnegative")  # --seed, as numpy takes it
-
-
-def noise_model(text: str) -> NoiseModel:
-    """--noise value: table2 or a readable config file, or an argparse error."""
-    if text == "table2":
-        return NoiseModel.table2()
-    try:
-        return NoiseModel.load(text)
-    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, bad rates
-        raise argparse.ArgumentTypeError(f"config {text}: {exc}") from None
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shots", type=shot_count, default=8192)
-    parser.add_argument("--seed", type=seed_value, default=0)
-    parser.add_argument("--noise", type=noise_model, default="table2",
-                        help="table2 | config path")
+    parser.add_argument("--shots", default="8192")
+    parser.add_argument("--seed", default="0")
+    parser.add_argument("--noise", default="table2", help="table2 | config path")
     parser.add_argument("--csv", type=Path, help="also write rows to this file")
     args = parser.parse_args()
+    try:  # the CLI's rules and messages for the same flags
+        shots = _integer_flag("--shots", args.shots, 1, MAX_SHOTS)
+        seed = _integer_flag("--seed", args.seed, 0)
+        model = _load_noise(args.noise)
+    except UsageError as exc:
+        parser.error(str(exc))
 
     rows = []
     lines = [f"{'case':8} {'algorithm':16} {'fidelity':>10} {'stderr':>9}  outcomes"]
@@ -86,11 +59,11 @@ def main() -> int:
         for name, pair in CASES:
             ideal = run(algorithm, pair).final_distribution
             try:
-                noisy = run_noisy(algorithm, pair, args.noise)
-            except NotCovered as exc:  # before any line is printed
-                parser.error(f"argument --noise: {exc}")
-            counts = sample_shots(noisy, args.shots, args.seed)
-            report = statistical_fidelity(counts, ideal, seed=args.seed)
+                noisy = run_noisy(algorithm, pair, model)
+            except NotCovered as exc:  # before any line is printed, as the CLI words it
+                parser.error(f"--noise config {args.noise}: {exc}")
+            counts = sample_shots(noisy, shots, seed)
+            report = statistical_fidelity(counts, ideal, seed=seed)
             top = sorted(counts, key=counts.get, reverse=True)[:2]
             summary = ", ".join(f"{k}:{counts[k]}" for k in top)
             lines.append(
@@ -102,7 +75,7 @@ def main() -> int:
                     "case": name,
                     "algorithm": algorithm,
                     "pair": pair.label(),
-                    "shots": args.shots,
+                    "shots": shots,
                     "fidelity": report.fidelity,
                     "stderr": report.stderr,
                 }

@@ -43,6 +43,7 @@ from .noise import (
     statistical_fidelity,
 )
 from .oracles import BoolFn, PromisePair, parse_oracle
+from .qstate import _integer
 from .verify import verify_build
 
 SEED_ENV_VAR = "PAIRDEUTSCH_SEED"
@@ -114,31 +115,30 @@ class RunRequest:
         return d
 
 
-def _seed(flag_value: int | None) -> int:
-    """--seed if given, else PAIRDEUTSCH_SEED, else 0; numpy takes only
-    nonnegative seeds."""
-    source, raw = "--seed", flag_value
-    if flag_value is None:
-        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+def _integer_flag(flag: str, text: str, low: int, high: int | None = None,
+                  expected: str = "an integer") -> int:
+    """The flag's text as an int, then by the integer rule; a UsageError if not."""
     try:
-        seed = int(raw)
+        value = int(text)
     except ValueError:
-        raise UsageError(f"{source} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise UsageError(f"{source} must be nonnegative, got {seed}")
-    return seed
+        raise UsageError(f'{flag} must be {expected}, got "{text}"') from None
+    try:
+        return _integer(value, flag, low, high)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _seed(flag_value: str | None) -> int:
+    """--seed if given, else PAIRDEUTSCH_SEED, else 0: nonnegative, as numpy takes it."""
+    if flag_value is None:
+        return _integer_flag(SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0"), 0)
+    return _integer_flag("--seed", flag_value, 0)
 
 
 def _parse_shots(text: str) -> int | str:
     if text == "exact":
         return text
-    try:
-        shots = int(text)
-    except ValueError:
-        raise UsageError(f'--shots must be a positive integer or "exact", got "{text}"')
-    if not 0 < shots <= MAX_SHOTS:
-        raise UsageError(f"--shots must be in 1..{MAX_SHOTS}, got {shots}")
-    return shots
+    return _integer_flag("--shots", text, 1, MAX_SHOTS, 'a positive integer or "exact"')
 
 
 def _parse_oracle_flag(flag: str, text: str) -> BoolFn:
@@ -210,20 +210,15 @@ def _run_fields(ns: argparse.Namespace) -> dict:
 
 
 def _audit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument(
-        "--grid", type=int, default=51,
-        help="theta points, grid+1 phi points; only an odd count puts theta = "
-        "pi/2 on the grid, where any-tensor-minus decides f0^f1",
-    )
+    parser.add_argument("--samples", default="1000")
+    parser.add_argument("--grid", default="51", help="theta points, grid+1 phi points; "
+                        "only an odd count puts theta = pi/2 on the grid, where "
+                        "any-tensor-minus decides f0^f1")
 
 
 def _audit_fields(ns: argparse.Namespace) -> dict:
-    if not 1 <= ns.samples <= MAX_SAMPLES:
-        raise UsageError(f"--samples must be in 1..{MAX_SAMPLES}, got {ns.samples}")
-    if not 2 <= ns.grid <= MAX_GRID:
-        raise UsageError(f"--grid must be in 2..{MAX_GRID}, got {ns.grid}")
-    return {"samples": ns.samples, "grid": ns.grid}
+    return {"samples": _integer_flag("--samples", ns.samples, 1, MAX_SAMPLES),
+            "grid": _integer_flag("--grid", ns.grid, 2, MAX_GRID)}
 
 
 def _fidelity_flags(parser: argparse.ArgumentParser) -> None:
@@ -448,7 +443,7 @@ def _build_parser() -> tuple[_Parser, MappingProxyType]:
         command = sub.add_parser(name, help=row.help)
         row.add_flags(command)
         if row.seeded:
-            command.add_argument("--seed", type=int, default=None)
+            command.add_argument("--seed")
         command.add_argument("--output", default="json", choices=row.outputs)
     return parser, MappingProxyType(sub.choices)
 

@@ -32,7 +32,7 @@ import numpy as np
 from .algorithms import RunRecord
 from .oracles import B1, B2, C2, oracle_unitary
 from .qstate import (
-    ATOL, CNOT, StateVector, _index, _qubits, _readonly, _subset, apply_gate)
+    ATOL, CNOT, StateVector, _integer, _qubits, _readonly, _subset, apply_gate)
 
 PRODUCT_TOL = 1e-9  # second Schmidt coefficient below this counts as product
 
@@ -122,11 +122,11 @@ _PAIR_ATOL = ATOL / 4
 
 
 def _checked_rows(params: np.ndarray) -> np.ndarray:
-    """params as (S, 4) rows (alpha, beta, gamma, delta), each pair's sum of
-    squares within ATOL/4 of 1: the one input rule of both audits."""
+    """params as (S, 4) rows (alpha, beta, gamma, delta), S >= 1, each pair's
+    sum of squares within ATOL/4 of 1: the one input rule of both audits."""
     params = np.asarray(params, dtype=np.complex128)
-    if params.ndim != 2 or params.shape[1] != 4:
-        raise ValueError(f"params must have shape (S, 4), got {params.shape}")
+    if params.ndim != 2 or params.shape[1] != 4 or not len(params):
+        raise ValueError(f"params must have shape (S, 4), S >= 1, got {params.shape}")
     # each pair's sum of squares as one einsum over the float view; columns:
     # alpha/beta, gamma/delta
     pairs = np.ascontiguousarray(params).view(np.float64).reshape(-1, 2, 4)
@@ -211,7 +211,7 @@ def bloch_grid_params(theta_points: int = 51) -> np.ndarray:
     """Deterministic single-qubit grid, theta_points polar x theta_points + 1
     azimuthal angles, as read-only (theta * phi, 4) rows (a, b, a, b): the
     same factor for both wires, theta-major; families pick out whichever
-    factor they need.
+    factor they need. theta_points is read by the integer rule from 2.
 
     The grid hits theta = pi/2 (equal magnitudes) only for an odd theta count,
     and phi in {0, pi/2, pi, 3pi/2} only when theta_points + 1 is a multiple
@@ -221,7 +221,7 @@ def bloch_grid_params(theta_points: int = 51) -> np.ndarray:
     cached, 64 t (t + 1) bytes each, 4.2 MB at the CLI's largest grid, 256,
     so at most 17 MB.
     """
-    return _bloch_grid(_index(theta_points, "theta_points"))
+    return _bloch_grid(_integer(theta_points, "theta_points", 2))
 
 
 @lru_cache(maxsize=4)
@@ -235,8 +235,8 @@ def _bloch_grid(theta_points: int) -> np.ndarray:
 
 def random_product_params(count: int, seed: int) -> np.ndarray:
     """(count, 4) rows (alpha, beta, gamma, delta) of Haar-distributed
-    single-qubit factors from a seeded generator."""
-    count, seed = _index(count, "count"), _index(seed, "seed")
+    single-qubit factors from a seeded generator, count >= 1 and seed >= 0."""
+    count, seed = _integer(count, "count", 1), _integer(seed, "seed", 0)
     # one draw in the order of a per-sample loop: sample, factor, real or
     # imaginary part, amplitude
     draw = np.random.default_rng(seed).normal(size=(count, 2, 2, 2))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .oracles import BoolFn, PromisePair
 from .qstate import (
     DensityMatrix,
     _apply,
+    _integer,
     _partial_trace,
     _placement,
     _qubits,
@@ -358,10 +358,8 @@ def _checked_probabilities(values) -> np.ndarray:
 
 def sample_shots(dist: Mapping[str, float], shots: int, seed: int) -> dict[str, int]:
     """Seeded multinomial draw as outcome -> count; same seed, same counts."""
-    # 5.5 is no shot count (numpy would draw 5), nor is True (an int to
-    # operator.index); numpy overflows at 2**63
-    if type(shots) is bool or not 0 < operator.index(shots) <= MAX_SHOTS:
-        raise ValueError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    # numpy would draw 5 shots for 5.5 and 1 for True, and overflows at 2**63
+    shots, seed = _integer(shots, "shots", 1, MAX_SHOTS), _integer(seed, "seed", 0)
     keys = sorted(dist)
     p = _checked_probabilities([dist[k] for k in keys])
     rng = np.random.default_rng(seed)
@@ -440,9 +438,9 @@ def statistical_fidelity(
     seed: int = 0,
 ) -> FidelityReport:
     """Fidelity of the empirical distribution of `counts` against `p_th`.
-    ValueError unless `p_th` is a distribution over outcomes of one width and
-    `counts` maps outcomes as wide to nonnegative integers totalling
-    1..MAX_SHOTS.
+    ValueError unless `seed` passes the integer rule from 0, `p_th` is a
+    distribution over outcomes of one width and `counts` maps outcomes as
+    wide to nonnegative integers totalling 1..MAX_SHOTS.
 
     The standard error is a Poisson bootstrap: each count is resampled as
     Poisson(count), renormalized, and the fidelity recomputed; the standard
@@ -461,7 +459,7 @@ def statistical_fidelity(
     keys = sorted(set(counts) | set(p_th))
     base = np.array([counts.get(k, 0) for k in keys], dtype=float)
     theory = np.array([p_th.get(k, 0.0) for k in keys], dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     draws = rng.poisson(lam=base, size=(BOOTSTRAP_RESAMPLES, len(keys))).astype(float)
     totals = draws.sum(axis=1, keepdims=True)
     resampled = np.sqrt(draws / np.where(totals == 0, 1.0, totals) * theory).sum(axis=1)

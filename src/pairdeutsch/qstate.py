@@ -30,8 +30,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_num_qubits(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
+    _integer(num_qubits, "num_qubits", 1, MAX_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,24 @@ def is_unitary(matrix: np.ndarray, tol: float = ATOL) -> bool:
 
 
 def _index(value: int, what: str = "qubit") -> int:
-    """The one index rule, for qubits, counts and seeds: an index other than a
-    bool, read through operator.index, so np.int64 passes and 0.7 and True
-    fail with a ValueError naming `what`. It runs before a cache is looked up,
-    as lru_cache takes (True,) for (1,) and 9.0 for 9."""
+    """The one index rule, for qubits and, through `_integer`, every integer: an
+    index other than a bool (np.int64 passes, 0.7 and True fail), or a ValueError
+    naming `what`. It runs before a cache lookup: lru_cache takes 9.0 for 9."""
     try:
         if type(value) is bool:  # an index to operator.index, but not here
             raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer index") from None
+
+
+def _integer(value: int, what: str, low: int, high: int | None = None) -> int:
+    """The one integer rule: the index rule, then low..high, no ceiling for None."""
+    value = _index(value, what)
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 def _qubits(qubits: Sequence[int]) -> tuple[int, ...]:

@@ -20,12 +20,15 @@ from pairdeutsch.noise import (
     apply_readout_confusion,
     depolarize,
     run_noisy_models,
+    sample_shots,
+    statistical_fidelity,
 )
 from pairdeutsch.oracles import NAMED_FUNCTIONS, all_promise_pairs
 from pairdeutsch.qstate import (
     ATOL,
     CNOT,
     DensityMatrix,
+    StateVector,
     X,
     apply_gate,
     apply_gate_density,
@@ -97,6 +100,28 @@ def test_partial_trace_equals_the_einsum_bit_for_bit_for_every_keep_tuple(n):
          "gate of shape (4, 4) cannot act on 1 target qubit(s)"),
         (lambda: depolarize(_rho3(), [0], [0.1, 1.5]),
          "depolarizing probability 1.5 outside [0, 1]"),
+        # the integer rule, at each library entry point that reads an integer
+        # by it outside the audits' own tables: (entry point, bad value)
+        pytest.param(lambda: expanded_unitary(X, [0], 1.5),
+                     "num_qubits 1.5 is not an integer index", id="expand-float-width"),
+        pytest.param(lambda: StateVector(True, [1, 0]),
+                     "num_qubits True is not an integer index", id="state-bool-width"),
+        pytest.param(lambda: StateVector(1.0, [1, 0]),
+                     "num_qubits 1.0 is not an integer index", id="state-float-width"),
+        pytest.param(lambda: DensityMatrix(0, [[1]]),
+                     "num_qubits must be in 1..12, got 0", id="density-zero-width"),
+        pytest.param(lambda: sample_shots({"0": 1.0}, 5.5, 0),
+                     "shots 5.5 is not an integer index", id="shots-float"),
+        pytest.param(lambda: sample_shots({"0": 1.0}, 5, True),
+                     "seed True is not an integer index", id="shots-bool-seed"),
+        pytest.param(lambda: sample_shots({"0": 1.0}, 5, -1),
+                     "seed must be at least 0, got -1", id="shots-negative-seed"),
+        pytest.param(lambda: statistical_fidelity({"0": 5}, {"0": 1.0}, seed=True),
+                     "seed True is not an integer index", id="fidelity-bool-seed"),
+        pytest.param(lambda: statistical_fidelity({"0": 5}, {"0": 1.0}, seed=2.0),
+                     "seed 2.0 is not an integer index", id="fidelity-float-seed"),
+        pytest.param(lambda: statistical_fidelity({"0": 5}, {"0": 1.0}, seed=-1),
+                     "seed must be at least 0, got -1", id="fidelity-negative-seed"),
     ],
 )
 def test_a_bad_call_raises_the_same_message_every_time(call, message):

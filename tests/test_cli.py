@@ -36,7 +36,7 @@ from pairdeutsch.cli import (
     parse_request,
 )
 from pairdeutsch.entanglement import random_product_params
-from pairdeutsch.noise import NoiseModel, sample_shots
+from pairdeutsch.noise import MAX_SHOTS, NoiseModel, sample_shots
 from pairdeutsch.oracles import B1, PromisePair
 from pairdeutsch.verify import verify_build
 
@@ -97,29 +97,40 @@ def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
     run_shots = ["run", "--algorithm", "deutsch", "--f", "B1", "--shots", "10"]
     audit = ["audit-theorem", "--samples", "10", "--grid", "3"]
     pair = ["--algorithm", "entangled", "--f", "B1", "--g", "B1"]
-    # (argv, PAIRDEUTSCH_SEED or None)
+    seed_rule, env_rule = "--seed must be at least 0, got", f"{SEED_ENV_VAR} must be"
+    # (argv, PAIRDEUTSCH_SEED or None, the error message or None); each flag
+    # that the integer rule reads has a row of its own message
     rows = [
-        (["run", "--algorithm", "entangled", "--f", "B1", "--g", "C1"], None),
-        ([*run_shots, "--seed", "-1"], None),
-        ([*fidelity, "--seed", "-1"], None),
-        ([*audit, "--seed", "-1"], None),
-        (run_shots, "-2"),
-        (fidelity, "-2"),
-        (audit, "-2"),
-        (["run", *pair, "--shots", "100000000000000000000000"], None),
-        (["run", *pair, "--noise", str(tmp_path)], None),
-        (["sweep-noise", *pair, "--noise", str(tmp_path)], None),
-        (["fidelity", "--counts", str(tmp_path), "--theory", "entangled:B1,B1"], None),
-        (["audit-theorem", "--grid", "257"], None),
-        (["audit-theorem", "--grid", "1"], None),
-        (["audit-theorem", "--samples", "100001"], None),
-        (["audit-theorem", "--samples", "0"], None),
-        (["sweep-noise", *pair, "--scales", ",".join(["1"] * 1025)], None),
-        (["sweep-noise", *pair, "--scales", "nan"], None),
-        (["sweep-noise", *pair, "--scales", "1,inf"], None),
-        (["sweep-noise", *pair, "--scales", "1e309"], None),
+        (["run", "--algorithm", "entangled", "--f", "B1", "--g", "C1"], None, None),
+        ([*run_shots, "--seed", "-1"], None, f"{seed_rule} -1"),
+        ([*fidelity, "--seed", "-1"], None, f"{seed_rule} -1"),
+        ([*audit, "--seed", "-1"], None, f"{seed_rule} -1"),
+        ([*audit, "--seed", "1.5"], None, '--seed must be an integer, got "1.5"'),
+        (run_shots, "-2", f"{env_rule} at least 0, got -2"),
+        (fidelity, "-2", f"{env_rule} at least 0, got -2"),
+        (audit, "-2", f"{env_rule} at least 0, got -2"),
+        (audit, "x", f'{env_rule} an integer, got "x"'),
+        (["run", *pair, "--shots", "100000000000000000000000"], None,
+         f"--shots must be in 1..{MAX_SHOTS}, got 100000000000000000000000"),
+        (["run", *pair, "--shots", "0"], None, f"--shots must be in 1..{MAX_SHOTS}, got 0"),
+        (["run", *pair, "--noise", str(tmp_path)], None, None),
+        (["sweep-noise", *pair, "--noise", str(tmp_path)], None, None),
+        (["fidelity", "--counts", str(tmp_path), "--theory", "entangled:B1,B1"], None,
+         None),
+        (["audit-theorem", "--grid", "257"], None, "--grid must be in 2..256, got 257"),
+        (["audit-theorem", "--grid", "1"], None, "--grid must be in 2..256, got 1"),
+        (["audit-theorem", "--grid", "9.0"], None, '--grid must be an integer, got "9.0"'),
+        (["audit-theorem", "--samples", "100001"], None,
+         "--samples must be in 1..100000, got 100001"),
+        (["audit-theorem", "--samples", "0"], None, "--samples must be in 1..100000, got 0"),
+        (["audit-theorem", "--samples", "ten"], None,
+         '--samples must be an integer, got "ten"'),
+        (["sweep-noise", *pair, "--scales", ",".join(["1"] * 1025)], None, None),
+        (["sweep-noise", *pair, "--scales", "nan"], None, None),
+        (["sweep-noise", *pair, "--scales", "1,inf"], None, None),
+        (["sweep-noise", *pair, "--scales", "1e309"], None, None),
     ]
-    for argv, env_seed in rows:
+    for argv, env_seed, message in rows:
         if env_seed is None:
             monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         else:
@@ -127,6 +138,8 @@ def test_cli_exit_codes_and_error_prefix(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (EXIT_USAGE, ""), (argv, env_seed, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if message is not None:
+            assert err == f"error: {message}\n", (argv, env_seed)
 
 
 def test_shared_parser_parses_each_request_as_a_fresh_one(monkeypatch, tmp_path):

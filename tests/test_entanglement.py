@@ -316,6 +316,10 @@ def test_cnot_condition_agrees_on_1000_random_samples():
 @pytest.mark.parametrize("seed", [0, 1, 7, 77, 20240917])
 @pytest.mark.parametrize("count", [0, 1, 500])
 def test_random_params_match_the_per_sample_loop(count, seed):
+    if count == 0:  # the count rule starts at 1, so no audit runs on nothing
+        with pytest.raises(ValueError, match="^count must be at least 1, got 0$"):
+            random_product_params(count, seed)
+        return
     got = random_product_params(count, seed)
     want = np.array(random_product_params_reference(count, seed))
     assert got.shape == want.reshape(-1, 4).shape == (count, 4)
@@ -365,6 +369,13 @@ def test_cnot_condition_agrees_on_the_four_surviving_families():
     ids=["haar-0", "haar-1", "haar-7", "haar-20240917", "grid-51x52", "families", "empty"],
 )
 def test_cnot_condition_matches_the_per_row_reference(rows):
+    if not len(rows):  # no rows: no audit returns a verdict on nothing
+        for audit in (cnot_product_condition, oracle_output_overlaps,
+                      audit_family_distinguishability):
+            with pytest.raises(ValueError) as info:
+                audit(rows)
+            assert str(info.value) == "params must have shape (S, 4), S >= 1, got (0, 4)"
+        return
     predicted, actual = cnot_product_condition(rows)
     want = [cnot_product_condition_reference(row) for row in rows]
     assert predicted.tolist() == [p for p, _ in want]
@@ -538,7 +549,9 @@ def test_each_grid_size_is_built_once_read_only_and_the_cache_is_bounded():
     for bad, message in ((9.0, "theta_points 9.0 is not an integer index"),
                          (True, "theta_points True is not an integer index"),
                          (np.True_, "theta_points np.True_ is not an integer index"),
-                         (-1, "Number of samples, -1, must be non-negative")):
+                         (-1, "theta_points must be at least 2, got -1"),
+                         (0, "theta_points must be at least 2, got 0"),
+                         (1, "theta_points must be at least 2, got 1")):
         for _ in range(3):  # a failed build is never cached
             with pytest.raises(ValueError, match=re.escape(message)):
                 bloch_grid_params(bad)
@@ -547,11 +560,18 @@ def test_each_grid_size_is_built_once_read_only_and_the_cache_is_bounded():
 def test_random_params_read_count_and_seed_as_indices():
     want = random_product_params(3, 7)
     assert np.array_equal(random_product_params(np.int64(3), np.int64(7)), want)
-    for count, seed, message in ((3, True, "seed True"), (True, 7, "count True"),
-                                 (3.0, 7, "count 3.0"), (3, 7.0, "seed 7.0"),
-                                 (3, np.True_, "seed np.True_")):
-        with pytest.raises(ValueError, match=re.escape(f"{message} is not an integer index")):
+    index = "is not an integer index"
+    for count, seed, message in ((3, True, f"seed True {index}"),
+                                 (True, 7, f"count True {index}"),
+                                 (3.0, 7, f"count 3.0 {index}"),
+                                 (3, 7.0, f"seed 7.0 {index}"),
+                                 (3, np.True_, f"seed np.True_ {index}"),
+                                 (0, 7, "count must be at least 1, got 0"),
+                                 (-2, 7, "count must be at least 1, got -2"),
+                                 (3, -1, "seed must be at least 0, got -1")):
+        with pytest.raises(ValueError) as info:
             random_product_params(count, seed)
+        assert str(info.value) == message
 
 
 def test_only_odd_grids_put_theta_half_pi_on_the_grid():
